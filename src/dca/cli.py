@@ -24,8 +24,9 @@ from .datasets import (load_items, load_uci, run_bc_experiment,
 from .streams import (EventDrivenRunner, PORTSCAN_EXPERIMENTS, ScenarioConfig,
                       SinkDisconnected, StreamClient, StreamFormatError,
                       TissueServer, generate_scenario, read_log, replay,
-                      write_log)
-from .tissue import PopulationConfig, Tissue, write_migration_log
+                      run_portscan_experiment, write_log)
+from .tissue import (PopulationConfig, Tissue, read_migration_log,
+                     write_migration_log)
 
 SWEEP_SETTINGS = {
     "1": ("fixed", 1.0),
@@ -207,16 +208,10 @@ def cmd_bc(args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_portscan(args: argparse.Namespace, out: Path) -> int:
-    from .streams import run_portscan_experiment
-    if args.experiment == "all":
-        numbers = sorted(PORTSCAN_EXPERIMENTS)
-    else:
-        try:
-            numbers = [int(args.experiment)]
-        except ValueError:
-            raise CliError(f"invalid experiment {args.experiment!r}") from None
-        if numbers[0] not in PORTSCAN_EXPERIMENTS:
-            raise CliError(f"invalid experiment {args.experiment!r}")
+    numbers = [n for n in sorted(PORTSCAN_EXPERIMENTS)
+               if args.experiment in ("all", str(n))]
+    if not numbers:
+        raise CliError(f"invalid experiment {args.experiment!r}")
     scenario = ScenarioConfig(noise_seed=args.seed)
     summary_lines = []
     for n in numbers:
@@ -300,7 +295,6 @@ def cmd_serve(args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_report(args: argparse.Namespace, out: Path) -> int:
-    from .tissue import read_migration_log
     try:
         with open(args.log) as fh:
             records = read_migration_log(fh)
@@ -342,7 +336,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_manifest(args, out)
         return COMMANDS[args.command](args, out)
-    except CliError as exc:
+    # library ValueErrors reaching here are bad settings or input files
+    except (CliError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

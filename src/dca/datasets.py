@@ -5,7 +5,7 @@ integer scale divided by 10) and a binary class. The attribute with the
 largest standard deviation drives the PAMP and safe signals through its
 deviation from the per-class means; the next three by standard deviation
 form the danger signal. Items are streamed one per tick in a configurable
-order, depositing their id as antigen alongside their signals.
+order as events, each entering its id as antigen alongside its signals.
 
 The original UCI file is not redistributable here, so a deterministic
 synthetic surrogate with the same shape (240 class-0 items, 460 class-1,
@@ -18,10 +18,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO
 
 from .analysis import AntigenVerdict, RunSummary, aggregate, classify, count_errors
 from .core import SignalVector, fuse_signals
+from .streams import DRAIN_TICKS, Event, EventDrivenRunner
 from .tissue import MigrationRecord, PopulationConfig, Tissue
 
 DANGER_ATTRIBUTE_COUNT = 3
@@ -149,13 +150,17 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
                       cfg: PopulationConfig, repeats: int = 20,
                       threshold: float = DEFAULT_THRESHOLD,
                       mapping: Optional[SignalMapping] = None,
-                      drain_ticks: int = 300) -> ExperimentResult:
+                      drain_ticks: int = DRAIN_TICKS) -> ExperimentResult:
     """Stream the dataset `repeats` times and classify the pooled verdicts.
 
-    Each repeat deposits every item's id as antigen and sets its signals
-    for one tick. Presentations are pooled across repeats before the
-    mean context is thresholded and errors counted against true classes.
+    Each repeat runs the items' events (one tick each), then drains so
+    tail-of-stream items still present. Presentations are pooled across
+    repeats before the mean context is thresholded and errors counted.
     """
+    if repeats < 1:
+        raise ValueError("repeats must be at least 1")
+    if not 0.0 <= threshold <= 1.0:
+        raise ValueError("threshold must lie in [0, 1]")
     if mapping is None:
         mapping = select_attributes(items)
     truth = {it.id: it.true_class for it in items}
@@ -163,22 +168,14 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
     orderings: list[list[str]] = []
     for r in range(repeats):
         stream = order_stream(items, order, seed=cfg.seed * 7919 + r)
-        tissue = Tissue(replace(cfg, seed=cfg.seed * 1_000_003 + r))
-        for it in stream:
-            # antigen enters behind flow control so every queued sample is
-            # eventually taken; signals advance one item per tick regardless
-            tissue.enqueue_antigen(it.id)
-            tissue.set_signals(item_to_signals(it, mapping))
-            tissue.tick()
-        # drain: keep the final signals active until the antigen backlog is
-        # consumed and every cell holding antigen has migrated, so
-        # tail-of-stream items still present
-        for _ in range(drain_ticks):
-            if (tissue.feed_pending == 0 and tissue.compartment.occupied == 0
-                    and not any(c.antigen_store for c in tissue.pool)):
-                break
-            tissue.tick()
-        all_records.append(tissue.records)
+        runner = EventDrivenRunner(
+            Tissue(replace(cfg, seed=cfg.seed * 1_000_003 + r)))
+        # item k sets its signals and enters its id as antigen at second k
+        runner.run(e for k, it in enumerate(stream) for e in (
+            Event.signal_set(float(k), item_to_signals(it, mapping)),
+            Event.antigen(float(k), it.id, "dataset")))
+        runner.drain(max_ticks=drain_ticks)
+        all_records.append(runner.tissue.records)
         orderings.append([it.id for it in stream])
     verdicts = aggregate(rec for run in all_records for rec in run)
     classify(verdicts, threshold)
@@ -208,22 +205,23 @@ def context_switch_curve(ordered_ids: Sequence[str],
 
 # --- file formats -----------------------------------------------------------
 
-def load_items(fh: TextIO) -> list[LabelledItem]:
-    """Read the native format: id, 9 attribute values, class per line."""
-    items = []
+def _rows(fh: TextIO) -> Iterator[tuple[int, list[str]]]:
+    """Line number and the 11 comma-separated fields of each line, skipping
+    blank and `#` comment lines; shared by both dataset formats."""
     for lineno, line in enumerate(fh, start=1):
         line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 11:
-            raise ValueError(f"line {lineno}: expected 11 fields, got {len(parts)}")
-        items.append(LabelledItem(
-            id=parts[0],
-            attributes=tuple(float(p) for p in parts[1:10]),
-            true_class=int(parts[10]),
-        ))
-    return items
+        if line and not line.startswith("#"):
+            parts = line.split(",")
+            if len(parts) != 11:
+                raise ValueError(f"line {lineno}: expected 11 fields, got {len(parts)}")
+            yield lineno, parts
+
+
+def load_items(fh: TextIO) -> list[LabelledItem]:
+    """Read the native format: id, 9 attribute values, class per line."""
+    return [LabelledItem(parts[0], tuple(float(p) for p in parts[1:10]),
+                         int(parts[10]))
+            for _, parts in _rows(fh)]
 
 
 def write_items(items: Iterable[LabelledItem], fh: TextIO) -> None:
@@ -243,13 +241,7 @@ def load_uci(fh: TextIO, class_zero_value: Optional[int] = None) -> list[Labelle
     suffix so every antigen label stays unique.
     """
     raw = []
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 11:
-            raise ValueError(f"line {lineno}: expected 11 fields, got {len(parts)}")
+    for lineno, parts in _rows(fh):
         if "?" in parts[1:10]:
             continue
         cls = int(parts[10])

@@ -36,6 +36,8 @@ ANTIGEN = "A"
 FRAME_HEADER = struct.Struct(">I")
 MAX_FRAME = 4096
 
+DRAIN_TICKS = 300  # safety cap on ticks run after the stream ends
+
 
 class StreamFormatError(ValueError):
     """Malformed or out-of-order event stream content."""
@@ -369,7 +371,8 @@ class SignalMask:
 class EventDrivenRunner:
     """Maps an event stream onto tissue ticks: one tick per whole second
     of logical time; each event is applied before the tick covering its
-    second runs. Wall-clock pacing never affects the outcome."""
+    second runs. Wall-clock pacing never affects the outcome. This is the
+    only caller of `Tissue.tick`, for both experiment families."""
 
     def __init__(self, tissue: Tissue, mask: SignalMask = SignalMask()):
         self.tissue = tissue
@@ -386,22 +389,20 @@ class EventDrivenRunner:
         if event.kind == SIGNAL_SET:
             self.tissue.set_signals(self.mask.apply(event.signals))
         else:
-            self.tissue.deposit_antigen(event.label)
+            self.tissue.enqueue_antigen(event.label)
 
     def run(self, events: Iterable[Event]) -> None:
-        last = None
         for e in events:
             self.apply(e)
-            last = e
-        if last is not None:
-            while self.tissue.compartment.clock <= int(last.timestamp):
-                self.tissue.tick()
+        # the tick covering the last event's second
+        while self.tissue.compartment.clock <= self._last_ts:
+            self.tissue.tick()
 
-    def drain(self, max_ticks: int = 100) -> None:
-        """Keep ticking under the final signals until no immature cell
-        still holds antigen (or the safety cap is reached)."""
+    def drain(self, max_ticks: int = DRAIN_TICKS) -> None:
+        """Keep ticking under the final signals until the tissue has
+        settled (`Tissue.settled`) or the safety cap is reached."""
         for _ in range(max_ticks):
-            if not any(cell.antigen_store for cell in self.tissue.pool):
+            if self.tissue.settled:
                 return
             self.tissue.tick()
 
@@ -536,11 +537,9 @@ class TissueServer:
                     if payload is None:
                         break
                     events.append(parse_event(payload.decode("utf-8")))
-        except ProtocolError as exc:
+        except (ProtocolError, ValueError) as exc:
+            # bad framing, undecodable bytes or a malformed event
             log.warning("client %d dropped: %s", index, exc)
-            return
-        except StreamFormatError as exc:
-            log.warning("client %d sent a malformed event: %s", index, exc)
             return
         with self._lock:
             self._streams.append((index, events))
@@ -600,6 +599,8 @@ def run_portscan_experiment(scenario: ScenarioConfig, experiment: int,
     """Run one signal-combination experiment over fresh scenario noise
     per repeat, reporting per-process mature-presentation fractions,
     the scanner-vs-transfer paired test, and antigen per migrated cell."""
+    if repeats < 2:
+        raise ValueError("repeats must be at least 2 for the paired t-test")
     try:
         exp = PORTSCAN_EXPERIMENTS[experiment]
     except KeyError:

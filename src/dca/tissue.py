@@ -23,6 +23,8 @@ class PopulationConfig:
 
     `threshold_mode` is either ("fixed", value) or ("uniform", lo, hi);
     under uniform mode every fresh cell draws its own threshold.
+    `antigen_overwrite` makes a full store overwrite a random slot instead
+    of holding new antigen in a feed until a slot is free (flow control).
     """
 
     num_cells: int = 100
@@ -33,9 +35,7 @@ class PopulationConfig:
     threshold_mode: tuple = ("uniform", 5.0, 15.0)
     weights: WeightMatrix = field(default_factory=WeightMatrix)
     seed: int = 0
-    # initial pool cells start with a random csm phase in [0, threshold)
-    # so fixed-threshold pools do not migrate in lockstep cohorts
-    randomize_initial_phase: bool = True
+    antigen_overwrite: bool = False
 
     def __post_init__(self):
         if min(self.num_cells, self.cell_antigen_capacity,
@@ -67,6 +67,7 @@ class PopulationConfig:
             tissue_antigen_capacity=500,
             antigen_sampling_probability=1.0,
             antigen_sample_multiplicity=1,
+            antigen_overwrite=True,
         )
         base.update(overrides)
         return cls(seed=seed, **base)
@@ -152,7 +153,9 @@ class Tissue:
 
     One `tick` exposes every immature cell (in freshly shuffled order) to
     the current signals and a chance to sample the antigen store, then
-    replaces any migrated cells with fresh immature ones.
+    replaces any migrated cells with fresh immature ones. Initial pool
+    cells start with a random csm phase in [0, threshold) so that
+    fixed-threshold pools do not migrate in lockstep cohorts.
     """
 
     def __init__(self, cfg: PopulationConfig):
@@ -165,8 +168,7 @@ class Tissue:
         self._next_id = 0
         self._feed: deque[str] = deque()
         self.pool: list[DendriticCell] = [
-            self._fresh_cell(phase=cfg.randomize_initial_phase)
-            for _ in range(cfg.num_cells)
+            self._fresh_cell(phase=True) for _ in range(cfg.num_cells)
         ]
 
     def _fresh_cell(self, phase: bool = False) -> DendriticCell:
@@ -185,17 +187,24 @@ class Tissue:
         self._next_id += 1
         return cell
 
-    def deposit_antigen(self, label: str) -> None:
-        self.compartment.deposit(label)
-
     def enqueue_antigen(self, label: str) -> None:
-        """Queue antigen behind flow control: it enters the store only
-        when a slot is free, so no undersampled antigen is overwritten."""
-        self._feed.append(label)
+        """The one antigen entry. Under flow control antigen is queued until
+        a store slot is free, so no undersampled antigen is overwritten;
+        under `antigen_overwrite` it is deposited at once."""
+        if self.cfg.antigen_overwrite:
+            self.compartment.deposit(label)
+        else:
+            self._feed.append(label)
 
     @property
     def feed_pending(self) -> int:
         return len(self._feed)
+
+    @property
+    def settled(self) -> bool:
+        """Drain stop rule: no antigen in the feed, the store or a cell."""
+        return (not self._feed and self.compartment.occupied == 0
+                and not any(c.antigen_store for c in self.pool))
 
     def _refill(self) -> None:
         while self._feed and self.compartment.occupied < self.compartment.capacity:

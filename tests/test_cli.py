@@ -66,6 +66,20 @@ class TestBc:
         assert "cannot read dataset" in captured.err
 
 
+@pytest.mark.parametrize("argv", [
+    ["bc", "--repeats", "0"],
+    ["bc", "--threshold", "2"],
+    ["portscan", "--repeats", "1"],
+    ["serve", "--expect-clients", "0"],
+])
+def test_degenerate_run_settings_fail_before_running(tmp_path, capsys, argv):
+    code, captured = run(["--out", tmp_path] + argv, capsys)
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "summary.txt").exists()
+
+
 class TestConfigFile:
     def test_config_sets_subcommand_options(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"

@@ -264,6 +264,19 @@ class TestRunner:
         # ticks 0-2 ran under the first signal set
         assert runner.tissue.compartment.clock == 3
 
+    def test_drain_presents_every_antigen(self):
+        # fewer cells than store slots: sampled antigen outlives the last
+        # immature cell holding some, so the drain must also wait for the
+        # feed and the store to empty
+        runner = EventDrivenRunner(Tissue(
+            PopulationConfig.portscan(seed=1010, num_cells=50)))
+        runner.run(scenario_events(noise_seed=1010))
+        runner.drain()
+        tissue = runner.tissue
+        assert tissue.feed_pending == 0
+        assert tissue.compartment.occupied == 0
+        assert all(not cell.antigen_store for cell in tissue.pool)
+
 
 class TestWireTransport:
     def test_single_client_matches_in_process(self):
@@ -323,6 +336,20 @@ class TestWireTransport:
             replay(events, "max", client)
         assert server.wait() == expected
 
+    def test_undecodable_frame_drops_that_client(self, caplog):
+        events = scenario_events()
+        expected = run_in_process(events)
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))), expected_clients=2)
+        server.start()
+        rogue = socket.create_connection(server.address)
+        rogue.sendall(struct.pack(">I", 2) + b"\xff\xfe")
+        rogue.close()
+        with StreamClient(*server.address) as client:
+            replay(events, "max", client)
+        assert server.wait() == expected
+        assert "dropped" in caplog.text
+
     def test_oversized_send_refused_client_side(self):
         server = TissueServer(EventDrivenRunner(
             Tissue(PopulationConfig.portscan(seed=9))))
@@ -334,6 +361,11 @@ class TestWireTransport:
 
 
 class TestPortscanExperiments:
+    @pytest.mark.parametrize("repeats", [0, 1])
+    def test_too_few_repeats_rejected(self, repeats):
+        with pytest.raises(ValueError, match="at least 2"):
+            run_portscan_experiment(ScenarioConfig(), 2, repeats=repeats)
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(ValueError):
             run_portscan_experiment(ScenarioConfig(), 5)

@@ -114,26 +114,26 @@ class TestTick:
 
     def test_strong_pamp_migrates_whole_pool_in_one_tick(self):
         cfg = PopulationConfig.breast_cancer(
-            seed=1, threshold_mode=("fixed", 10.0),
-            randomize_initial_phase=False)
+            seed=1, threshold_mode=("fixed", 10.0))
         tissue = Tissue(cfg)
         tissue.set_signals(CONSTANT_PAMP)
         records = tissue.tick()
         assert len(records) == 100
 
     def test_pool_size_constant_after_every_tick(self):
-        tissue = Tissue(small_config(seed=7))
+        tissue = Tissue(small_config(seed=7, antigen_overwrite=True))
         tissue.set_signals(SignalVector(pamp=20, safe=5))
         for _ in range(50):
-            tissue.deposit_antigen("ag")
+            tissue.enqueue_antigen("ag")
             tissue.tick()
             assert len(tissue.pool) == 10
 
     def test_multiplicity_bounds_total_ingestions(self):
         cfg = small_config(seed=11, antigen_sample_multiplicity=3,
-                           antigen_sampling_probability=1.0)
+                           antigen_sampling_probability=1.0,
+                           antigen_overwrite=True)
         tissue = Tissue(cfg)
-        tissue.deposit_antigen("only")
+        tissue.enqueue_antigen("only")
         tissue.set_signals(SignalVector(danger=1))
         for _ in range(30):
             tissue.tick()
@@ -156,9 +156,9 @@ class TestTick:
 
     def test_fixed_seed_reproduces_records_exactly(self):
         def run():
-            tissue = Tissue(small_config(seed=21))
+            tissue = Tissue(small_config(seed=21, antigen_overwrite=True))
             for i in range(60):
-                tissue.deposit_antigen(f"item-{i}")
+                tissue.enqueue_antigen(f"item-{i}")
                 tissue.set_signals(SignalVector(pamp=i % 7, safe=(i + 3) % 5))
                 tissue.tick()
             return tissue.records
@@ -183,6 +183,30 @@ class TestTick:
             for label in record.antigens:
                 counts[label] = counts.get(label, 0) + 1
         assert counts == {f"q-{i}": 2 for i in range(20)}
+
+    @pytest.mark.parametrize("overwrite,pending,occupied",
+                             [(False, 5, 0), (True, 0, 2)])
+    def test_antigen_entry_policy(self, overwrite, pending, occupied):
+        tissue = Tissue(small_config(seed=2, antigen_overwrite=overwrite))
+        for i in range(5):
+            tissue.enqueue_antigen(f"e-{i}")
+        assert tissue.feed_pending == pending
+        assert tissue.compartment.occupied == occupied
+        assert not tissue.settled
+
+    def test_settled_needs_feed_store_and_cells_empty(self):
+        cfg = small_config(seed=4, antigen_sampling_probability=1.0)
+        tissue = Tissue(cfg)
+        assert tissue.settled
+        tissue.enqueue_antigen("a")
+        tissue.set_signals(SignalVector(danger=1))
+        tissue.tick()
+        assert tissue.feed_pending == 0
+        assert not tissue.settled
+        for _ in range(100):
+            tissue.tick()
+        assert tissue.settled
+        assert sum(r.antigens.count("a") for r in tissue.records) == 3
 
     def test_fresh_threshold_redrawn_under_uniform_mode(self):
         cfg = small_config(seed=17, num_cells=50)
