@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, TextIO
 
-from scipy import stats
-
 from .core import Context
 from .tissue import MigrationRecord
 
@@ -146,6 +144,9 @@ def paired_t_test(xs: Sequence[float], ys: Sequence[float]) -> PairedTTestResult
         if mean_diff == 0.0:
             return PairedTTestResult(0.0, 1.0, exact_tie=True)
         return PairedTTestResult(mean_diff, 0.0, exact_tie=True)
+    # imported here: scipy.stats takes about a second to import, and only
+    # this function needs it
+    from scipy import stats
     t_stat, p_value = stats.ttest_rel(xs, ys)
     return PairedTTestResult(mean_diff, float(p_value))
 

@@ -302,6 +302,13 @@ def cmd_report(args: argparse.Namespace, out: Path) -> int:
         raise CliError(f"cannot read log: {exc}") from exc
     except ValueError as exc:
         raise CliError(f"malformed migration log {args.log}: {exc}") from exc
+    truth = None
+    if args.truth is not None:
+        try:
+            with open(args.truth) as fh:
+                truth = {it.id: it.true_class for it in load_items(fh)}
+        except OSError as exc:
+            raise CliError(f"cannot read truth: {exc}") from exc
     verdicts = aggregate(records)
     classify(verdicts, args.threshold)
     with open(out / "verdicts.txt", "w") as fh:
@@ -309,9 +316,7 @@ def cmd_report(args: argparse.Namespace, out: Path) -> int:
     with open(out / "verdicts.tsv", "w") as fh:
         write_verdict_table(verdicts, fh, machine=True)
     lines = [f"records={len(records)} antigens={len(verdicts)}"]
-    if args.truth is not None:
-        with open(args.truth) as fh:
-            truth = {it.id: it.true_class for it in load_items(fh)}
+    if truth is not None:
         errors, unseen = count_errors(verdicts, truth)
         lines.append(f"errors={errors} unseen={unseen}")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")

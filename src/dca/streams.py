@@ -15,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 import random
+import re
 import socket
 import struct
 import threading
@@ -37,6 +38,11 @@ FRAME_HEADER = struct.Struct(">I")
 MAX_FRAME = 4096
 
 DRAIN_TICKS = 300  # safety cap on ticks run after the stream ends
+
+# characters that would split a field of the event log (tab, newline) or
+# of the migration log, which joins a record's labels with commas
+_BAD_LABEL = re.compile("[,\t\n\r]")
+_BAD_PROCESS = re.compile("[\t\n\r]")
 
 
 class StreamFormatError(ValueError):
@@ -79,6 +85,12 @@ class Event:
         elif self.kind == ANTIGEN:
             if not self.label or not self.process:
                 raise ValueError("antigen event requires label and process")
+            if _BAD_LABEL.search(self.label):
+                raise ValueError(f"antigen label {self.label!r} contains a "
+                                 "comma, tab or line break")
+            if _BAD_PROCESS.search(self.process):
+                raise ValueError(f"process name {self.process!r} contains a "
+                                 "tab or line break")
         else:
             raise ValueError(f"unknown event kind {self.kind!r}")
 
@@ -547,6 +559,8 @@ class TissueServer:
     def wait(self) -> list[MigrationRecord]:
         """Block until all expected clients finish, then run the merged
         stream through the tissue and return its migration records."""
+        if self._thread is None:
+            raise RuntimeError("TissueServer.wait() called before start()")
         self._thread.join()
         tagged = [
             (e.timestamp, 0 if e.kind == SIGNAL_SET else 1, index, i, e)

@@ -3,18 +3,23 @@
 The tissue compartment holds a fixed-capacity antigen slot array and the
 current signal levels. A pool of dendritic cells samples the store once
 per tick; migrated cells are logged and replaced so the pool size stays
-constant. All randomness flows from one seeded generator, so equal seeds
-over equal input streams give bit-identical migration logs.
+constant. The pool is held as arrays with one entry per cell, so a tick
+updates every cell's cytokines in one step. All randomness flows from one
+seeded numpy generator, so equal seeds over equal input streams give
+bit-identical migration logs.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, TextIO
 
-from .core import Context, DendriticCell, SignalVector, WeightMatrix, fuse_signals
+import numpy as np
+
+from .core import (Context, CytokineState, DendriticCell, SignalVector,
+                   WeightMatrix, fuse_signals)
 
 
 @dataclass(frozen=True)
@@ -43,6 +48,8 @@ class PopulationConfig:
             raise ValueError("capacities and counts must be strictly positive")
         if not 0.0 <= self.antigen_sampling_probability <= 1.0:
             raise ValueError("sampling probability must lie in [0, 1]")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         mode = self.threshold_mode[0]
         if mode == "fixed":
             if self.threshold_mode[1] <= 0:
@@ -86,28 +93,25 @@ class MigrationRecord:
     mat: float
 
 
-@dataclass
-class _Slot:
-    label: str
-    remaining: int
-
-
 class TissueCompartment:
     """Fixed-capacity antigen store plus current signal levels.
 
-    Deposits fill a free slot when one exists; otherwise they overwrite a
-    uniformly random occupied slot (antigen overwriting). Each slot
-    carries a sample counter initialised to the configured multiplicity
-    and is cleared once exhausted.
+    The store is a list of slot labels and an array of samples left per
+    slot; a slot with none left is free. Deposits fill the first free
+    slot when one exists; otherwise they overwrite a uniformly random
+    slot (antigen overwriting). A deposit sets the slot's counter to the
+    configured multiplicity, and the slot is cleared once exhausted.
     """
 
-    def __init__(self, capacity: int, multiplicity: int, rng: random.Random):
+    def __init__(self, capacity: int, multiplicity: int,
+                 rng: np.random.Generator):
         if capacity <= 0 or multiplicity <= 0:
             raise ValueError("capacity and multiplicity must be positive")
         self.capacity = capacity
         self.multiplicity = multiplicity
         self._rng = rng
-        self._slots: list[Optional[_Slot]] = [None] * capacity
+        self._labels: list[Optional[str]] = [None] * capacity
+        self._remaining = np.zeros(capacity, dtype=np.int64)
         self._occupied = 0
         self.signals = SignalVector()
         self.clock = 0
@@ -116,76 +120,90 @@ class TissueCompartment:
     def occupied(self) -> int:
         return self._occupied
 
+    @property
+    def slots(self) -> list[Optional[tuple[str, int]]]:
+        """Snapshot of the store: (label, samples left) or None per slot."""
+        return [None if label is None else (label, int(left))
+                for label, left in zip(self._labels, self._remaining)]
+
+    def is_occupied(self, slots: np.ndarray) -> np.ndarray:
+        """Whether each of the given slot indices holds antigen."""
+        return self._remaining[slots] > 0
+
     def deposit(self, label: str) -> None:
         if not label:
             raise ValueError("antigen label must be non-empty")
-        slot = _Slot(label, self.multiplicity)
         if self._occupied < self.capacity:
-            idx = next(i for i, s in enumerate(self._slots) if s is None)
-            self._slots[idx] = slot
+            idx = int(self._remaining.argmin())  # the first free slot
             self._occupied += 1
         else:
-            self._slots[self._rng.randrange(self.capacity)] = slot
+            idx = int(self._rng.integers(self.capacity))
+        self._labels[idx] = label
+        self._remaining[idx] = self.multiplicity
 
     def set_signals(self, s: SignalVector) -> None:
         """Replace the current signal levels (100% decay: no blending)."""
         self.signals = s
 
-    def sample_slot(self) -> Optional[str]:
-        """Draw one uniformly random slot; take one sample if available.
+    def sample_slot(self, slot: int) -> Optional[str]:
+        """Take one sample from a drawn slot.
 
         Returns the slot's label and decrements its counter, clearing the
-        slot at zero; returns None for an empty or exhausted draw.
+        slot at zero; returns None for an empty slot.
         """
-        idx = self._rng.randrange(self.capacity)
-        slot = self._slots[idx]
-        if slot is None:
+        left = self._remaining[slot]
+        if left == 0:
             return None
-        slot.remaining -= 1
-        if slot.remaining == 0:
-            self._slots[idx] = None
+        label = self._labels[slot]
+        self._remaining[slot] = left - 1
+        if left == 1:
+            self._labels[slot] = None
             self._occupied -= 1
-        return slot.label
+        return label
 
 
 class Tissue:
     """The compartment plus a constant-size dendritic cell pool.
 
-    One `tick` exposes every immature cell (in freshly shuffled order) to
-    the current signals and a chance to sample the antigen store, then
-    replaces any migrated cells with fresh immature ones. Initial pool
-    cells start with a random csm phase in [0, threshold) so that
-    fixed-threshold pools do not migrate in lockstep cohorts.
+    The pool is a set of arrays with one entry per cell (id, migration
+    threshold, the three cytokine accumulators, the count of antigen
+    held) plus one label list per cell. One `tick` exposes every cell to
+    the current signals and, in freshly shuffled order, to a chance to
+    sample the antigen store, then replaces migrated cells with fresh
+    immature ones. Initial pool cells start with a random csm phase in
+    [0, threshold) so that fixed-threshold pools do not migrate in
+    lockstep cohorts.
     """
 
     def __init__(self, cfg: PopulationConfig):
         self.cfg = cfg
-        self.rng = random.Random(cfg.seed)
+        self.rng = np.random.default_rng(cfg.seed)
         self.compartment = TissueCompartment(
             cfg.tissue_antigen_capacity, cfg.antigen_sample_multiplicity, self.rng
         )
         self.records: list[MigrationRecord] = []
-        self._next_id = 0
         self._feed: deque[str] = deque()
-        self.pool: list[DendriticCell] = [
-            self._fresh_cell(phase=True) for _ in range(cfg.num_cells)
-        ]
+        n = cfg.num_cells
+        self._id = np.arange(n)
+        self._next_id = n
+        self._threshold = self._draw_thresholds(n)
+        # one row per cell: csm, semi, mat
+        self._cytokines = np.zeros((n, 3))
+        self._cytokines[:, 0] = self.rng.uniform(0.0, self._threshold)
+        self._held = np.zeros(n, dtype=np.int64)
+        self._labels: list[list[str]] = [[] for _ in range(n)]
+        self._one_slot = np.zeros(n, dtype=np.int64)
 
-    def _fresh_cell(self, phase: bool = False) -> DendriticCell:
+    def _draw_thresholds(self, m: int) -> np.ndarray:
         mode = self.cfg.threshold_mode
         if mode[0] == "fixed":
-            thr = float(mode[1])
-        else:
-            thr = self.rng.uniform(mode[1], mode[2])
-        cell = DendriticCell(
-            id=self._next_id,
-            migration_threshold=thr,
-            antigen_capacity=self.cfg.cell_antigen_capacity,
-        )
-        if phase:
-            cell.cytokines.csm = self.rng.uniform(0.0, thr)
-        self._next_id += 1
-        return cell
+            return np.full(m, float(mode[1]))
+        return self.rng.uniform(mode[1], mode[2], m)
+
+    @property
+    def pool(self) -> "_PoolView":
+        """The cells as a read-only sequence of `DendriticCell` snapshots."""
+        return _PoolView(self)
 
     def enqueue_antigen(self, label: str) -> None:
         """The one antigen entry. Under flow control antigen is queued until
@@ -204,7 +222,7 @@ class Tissue:
     def settled(self) -> bool:
         """Drain stop rule: no antigen in the feed, the store or a cell."""
         return (not self._feed and self.compartment.occupied == 0
-                and not any(c.antigen_store for c in self.pool))
+                and not self._held.any())
 
     def _refill(self) -> None:
         while self._feed and self.compartment.occupied < self.compartment.capacity:
@@ -214,36 +232,92 @@ class Tissue:
         self.compartment.set_signals(s)
 
     def tick(self) -> list[MigrationRecord]:
-        """Run one cell cycle; returns the migrations it produced."""
-        order = list(range(len(self.pool)))
-        self.rng.shuffle(order)
-        deltas = fuse_signals(self.compartment.signals, self.cfg.weights)
-        new_records: list[MigrationRecord] = []
+        """Run one cell cycle; returns the migrations it produced.
+
+        The tick draws its randomness in fixed blocks, in this order: the
+        tick order (a permutation of the pool), then for each position in
+        that order a sampling coin and a store slot, then one threshold
+        per fresh cell in tick order (uniform mode only). Sampling runs
+        sequentially in tick order, since each sample can change the
+        store; cytokines and migration are computed for the whole pool.
+        """
+        cfg = self.cfg
+        comp = self.compartment
+        n = cfg.num_cells
+        order = self.rng.permutation(n)
+        coins = self.rng.random(n)
+        # numpy draws nothing for a one-slot range, so a one-slot store
+        # skips the call without changing the stream
+        slots = (self.rng.integers(comp.capacity, size=n)
+                 if comp.capacity > 1 else self._one_slot)
+        d_csm, d_semi, d_mat = fuse_signals(comp.signals, cfg.weights)
         self._refill()
-        for idx in order:
-            cell = self.pool[idx]
-            if (not cell.store_full
-                    and self.rng.random() < self.cfg.antigen_sampling_probability):
-                label = self.compartment.sample_slot()
-                if label is not None:
-                    cell.ingest(label)
+        # Visiting only draws of occupied slots is exact: a non-empty feed
+        # leaves every slot occupied after the refill, and an empty feed
+        # cannot fill a slot mid-tick, so every skipped draw finds nothing.
+        tries = ((coins < cfg.antigen_sampling_probability)
+                 & (self._held[order] < cfg.cell_antigen_capacity)
+                 & comp.is_occupied(slots))
+        for cell, slot in zip(order[tries].tolist(), slots[tries].tolist()):
+            label = comp.sample_slot(slot)
+            if label is not None:
+                self._labels[cell].append(label)
+                self._held[cell] += 1
+                if self._feed and comp.occupied < comp.capacity:
                     self._refill()
-            cell.apply_deltas(deltas)
-            if cell.is_migrated:
-                context, antigens = cell.present()
-                new_records.append(MigrationRecord(
-                    tick=self.compartment.clock,
-                    cell_id=cell.id,
-                    context=context,
-                    antigens=tuple(antigens),
-                    csm=cell.cytokines.csm,
-                    semi=cell.cytokines.semi,
-                    mat=cell.cytokines.mat,
-                ))
-                self.pool[idx] = self._fresh_cell()
-        self.compartment.clock += 1
+        self._cytokines += np.array((max(0.0, d_csm), d_semi, d_mat))
+        migrated = order[(self._cytokines[:, 0] >= self._threshold)[order]]
+        new_records = self._replace(migrated) if migrated.size else []
+        comp.clock += 1
         self.records.extend(new_records)
         return new_records
+
+    def _replace(self, cells: np.ndarray) -> list[MigrationRecord]:
+        """Record the migrated cells, in tick order, and put fresh immature
+        cells in their places."""
+        tick = self.compartment.clock
+        labels = self._labels
+        records = [
+            MigrationRecord(tick, cell_id,
+                            Context.MATURE if mat > semi else Context.SEMI_MATURE,
+                            tuple(labels[cell]), csm, semi, mat)
+            for cell, cell_id, (csm, semi, mat) in zip(
+                cells.tolist(), self._id[cells].tolist(),
+                self._cytokines[cells].tolist())
+        ]
+        for cell in cells.tolist():
+            labels[cell] = []
+        count = cells.size
+        self._id[cells] = np.arange(self._next_id, self._next_id + count)
+        self._next_id += count
+        self._threshold[cells] = self._draw_thresholds(count)
+        self._cytokines[cells] = 0.0
+        self._held[cells] = 0
+        return records
+
+
+class _PoolView(Sequence):
+    """A tissue's cells as a read-only sequence. Items are `DendriticCell`
+    snapshots built on access; changing one does not change the tissue."""
+
+    def __init__(self, tissue: Tissue):
+        self._tissue = tissue
+
+    def __len__(self) -> int:
+        return self._tissue.cfg.num_cells
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        i = range(len(self))[i]
+        t = self._tissue
+        return DendriticCell(
+            id=int(t._id[i]),
+            migration_threshold=float(t._threshold[i]),
+            antigen_capacity=t.cfg.cell_antigen_capacity,
+            cytokines=CytokineState(*t._cytokines[i].tolist()),
+            antigen_store=list(t._labels[i]),
+        )
 
 
 # Migration log field order, stable across runs:

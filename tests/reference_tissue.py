@@ -1,0 +1,103 @@
+"""Sequential reference for `dca.tissue.Tissue`: one `DendriticCell` object
+per cell, visited one at a time in tick order.
+
+It makes the same block draws from its own `numpy.random.default_rng`
+as the array tick: the tick order, one sampling coin and one store slot
+per position in that order, then one threshold per fresh cell in tick
+order. Every cell in turn samples the store when its coin comes up and
+its own store has room, then takes the tick's cytokine increments.
+Equal seeds and inputs must give equal records and pool snapshots.
+"""
+
+from collections import deque
+
+import numpy as np
+
+from dca.core import DendriticCell, SignalVector, fuse_signals
+from dca.tissue import MigrationRecord
+
+
+class ReferenceTissue:
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.rng = np.random.default_rng(cfg.seed)
+        self.slots = [None] * cfg.tissue_antigen_capacity  # [label, left]
+        self.feed = deque()
+        self.signals = SignalVector()
+        self.clock = 0
+        self.records = []
+        self.next_id = 0
+        thresholds = self._thresholds(cfg.num_cells)
+        phases = self.rng.uniform(0.0, thresholds)
+        self.pool = [self._fresh(thr) for thr in thresholds]
+        for cell, phase in zip(self.pool, phases):
+            cell.cytokines.csm = float(phase)
+
+    def _thresholds(self, m):
+        mode = self.cfg.threshold_mode
+        if mode[0] == "fixed":
+            return [float(mode[1])] * m
+        return self.rng.uniform(mode[1], mode[2], m).tolist()
+
+    def _fresh(self, thr):
+        cell = DendriticCell(id=self.next_id, migration_threshold=float(thr),
+                             antigen_capacity=self.cfg.cell_antigen_capacity)
+        self.next_id += 1
+        return cell
+
+    def _deposit(self, label):
+        free = [i for i, s in enumerate(self.slots) if s is None]
+        idx = free[0] if free else int(self.rng.integers(len(self.slots)))
+        self.slots[idx] = [label, self.cfg.antigen_sample_multiplicity]
+
+    def _sample(self, idx):
+        slot = self.slots[idx]
+        if slot is None:
+            return None
+        slot[1] -= 1
+        if slot[1] == 0:
+            self.slots[idx] = None
+        return slot[0]
+
+    def _refill(self):
+        while self.feed and None in self.slots:
+            self._deposit(self.feed.popleft())
+
+    def enqueue_antigen(self, label):
+        if self.cfg.antigen_overwrite:
+            self._deposit(label)
+        else:
+            self.feed.append(label)
+
+    def set_signals(self, s):
+        self.signals = s
+
+    def tick(self):
+        n = len(self.pool)
+        order = self.rng.permutation(n)
+        coins = self.rng.random(n)
+        slots = self.rng.integers(len(self.slots), size=n)
+        deltas = fuse_signals(self.signals, self.cfg.weights)
+        self._refill()
+        new_records, migrated = [], []
+        for j, idx in enumerate(order.tolist()):
+            cell = self.pool[idx]
+            if (not cell.store_full
+                    and coins[j] < self.cfg.antigen_sampling_probability):
+                label = self._sample(int(slots[j]))
+                if label is not None:
+                    cell.ingest(label)
+                    self._refill()
+            cell.apply_deltas(deltas)
+            if cell.is_migrated:
+                context, antigens = cell.present()
+                c = cell.cytokines
+                new_records.append(MigrationRecord(
+                    self.clock, cell.id, context, tuple(antigens),
+                    c.csm, c.semi, c.mat))
+                migrated.append(idx)
+        for idx, thr in zip(migrated, self._thresholds(len(migrated))):
+            self.pool[idx] = self._fresh(thr)
+        self.clock += 1
+        self.records.extend(new_records)
+        return new_records

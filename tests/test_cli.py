@@ -1,8 +1,13 @@
 """Command-line harness: reproducibility of output trees, config-file
 precedence, and the generate/replay/report pipeline."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import dca
 from dca.cli import main
 from dca.datasets import synthetic_items, write_items
 
@@ -71,6 +76,7 @@ class TestBc:
     ["bc", "--threshold", "2"],
     ["portscan", "--repeats", "1"],
     ["serve", "--expect-clients", "0"],
+    ["--seed", "-1", "bc"],
 ])
 def test_degenerate_run_settings_fail_before_running(tmp_path, capsys, argv):
     code, captured = run(["--out", tmp_path] + argv, capsys)
@@ -153,6 +159,16 @@ class TestPipeline:
         assert code == 1
         assert "cannot read log" in captured.err
 
+    def test_report_missing_truth_exits_one(self, tmp_path, capsys):
+        log = tmp_path / "migration.log"
+        log.write_text("3\t7\tmature\ta\t1.0\t2.0\t3.0\n")
+        code, captured = run(["--out", tmp_path / "p", "report", "--log", log,
+                              "--truth", tmp_path / "absent.csv"], capsys)
+        assert code == 1
+        assert captured.err.startswith("error: cannot read truth")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "p" / "verdicts.tsv").exists()
+
     def test_replay_malformed_log_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.log"
         bad.write_text("garbage\n")
@@ -179,3 +195,14 @@ class TestManifest:
         assert "order = two-step" in manifest
         assert "command = bc" in manifest
         assert "out =" not in manifest
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy.stats takes about a second to import; only the paired t-test
+    needs it, so a command that does not run one never loads it."""
+    src = str(Path(dca.__file__).resolve().parents[1])
+    probe = "import sys, dca.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], check=True,
+                         capture_output=True, text=True, timeout=60,
+                         env={"PYTHONPATH": src})
+    assert out.stdout.strip() == "False"

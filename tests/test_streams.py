@@ -93,6 +93,19 @@ class TestEventLog:
         with pytest.raises(ValueError):
             Event.signal_set(-1.0, SignalVector())
 
+    @pytest.mark.parametrize("label,process", [
+        ("a,b", "shell"), ("a\tb", "shell"), ("a\nb", "shell"),
+        ("a\rb", "shell"), ("a", "sh\tell"), ("a", "sh\nell"),
+        ("a", "sh\rell"),
+    ])
+    def test_labels_that_would_split_a_log_field_rejected(self, label,
+                                                          process):
+        with pytest.raises(ValueError):
+            Event.antigen(1.0, label, process)
+
+    def test_process_name_may_hold_a_comma(self):
+        assert Event.antigen(1.0, "a", "ssh,daemon").process == "ssh,daemon"
+
     def test_serialized_layouts(self):
         signal = Event.signal_set(2.0, SignalVector(1.5, 2.5, 3.5, 1.0))
         assert format_event(signal) == "2.0\tS\t1.5\t2.5\t3.5\t1.0"
@@ -349,6 +362,34 @@ class TestWireTransport:
             replay(events, "max", client)
         assert server.wait() == expected
         assert "dropped" in caplog.text
+
+    @pytest.mark.parametrize("line", ["0.5\tA\ta,b\tshell",
+                                      "0.5\tA\tx\ny\tshell",
+                                      "0.5\tA\tx\tsh\rell"])
+    def test_label_that_breaks_the_logs_drops_that_client(self, caplog,
+                                                          line):
+        events = scenario_events()
+        expected = run_in_process(events)
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))), expected_clients=2)
+        server.start()
+        rogue = socket.create_connection(server.address)
+        payload = line.encode()
+        rogue.sendall(struct.pack(">I", len(payload)) + payload)
+        rogue.close()
+        with StreamClient(*server.address) as client:
+            replay(events, "max", client)
+        assert server.wait() == expected
+        assert "dropped" in caplog.text
+
+    def test_wait_before_start_is_an_error(self):
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))))
+        try:
+            with pytest.raises(RuntimeError, match="before start"):
+                server.wait()
+        finally:
+            server._listener.close()
 
     def test_oversized_send_refused_client_side(self):
         server = TissueServer(EventDrivenRunner(

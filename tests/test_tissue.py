@@ -2,8 +2,8 @@
 population invariants, and the migration-log file format."""
 
 import io
-import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,53 +53,60 @@ class TestPopulationConfig:
             PopulationConfig(threshold_mode=("uniform", 5.0, 4.0))
         with pytest.raises(ValueError):
             PopulationConfig(threshold_mode=("triangular", 1.0, 2.0))
+        with pytest.raises(ValueError, match="seed"):
+            PopulationConfig(seed=-1)
 
 
 class TestTissueCompartment:
     def test_deposit_fills_free_slot(self):
-        comp = TissueCompartment(500, 1, random.Random(0))
+        comp = TissueCompartment(500, 1, np.random.default_rng(0))
         comp.deposit("y")
         assert comp.occupied == 1
 
     def test_capacity_one_always_overwrites(self):
-        comp = TissueCompartment(1, 10, random.Random(0))
+        comp = TissueCompartment(1, 10, np.random.default_rng(0))
         comp.deposit("x")
         comp.deposit("y")
         assert comp.occupied == 1
-        assert comp.sample_slot() == "y"
+        assert comp.sample_slot(0) == "y"
+
+    def test_deposit_takes_first_free_slot(self):
+        comp = TissueCompartment(3, 1, np.random.default_rng(0))
+        for label in "abc":
+            comp.deposit(label)
+        assert comp.sample_slot(1) == "b"
+        comp.deposit("d")
+        assert comp.slots == [("a", 1), ("d", 1), ("c", 1)]
 
     def test_overwrite_slot_choice_is_uniform(self):
         hits = {"x": 0, "y": 0}
         for seed in range(10000):
-            comp = TissueCompartment(2, 1, random.Random(seed))
+            comp = TissueCompartment(2, 1, np.random.default_rng(seed))
             comp.deposit("x")
             comp.deposit("y")
             comp.deposit("z")
-            survivors = set()
-            for _ in range(50):
-                label = comp.sample_slot()
-                if label is not None:
-                    survivors.add(label)
+            survivors = {slot[0] for slot in comp.slots}
             overwritten = ({"x", "y"} - survivors).pop()
             hits[overwritten] += 1
         assert hits["x"] / 10000 == pytest.approx(0.5, abs=0.05)
 
     def test_signal_replacement_last_write_wins(self):
-        comp = TissueCompartment(1, 1, random.Random(0))
+        comp = TissueCompartment(1, 1, np.random.default_rng(0))
         comp.set_signals(SignalVector(pamp=10))
         comp.set_signals(SignalVector(danger=7))
         assert comp.signals == SignalVector(danger=7)
 
     def test_sample_exhaustion_clears_slot(self):
-        comp = TissueCompartment(1, 2, random.Random(0))
+        comp = TissueCompartment(1, 2, np.random.default_rng(0))
         comp.deposit("a")
-        assert comp.sample_slot() == "a"
-        assert comp.sample_slot() == "a"
+        assert comp.sample_slot(0) == "a"
+        assert comp.sample_slot(0) == "a"
         assert comp.occupied == 0
-        assert comp.sample_slot() is None
+        assert comp.sample_slot(0) is None
+        assert comp.slots == [None]
 
     def test_empty_label_rejected(self):
-        comp = TissueCompartment(1, 1, random.Random(0))
+        comp = TissueCompartment(1, 1, np.random.default_rng(0))
         with pytest.raises(ValueError):
             comp.deposit("")
 

@@ -1,0 +1,139 @@
+"""The array tick against the sequential reference tick, draw for draw.
+
+Both tissues get the same configuration, signals and antigen; after every
+tick their records, pool snapshots, feed and store must be equal.
+"""
+
+import random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from dca.core import SignalVector
+from dca.tissue import PopulationConfig, Tissue
+from reference_tissue import ReferenceTissue
+
+
+def small(seed, **overrides):
+    """The `small_config` shape of test_tissue.py."""
+    base = dict(num_cells=10, tissue_antigen_capacity=2,
+                antigen_sample_multiplicity=3,
+                antigen_sampling_probability=0.5,
+                threshold_mode=("uniform", 2.0, 8.0))
+    base.update(overrides)
+    return PopulationConfig(seed=seed, **base)
+
+
+def drive_shape(seed):
+    """The `_drive` shape of test_acceptance.py."""
+    return PopulationConfig(seed=seed, num_cells=8, tissue_antigen_capacity=2,
+                            antigen_sample_multiplicity=3,
+                            antigen_sampling_probability=1.0,
+                            threshold_mode=("uniform", 2.0, 8.0))
+
+
+CONFIGS = {
+    "breast_cancer": lambda s: PopulationConfig.breast_cancer(seed=s),
+    "portscan": lambda s: PopulationConfig.portscan(seed=s),
+    "small_config": small,
+    "drive": drive_shape,
+    "fixed_threshold": lambda s: small(s, threshold_mode=("fixed", 4.0)),
+    "overwrite_multiplicity_3": lambda s: small(
+        s, antigen_overwrite=True, tissue_antigen_capacity=3),
+    "cell_capacity_2": lambda s: small(s, cell_antigen_capacity=2,
+                                       antigen_sampling_probability=1.0),
+}
+
+
+def scripted_steps(seed, ticks=60, max_antigen=4, quiet=20):
+    """Random signals and antigen bursts, then `quiet` ticks without
+    antigen so that stores empty and held antigen is presented."""
+    rng = random.Random(seed)
+    steps = []
+    for t in range(ticks + quiet):
+        signals = SignalVector(pamp=rng.uniform(0, 3), danger=rng.uniform(0, 3),
+                               safe=rng.uniform(0, 3),
+                               inflammation=rng.choice([0.0, 1.0, 2.0]))
+        count = rng.randint(0, max_antigen) if t < ticks else 0
+        steps.append((signals, [f"ag-{t}-{k % 3}" for k in range(count)]))
+    return steps
+
+
+def pool_state(cells):
+    return [(c.id, c.migration_threshold, c.cytokines.csm, c.cytokines.semi,
+             c.cytokines.mat, c.antigen_store) for c in cells]
+
+
+def assert_same(tissue, ref):
+    assert tissue.records == ref.records
+    assert pool_state(tissue.pool) == pool_state(ref.pool)
+    assert list(tissue._feed) == list(ref.feed)
+    assert tissue.compartment.slots == [None if s is None else tuple(s)
+                                        for s in ref.slots]
+    assert tissue.compartment.clock == ref.clock
+
+
+def run_both(cfg, steps):
+    tissue, ref = Tissue(cfg), ReferenceTissue(cfg)
+    assert_same(tissue, ref)
+    for signals, labels in steps:
+        for t in (tissue, ref):
+            t.set_signals(signals)
+            for label in labels:
+                t.enqueue_antigen(label)
+        assert tissue.tick() == ref.tick()
+        assert_same(tissue, ref)
+    return tissue
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_array_tick_matches_reference(name, seed):
+    cfg = CONFIGS[name](seed)
+    burst = 30 if name == "portscan" else 4
+    tissue = run_both(cfg, scripted_steps(seed, max_antigen=burst))
+    assert tissue.records
+
+
+def test_configs_reach_the_paths_they_name():
+    """The overwrite config overwrites a full store and the capacity-2
+    config fills cells, so both rare branches are compared above."""
+    steps = scripted_steps(0)
+    tissue = Tissue(CONFIGS["overwrite_multiplicity_3"](0))
+    full = 0
+    for signals, labels in steps:
+        tissue.set_signals(signals)
+        for label in labels:
+            full += tissue.compartment.occupied == 3
+            tissue.enqueue_antigen(label)
+        tissue.tick()
+    assert full > 0
+    tissue = Tissue(CONFIGS["cell_capacity_2"](0))
+    filled = 0
+    for signals, labels in steps:
+        tissue.set_signals(signals)
+        for label in labels:
+            tissue.enqueue_antigen(label)
+        tissue.tick()
+        filled += sum(len(c.antigen_store) == 2 for c in tissue.pool)
+    assert filled > 0
+
+
+signal_steps = st.lists(
+    st.tuples(st.floats(0, 10), st.floats(0, 10), st.floats(0, 10),
+              st.floats(0, 2), st.integers(0, 4)),
+    min_size=1, max_size=40)
+
+
+@given(st.integers(0, 2**32), signal_steps, st.booleans(),
+       st.sampled_from([0.0, 0.3, 1.0]))
+@settings(max_examples=60, deadline=None)
+def test_reference_property(seed, raw_steps, overwrite, probability):
+    cfg = small(seed, antigen_overwrite=overwrite,
+                antigen_sampling_probability=probability,
+                cell_antigen_capacity=3)
+    steps = [(SignalVector(pamp=p, danger=d, safe=s, inflammation=ic),
+              [f"h-{t}-{k}" for k in range(n)])
+             for t, (p, d, s, ic, n) in enumerate(raw_steps)]
+    run_both(cfg, steps)
