@@ -9,6 +9,7 @@ classified anomalous when that fraction strictly exceeds a threshold.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Optional, Sequence, TextIO
 
@@ -129,26 +130,89 @@ class PairedTTestResult:
 def paired_t_test(xs: Sequence[float], ys: Sequence[float]) -> PairedTTestResult:
     """Two-tailed paired t-test on the differences xs - ys.
 
-    Zero-variance differences are degenerate: a zero mean difference is
-    an exact tie (p = 1); a constant nonzero shift is flagged exact_tie
-    with p = 0 since no sampling variation exists to test against.
+    The p-value is the Student t tail with n - 1 degrees of freedom, the
+    same test as `scipy.stats.ttest_rel`. Zero-variance differences are
+    degenerate: a zero mean difference is an exact tie (p = 1); a
+    constant nonzero shift is flagged exact_tie with p = 0 since no
+    sampling variation exists to test against.
     """
     if len(xs) != len(ys):
         raise ValueError("paired samples must have equal length")
-    if len(xs) < 2:
+    n = len(xs)
+    if n < 2:
         raise ValueError("need at least two pairs")
+    for v in (*xs, *ys):
+        if not math.isfinite(v):
+            raise ValueError(f"paired samples must be finite, got {v!r}")
     diffs = [x - y for x, y in zip(xs, ys)]
-    mean_diff = sum(diffs) / len(diffs)
+    mean_diff = sum(diffs) / n
     var = sum((d - mean_diff) ** 2 for d in diffs)
     if var == 0.0:
         if mean_diff == 0.0:
             return PairedTTestResult(0.0, 1.0, exact_tie=True)
         return PairedTTestResult(mean_diff, 0.0, exact_tie=True)
-    # imported here: scipy.stats takes about a second to import, and only
-    # this function needs it
-    from scipy import stats
-    t_stat, p_value = stats.ttest_rel(xs, ys)
-    return PairedTTestResult(mean_diff, float(p_value))
+    t = mean_diff / math.sqrt(var / (n * (n - 1)))
+    return PairedTTestResult(mean_diff, _student_t_two_tailed(t, n - 1))
+
+
+def _student_t_two_tailed(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom.
+
+    That is I_x(df/2, 1/2), the regularized incomplete beta function at
+    x = df / (df + t^2). Both x and 1 - x are formed without
+    subtraction, so a tail near 0 or near 1 keeps its relative accuracy.
+    """
+    t2 = t * t
+    x = df / (df + t2)
+    if x == 0.0:
+        return 0.0
+    return _incomplete_beta(df / 2, 0.5, x, t2 / (df + t2))
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """Regularized incomplete beta I_x(a, b), with y = 1 - x given by the
+    caller. The continued fraction converges fast only for
+    x < (a + 1) / (a + b + 2); on the other side it uses the symmetry
+    I_x(a, b) = 1 - I_y(b, a)."""
+    if y == 0.0:
+        return 1.0
+    log_front = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                 + a * math.log(x) + b * math.log(y))
+    if x < (a + 1) / (a + b + 2):
+        return math.exp(log_front) * _beta_fraction(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _beta_fraction(b, a, y) / b
+
+
+_FRACTION_TINY = 1e-300
+_FRACTION_MAX_TERMS = 10_000
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """Continued fraction of the incomplete beta function, evaluated by
+    the modified Lentz method (Numerical Recipes, section 6.4). It needs
+    O(sqrt(max(a, b))) terms."""
+
+    def guard(v: float) -> float:
+        return v if abs(v) > _FRACTION_TINY else _FRACTION_TINY
+
+    c = 1.0
+    d = 1.0 / guard(1.0 - (a + b) * x / (a + 1))
+    h = d
+    for m in range(1, _FRACTION_MAX_TERMS + 1):
+        m2 = 2 * m
+        even = m * (b - m) * x / ((a - 1 + m2) * (a + m2))
+        d = 1.0 / guard(1.0 + even * d)
+        c = guard(1.0 + even / c)
+        h *= d * c
+        odd = -(a + m) * (a + b + m) * x / ((a + m2) * (a + 1 + m2))
+        d = 1.0 / guard(1.0 + odd * d)
+        c = guard(1.0 + odd / c)
+        step = d * c
+        h *= step
+        if abs(step - 1.0) <= sys.float_info.epsilon:
+            return h
+    raise ArithmeticError(
+        f"incomplete beta fraction did not converge (a={a}, b={b}, x={x})")
 
 
 def mean_and_std(values: Sequence[float]) -> tuple[float, float]:

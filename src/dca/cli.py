@@ -282,12 +282,12 @@ def cmd_replay(args: argparse.Namespace, out: Path) -> int:
 def cmd_serve(args: argparse.Namespace, out: Path) -> int:
     host, port = _parse_endpoint(args.endpoint)
     runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=args.seed)))
-    server = TissueServer(runner, expected_clients=args.expect_clients,
-                          host=host, port=port)
-    server.start()
-    print(f"listening on {server.address[0]}:{server.address[1]}",
-          flush=True)
-    records = server.wait()
+    with TissueServer(runner, expected_clients=args.expect_clients,
+                      host=host, port=port) as server:
+        server.start()
+        print(f"listening on {server.address[0]}:{server.address[1]}",
+              flush=True)
+        records = server.wait()
     with open(out / "migration.log", "w") as fh:
         write_migration_log(records, fh)
     print(f"served {args.expect_clients} client(s); {len(records)} migrations")

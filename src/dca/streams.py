@@ -507,6 +507,10 @@ class TissueServer:
     timestamp and applied at tick boundaries via the shared runner. A
     client that violates the frame protocol is dropped (its partial
     stream discarded) without disturbing the others.
+
+    The listening socket opens here and closes once the expected
+    clients have connected, or on `close()`; use the server as a
+    context manager so that it is released when the run fails.
     """
 
     def __init__(self, runner: EventDrivenRunner, expected_clients: int = 1,
@@ -519,6 +523,7 @@ class TissueServer:
         self._streams: list[tuple[int, list[Event]]] = []
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
+        self._connected = 0
 
     @property
     def address(self) -> tuple[str, int]:
@@ -528,10 +533,32 @@ class TissueServer:
         self._thread = threading.Thread(target=self._accept_loop, daemon=True)
         self._thread.start()
 
+    def close(self) -> None:
+        """Release the listening socket. Safe to call more than once, and
+        after the accept loop has closed it itself. An accept loop still
+        waiting for clients ends, and `wait()` then raises."""
+        try:
+            # wakes an accept() blocked in the accept loop; close alone
+            # would leave it blocked, holding the port
+            self._listener.shutdown(socket.SHUT_RDWR)
+        except OSError:
+            pass  # already closed
+        self._listener.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
     def _accept_loop(self) -> None:
         handlers = []
         for index in range(self.expected_clients):
-            conn, _ = self._listener.accept()
+            try:
+                conn, _ = self._listener.accept()
+            except OSError:
+                break  # close() ended the wait for clients
+            self._connected += 1
             t = threading.Thread(target=self._serve_client,
                                  args=(conn, index), daemon=True)
             t.start()
@@ -562,6 +589,10 @@ class TissueServer:
         if self._thread is None:
             raise RuntimeError("TissueServer.wait() called before start()")
         self._thread.join()
+        if self._connected < self.expected_clients:
+            raise RuntimeError(
+                f"TissueServer closed after {self._connected} of "
+                f"{self.expected_clients} clients connected")
         tagged = [
             (e.timestamp, 0 if e.kind == SIGNAL_SET else 1, index, i, e)
             for index, events in sorted(self._streams)

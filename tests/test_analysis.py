@@ -2,14 +2,16 @@
 mature fractions, and the paired significance test."""
 
 import io
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dca.analysis import (AntigenVerdict, TruthMismatch, aggregate, classify,
-                          count_errors, mean_and_std, paired_t_test,
-                          process_mag, write_process_table,
+from dca.analysis import (AntigenVerdict, TruthMismatch, _student_t_two_tailed,
+                          aggregate, classify, count_errors, mean_and_std,
+                          paired_t_test, process_mag, write_process_table,
                           write_verdict_table)
 from dca.core import Context
 from dca.tissue import MigrationRecord
@@ -189,6 +191,34 @@ class TestPairedTTest:
             paired_t_test([1.0], [1.0, 2.0])
         with pytest.raises(ValueError):
             paired_t_test([1.0], [2.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            paired_t_test([0.9, bad, 0.8], [0.4, 0.5, 0.3])
+        with pytest.raises(ValueError, match=repr(bad)):
+            paired_t_test([0.9, 0.7, 0.8], [0.4, 0.5, bad])
+
+    def test_matches_scipy_ttest_rel(self):
+        stats = pytest.importorskip("scipy.stats")
+        # the tail alone, over df 1-200 and |t| 1e-4-300
+        ts = [10 ** (-4 + k * math.log10(3e6) / 40) for k in range(41)]
+        for df in range(1, 201):
+            for t, expected in zip(ts, 2 * stats.t.sf(ts, df)):
+                got = _student_t_two_tailed(t, df)
+                if expected == 0.0:
+                    assert got < 1e-300
+                else:
+                    assert got == pytest.approx(expected, rel=1e-9), (df, t)
+        # whole tests on random paired samples
+        rng = random.Random(20)
+        for _ in range(500):
+            n = rng.randint(2, 30)
+            xs = [rng.gauss(0.5, 0.2) for _ in range(n)]
+            ys = [x + rng.gauss(rng.uniform(-0.3, 0.3), 0.2) for x in xs]
+            expected = stats.ttest_rel(xs, ys).pvalue
+            assert paired_t_test(xs, ys).p_value == pytest.approx(
+                expected, rel=1e-12)
 
 
 class TestHelpers:

@@ -197,12 +197,24 @@ class TestManifest:
         assert "out =" not in manifest
 
 
-def test_cli_import_leaves_scipy_unloaded():
-    """scipy.stats takes about a second to import; only the paired t-test
-    needs it, so a command that does not run one never loads it."""
+def _scipy_loaded_after(probe: str) -> str:
     src = str(Path(dca.__file__).resolve().parents[1])
-    probe = "import sys, dca.cli; print('scipy' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], check=True,
-                         capture_output=True, text=True, timeout=60,
-                         env={"PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    out = subprocess.run(
+        [sys.executable, "-c", probe + "; print('scipy' in sys.modules)"],
+        check=True, capture_output=True, text=True, timeout=60,
+        env={"PYTHONPATH": src})
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """scipy takes about a second to import and no runtime code needs
+    it, so the CLI never loads it."""
+    assert _scipy_loaded_after("import sys, dca.cli") == "False"
+
+
+def test_portscan_run_leaves_scipy_unloaded():
+    """The paired t-test computes its p-value without scipy."""
+    probe = ("import sys; from dca.streams import ScenarioConfig, "
+             "run_portscan_experiment; "
+             "run_portscan_experiment(ScenarioConfig(), 2, repeats=2)")
+    assert _scipy_loaded_after(probe) == "False"

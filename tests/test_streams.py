@@ -383,13 +383,39 @@ class TestWireTransport:
         assert "dropped" in caplog.text
 
     def test_wait_before_start_is_an_error(self):
-        server = TissueServer(EventDrivenRunner(
-            Tissue(PopulationConfig.portscan(seed=9))))
-        try:
+        with TissueServer(EventDrivenRunner(
+                Tissue(PopulationConfig.portscan(seed=9)))) as server:
             with pytest.raises(RuntimeError, match="before start"):
                 server.wait()
-        finally:
-            server._listener.close()
+
+    def test_closed_server_releases_its_port(self):
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))))
+        host, port = server.address
+        server.close()
+        server.close()
+        socket.create_server((host, port)).close()
+
+    def test_close_ends_a_wait_for_clients(self):
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))))
+        host, port = server.address
+        server.start()
+        server.close()
+        errors = []
+
+        def wait():
+            try:
+                server.wait()
+            except RuntimeError as exc:
+                errors.append(str(exc))
+
+        waiter = threading.Thread(target=wait, daemon=True)
+        waiter.start()
+        waiter.join(timeout=10)
+        assert not waiter.is_alive()
+        assert errors and "0 of 1 clients" in errors[0]
+        socket.create_server((host, port)).close()
 
     def test_oversized_send_refused_client_side(self):
         server = TissueServer(EventDrivenRunner(
