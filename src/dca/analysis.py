@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence, TextIO
 
 from .core import Context
@@ -45,7 +45,6 @@ class RunSummary:
     verdicts: dict[str, AntigenVerdict]
     errors: Optional[int] = None
     unseen: int = 0
-    per_process_mag: dict[str, float] = field(default_factory=dict)
 
 
 def aggregate(records: Iterable[MigrationRecord]) -> dict[str, AntigenVerdict]:

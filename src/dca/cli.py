@@ -243,6 +243,8 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
     host, _, port = text.rpartition(":")
     if not host or not port.isdigit():
         raise CliError(f"invalid endpoint {text!r} (expected HOST:PORT)")
+    if not 0 <= int(port) <= 65535:
+        raise CliError(f"invalid endpoint {text!r} (port outside 0-65535)")
     return host, int(port)
 
 
@@ -282,8 +284,12 @@ def cmd_replay(args: argparse.Namespace, out: Path) -> int:
 def cmd_serve(args: argparse.Namespace, out: Path) -> int:
     host, port = _parse_endpoint(args.endpoint)
     runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=args.seed)))
-    with TissueServer(runner, expected_clients=args.expect_clients,
-                      host=host, port=port) as server:
+    try:
+        server = TissueServer(runner, expected_clients=args.expect_clients,
+                              host=host, port=port)
+    except OSError as exc:
+        raise CliError(f"cannot listen on {args.endpoint}: {exc}") from exc
+    with server:
         server.start()
         print(f"listening on {server.address[0]}:{server.address[1]}",
               flush=True)
@@ -338,8 +344,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(argv)
         out = args.out
-        out.mkdir(parents=True, exist_ok=True)
-        _write_manifest(args, out)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+            _write_manifest(args, out)
+        except OSError as exc:
+            raise CliError(f"cannot write to --out {out}: {exc}") from exc
         return COMMANDS[args.command](args, out)
     # library ValueErrors reaching here are bad settings or input files
     except (CliError, ValueError) as exc:

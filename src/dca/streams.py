@@ -21,7 +21,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Optional, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .analysis import (AntigenVerdict, PairedTTestResult, aggregate,
                        mean_and_std, paired_t_test, process_mag)
@@ -36,6 +36,7 @@ ANTIGEN = "A"
 # wire framing: 4-byte big-endian unsigned length, then one event line
 FRAME_HEADER = struct.Struct(">I")
 MAX_FRAME = 4096
+RECV_BUFFER = 65536  # server read size; must exceed one whole frame
 
 DRAIN_TICKS = 300  # safety cap on ticks run after the stream ends
 
@@ -452,31 +453,41 @@ def _send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(FRAME_HEADER.pack(len(payload)) + payload)
 
 
-def _recv_exact(sock: socket.socket, n: int) -> Optional[bytes]:
-    """Read exactly n bytes; None on clean EOF at a frame boundary."""
-    buf = b""
-    while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
-        if not chunk:
-            if buf:
-                raise ProtocolError(
-                    f"connection closed mid-frame ({len(buf)}/{n} bytes)")
-            return None
-        buf += chunk
-    return buf
+def _read_frames(sock: socket.socket) -> Iterator[str]:
+    """Yield the decoded payload of each frame until a clean EOF.
 
-
-def _recv_frame(sock: socket.socket) -> Optional[bytes]:
-    header = _recv_exact(sock, FRAME_HEADER.size)
-    if header is None:
-        return None
-    (length,) = FRAME_HEADER.unpack(header)
-    if length > MAX_FRAME:
-        raise ProtocolError(f"declared frame length {length} exceeds {MAX_FRAME}")
-    payload = _recv_exact(sock, length)
-    if payload is None:
-        raise ProtocolError("connection closed before frame payload")
-    return payload
+    Reads in bulk with `recv_into` into one reused buffer and splits
+    every whole frame out of it, so a burst of small frames costs one
+    call into the socket, not two per frame. A declared length over
+    MAX_FRAME raises ProtocolError as soon as its header is in; EOF
+    inside a header or a payload raises ProtocolError; a payload that
+    is not UTF-8 raises UnicodeDecodeError (a ValueError).
+    """
+    buf = bytearray(RECV_BUFFER)
+    with memoryview(buf) as view:
+        end = 0  # bytes held in buf, from its start
+        while True:
+            got = sock.recv_into(view[end:])
+            if not got:
+                if end:
+                    raise ProtocolError(
+                        f"connection closed mid-frame ({end} bytes pending)")
+                return
+            end += got
+            pos = 0
+            while end - pos >= FRAME_HEADER.size:
+                (length,) = FRAME_HEADER.unpack_from(buf, pos)
+                if length > MAX_FRAME:
+                    raise ProtocolError(
+                        f"declared frame length {length} exceeds {MAX_FRAME}")
+                start = pos + FRAME_HEADER.size
+                if end - start < length:
+                    break
+                pos = start + length
+                yield str(view[start:pos], "utf-8")
+            # move the partial frame left over to the front
+            view[:end - pos] = view[pos:end]
+            end -= pos
 
 
 class StreamClient:
@@ -568,14 +579,9 @@ class TissueServer:
         self._listener.close()
 
     def _serve_client(self, conn: socket.socket, index: int) -> None:
-        events: list[Event] = []
         try:
             with conn:
-                while True:
-                    payload = _recv_frame(conn)
-                    if payload is None:
-                        break
-                    events.append(parse_event(payload.decode("utf-8")))
+                events = [parse_event(line) for line in _read_frames(conn)]
         except (ProtocolError, ValueError) as exc:
             # bad framing, undecodable bytes or a malformed event
             log.warning("client %d dropped: %s", index, exc)
@@ -593,12 +599,13 @@ class TissueServer:
             raise RuntimeError(
                 f"TissueServer closed after {self._connected} of "
                 f"{self.expected_clients} clients connected")
-        tagged = [
-            (e.timestamp, 0 if e.kind == SIGNAL_SET else 1, index, i, e)
-            for index, events in sorted(self._streams)
+        # (index, i) is unique, so the sort never compares two events
+        tagged = sorted(
+            (e.timestamp, e.kind != SIGNAL_SET, index, i, e)
+            for index, events in self._streams
             for i, e in enumerate(events)
-        ]
-        merged = [entry[-1] for entry in sorted(tagged, key=lambda x: x[:4])]
+        )
+        merged = [entry[-1] for entry in tagged]
         self.runner.run(merged)
         self.runner.drain()
         return self.runner.tissue.records

@@ -1,6 +1,7 @@
 """Command-line harness: reproducibility of output trees, config-file
 precedence, and the generate/replay/report pipeline."""
 
+import socket
 import subprocess
 import sys
 from pathlib import Path
@@ -184,6 +185,41 @@ class TestPipeline:
                               "--endpoint", "nowhere"], capsys)
         assert code == 1
         assert "invalid endpoint" in captured.err
+
+
+class TestSetUpErrors:
+    """Operator mistakes found while setting a run up end in one `error:`
+    line and exit 1, not a traceback."""
+
+    @staticmethod
+    def assert_one_error_line(code, captured, text):
+        assert code == 1
+        assert captured.err.startswith(f"error: {text}")
+        assert captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["serve", "replay"])
+    def test_port_out_of_range_rejected(self, tmp_path, capsys, command):
+        log = tmp_path / "s.log"
+        log.write_text("0.5\tA\tx\tshell\n")
+        argv = ["--out", tmp_path / "o", command,
+                "--endpoint", "127.0.0.1:65536"]
+        if command == "replay":
+            argv += ["--log", log]
+        code, captured = run(argv, capsys)
+        self.assert_one_error_line(code, captured, "invalid endpoint")
+
+    def test_out_under_a_regular_file(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        code, captured = run(["--out", tmp_path / "file" / "out", "bc",
+                              "--repeats", "1"], capsys)
+        self.assert_one_error_line(code, captured, "cannot write to --out")
+
+    def test_serve_on_a_port_in_use(self, tmp_path, capsys):
+        with socket.create_server(("127.0.0.1", 0)) as busy:
+            port = busy.getsockname()[1]
+            code, captured = run(["--out", tmp_path, "serve", "--endpoint",
+                                  f"127.0.0.1:{port}"], capsys)
+        self.assert_one_error_line(code, captured, "cannot listen on")
 
 
 class TestManifest:

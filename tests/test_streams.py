@@ -16,8 +16,8 @@ from dca.streams import (ANTIGEN, MAX_FRAME, SIGNAL_SET, Event,
                          EventDrivenRunner, ProtocolError, ScenarioConfig,
                          SignalMask, SignalScales, SinkDisconnected,
                          StreamClient, StreamFormatError, TissueServer,
-                         derive_signals, format_event, generate_scenario,
-                         parse_event, read_log, replay,
+                         _read_frames, derive_signals, format_event,
+                         generate_scenario, parse_event, read_log, replay,
                          run_portscan_experiment, scenario_process_groups,
                          write_log)
 from dca.tissue import PopulationConfig, Tissue
@@ -50,6 +50,86 @@ def run_in_process(events, seed=9, mask=SignalMask()):
     runner.run(events)
     runner.drain()
     return runner.tissue.records
+
+
+WAIT_DEADLINE_S = 10
+
+
+def wait_for(server, deadline=WAIT_DEADLINE_S):
+    """`server.wait()` under a deadline, so that a reader or accept loop
+    that blocks fails the test instead of stalling the suite."""
+    outcome = []
+
+    def wait():
+        try:
+            outcome.append((True, server.wait()))
+        except Exception as exc:
+            outcome.append((False, exc))
+
+    waiter = threading.Thread(target=wait, daemon=True)
+    waiter.start()
+    waiter.join(deadline)
+    if waiter.is_alive():
+        pytest.fail(f"TissueServer.wait() still blocked after {deadline} s")
+    ok, value = outcome[0]
+    if not ok:
+        raise value
+    return value
+
+
+def frame(payload: bytes) -> bytes:
+    return struct.pack(">I", len(payload)) + payload
+
+
+class Trickle:
+    """The read end of a socket pair that writes the next fragment into
+    the pair just before each read, so that each read returns exactly
+    that fragment (or as much of it as the buffer holds); after the last
+    fragment the write end shuts down (EOF)."""
+
+    def __init__(self, fragments):
+        assert all(fragments), "an empty fragment would block the read"
+        self._tx, self._rx = socket.socketpair()
+        self._tx.settimeout(WAIT_DEADLINE_S)
+        self._rx.settimeout(WAIT_DEADLINE_S)
+        self._fragments = iter(fragments)
+        self.reads = 0
+
+    def recv_into(self, buffer):
+        self.reads += 1
+        fragment = next(self._fragments, None)
+        if fragment is None:
+            self._tx.shutdown(socket.SHUT_WR)
+        else:
+            self._tx.sendall(fragment)
+        return self._rx.recv_into(buffer)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._tx.close()
+        self._rx.close()
+
+
+def read_payloads(fragments):
+    with Trickle(fragments) as sock:
+        return list(_read_frames(sock))
+
+
+@st.composite
+def fragmented_frames(draw):
+    """Valid frames, and their wire bytes cut into fragments: every byte
+    alone, or at arbitrary points (splits inside headers included)."""
+    payloads = draw(st.lists(st.text(max_size=40), max_size=15))
+    wire = b"".join(frame(p.encode()) for p in payloads)
+    if draw(st.booleans()):
+        cuts = set(range(1, len(wire)))
+    else:
+        cuts = draw(st.sets(st.integers(1, max(1, len(wire) - 1))))
+    bounds = [0, *sorted(c for c in cuts if c < len(wire)), len(wire)]
+    fragments = [wire[i:j] for i, j in zip(bounds, bounds[1:]) if j > i]
+    return payloads, fragments
 
 
 class TestEventLog:
@@ -291,6 +371,72 @@ class TestRunner:
         assert all(not cell.antigen_store for cell in tissue.pool)
 
 
+class TestFrameReader:
+    @given(fragmented_frames())
+    @settings(max_examples=150, deadline=None)
+    def test_fragmentation_never_changes_the_payloads(self, case):
+        payloads, fragments = case
+        assert read_payloads(fragments) == payloads
+
+    def test_frames_straddling_a_full_buffer(self):
+        # max-size and odd-size frames, with a multi-byte character at a
+        # payload edge; fragments both within and beyond one buffer
+        payloads = ["x" * MAX_FRAME, "é" * (MAX_FRAME // 2), "y" * 4093,
+                    "", "z" * 17] * 20
+        wire = b"".join(frame(p.encode()) for p in payloads)
+        for size in (1000, 4101, 20_000, 70_000):
+            fragments = [wire[i:i + size] for i in range(0, len(wire), size)]
+            assert read_payloads(fragments) == payloads
+
+    def test_a_burst_of_frames_costs_one_read(self):
+        payloads = [f"0.5\tA\tx{i}\tshell" for i in range(500)]
+        wire = b"".join(frame(p.encode()) for p in payloads)
+        with Trickle([wire]) as sock:
+            assert list(_read_frames(sock)) == payloads
+            assert sock.reads == 2  # the burst, then EOF
+
+    def test_eof_at_a_frame_boundary_ends_cleanly(self):
+        assert read_payloads([frame(b"a"), frame(b"bc")]) == ["a", "bc"]
+        assert read_payloads([]) == []
+
+    @pytest.mark.parametrize("cut", [1, 3, 4, 6, 11])
+    def test_cut_inside_a_frame_is_a_protocol_error(self, cut):
+        # a whole first frame, then the second (8-byte payload) cut short
+        wire = frame(b"first") + frame(b"12345678")[:cut]
+        with pytest.raises(ProtocolError, match="mid-frame"):
+            read_payloads([wire])
+
+    def test_oversized_header_raises_before_its_payload(self):
+        # the writer keeps its end open: the error must come from the
+        # header alone, not from a read timeout
+        tx, rx = socket.socketpair()
+        with tx, rx:
+            rx.settimeout(WAIT_DEADLINE_S)
+            tx.sendall(frame(b"ok") + struct.pack(">I", MAX_FRAME + 1))
+            reader = _read_frames(rx)
+            assert next(reader) == "ok"
+            with pytest.raises(ProtocolError, match="exceeds"):
+                next(reader)
+
+    def test_undecodable_payload_is_a_value_error(self):
+        with pytest.raises(ValueError):
+            read_payloads([frame(b"\xff\xfe")])
+
+    @given(st.one_of(
+        st.binary(min_size=1, max_size=64),
+        st.tuples(st.lists(st.binary(max_size=30), min_size=1, max_size=5),
+                  st.integers(0, 200)).map(
+            lambda case: b"".join(map(frame, case[0]))[case[1]:]
+            or b"\x00")))
+    @settings(max_examples=200, deadline=None)
+    def test_arbitrary_bytes_raise_only_documented_errors(self, wire):
+        try:
+            for line in read_payloads([wire]):
+                parse_event(line)
+        except (ProtocolError, ValueError):
+            pass
+
+
 class TestWireTransport:
     def test_single_client_matches_in_process(self):
         events = scenario_events()
@@ -300,7 +446,7 @@ class TestWireTransport:
         server.start()
         with StreamClient(*server.address) as client:
             replay(events, "max", client)
-        assert server.wait() == expected
+        assert wait_for(server) == expected
 
     def test_two_clients_merge_by_timestamp(self):
         events = scenario_events()
@@ -321,7 +467,7 @@ class TestWireTransport:
             t.start()
         for t in threads:
             t.join()
-        assert server.wait() == expected
+        assert wait_for(server) == expected
 
     def test_oversized_frame_drops_only_that_client(self):
         events = scenario_events()
@@ -334,7 +480,19 @@ class TestWireTransport:
         rogue.close()
         with StreamClient(*server.address) as client:
             replay(events, "max", client)
-        assert server.wait() == expected
+        assert wait_for(server) == expected
+
+    def test_oversized_header_drops_a_client_that_stays_connected(self):
+        events = scenario_events()
+        expected = run_in_process(events)
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))), expected_clients=2)
+        server.start()
+        with socket.create_connection(server.address) as rogue:
+            rogue.sendall(struct.pack(">I", MAX_FRAME + 1))
+            with StreamClient(*server.address) as client:
+                replay(events, "max", client)
+            assert wait_for(server) == expected
 
     def test_partial_frame_discarded(self):
         events = scenario_events()
@@ -347,7 +505,7 @@ class TestWireTransport:
         rogue.close()
         with StreamClient(*server.address) as client:
             replay(events, "max", client)
-        assert server.wait() == expected
+        assert wait_for(server) == expected
 
     def test_undecodable_frame_drops_that_client(self, caplog):
         events = scenario_events()
@@ -360,7 +518,7 @@ class TestWireTransport:
         rogue.close()
         with StreamClient(*server.address) as client:
             replay(events, "max", client)
-        assert server.wait() == expected
+        assert wait_for(server) == expected
         assert "dropped" in caplog.text
 
     @pytest.mark.parametrize("line", ["0.5\tA\ta,b\tshell",
@@ -379,14 +537,14 @@ class TestWireTransport:
         rogue.close()
         with StreamClient(*server.address) as client:
             replay(events, "max", client)
-        assert server.wait() == expected
+        assert wait_for(server) == expected
         assert "dropped" in caplog.text
 
     def test_wait_before_start_is_an_error(self):
         with TissueServer(EventDrivenRunner(
                 Tissue(PopulationConfig.portscan(seed=9)))) as server:
             with pytest.raises(RuntimeError, match="before start"):
-                server.wait()
+                wait_for(server)
 
     def test_closed_server_releases_its_port(self):
         server = TissueServer(EventDrivenRunner(
@@ -402,19 +560,8 @@ class TestWireTransport:
         host, port = server.address
         server.start()
         server.close()
-        errors = []
-
-        def wait():
-            try:
-                server.wait()
-            except RuntimeError as exc:
-                errors.append(str(exc))
-
-        waiter = threading.Thread(target=wait, daemon=True)
-        waiter.start()
-        waiter.join(timeout=10)
-        assert not waiter.is_alive()
-        assert errors and "0 of 1 clients" in errors[0]
+        with pytest.raises(RuntimeError, match="0 of 1 clients"):
+            wait_for(server)
         socket.create_server((host, port)).close()
 
     def test_oversized_send_refused_client_side(self):
@@ -424,7 +571,7 @@ class TestWireTransport:
         with StreamClient(*server.address) as client:
             with pytest.raises(ProtocolError):
                 client.apply(Event.antigen(0.0, "x" * (MAX_FRAME + 1), "shell"))
-        server.wait()
+        wait_for(server)
 
 
 class TestPortscanExperiments:
