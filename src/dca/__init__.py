@@ -6,9 +6,8 @@ per-label anomaly verdicts."""
 from .analysis import (AntigenVerdict, PairedTTestResult, RunSummary,
                        aggregate, classify, count_errors, paired_t_test,
                        process_mag)
-from .core import (AntigenStoreFull, CellState, CellStateError, Context,
-                   CytokineState, DendriticCell, InvalidWeights, SignalVector,
-                   WeightMatrix, fuse_signals)
+from .core import (Context, InvalidWeights, SignalVector, WeightMatrix,
+                   fuse_signals)
 from .datasets import (LabelledItem, SignalMapping, item_to_signals,
                        load_items, load_uci, order_stream, run_bc_experiment,
                        select_attributes, synthetic_items)
@@ -16,15 +15,14 @@ from .streams import (Event, EventDrivenRunner, ScenarioConfig, SignalMask,
                       SignalScales, StreamClient, TissueServer,
                       derive_signals, generate_scenario, read_log, replay,
                       run_portscan_experiment, write_log)
-from .tissue import (MigrationRecord, PopulationConfig, Tissue,
+from .tissue import (CellSnapshot, MigrationRecord, PopulationConfig, Tissue,
                      TissueCompartment, read_migration_log,
                      write_migration_log)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AntigenStoreFull", "AntigenVerdict", "CellState", "CellStateError",
-    "Context", "CytokineState", "DendriticCell", "Event", "EventDrivenRunner",
+    "AntigenVerdict", "CellSnapshot", "Context", "Event", "EventDrivenRunner",
     "InvalidWeights", "LabelledItem", "MigrationRecord", "PairedTTestResult",
     "PopulationConfig", "RunSummary", "ScenarioConfig", "SignalMapping",
     "SignalMask", "SignalScales", "SignalVector", "StreamClient", "Tissue",

@@ -17,7 +17,7 @@ from .core import Context
 from .tissue import MigrationRecord
 
 
-class TruthMismatch(Exception):
+class TruthMismatch(ValueError):
     """A verdict label is missing from the ground-truth map."""
 
 

@@ -20,7 +20,7 @@ from . import __version__
 from .analysis import (aggregate, classify, count_errors, write_process_table,
                        write_verdict_table)
 from .datasets import (load_items, load_uci, run_bc_experiment,
-                       synthetic_items)
+                       synthetic_items, write_items)
 from .streams import (EventDrivenRunner, PORTSCAN_EXPERIMENTS, ScenarioConfig,
                       SinkDisconnected, StreamClient, StreamFormatError,
                       TissueServer, generate_scenario, read_log, replay,
@@ -118,28 +118,31 @@ def parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
     args = parser.parse_args(argv)
     if args.config is not None:
         config = read_config(args.config)
-        owners: dict[str, tuple[argparse.ArgumentParser, argparse.Action]] = {}
+        # a key such as `repeats` or `threshold` may belong to several
+        # subcommands, and sets the default of each one that declares it
+        owners: dict[str, list[tuple[argparse.ArgumentParser,
+                                     argparse.Action]]] = {}
         for action in parser._actions:
-            owners[action.dest] = (parser, action)
+            owners.setdefault(action.dest, []).append((parser, action))
             if isinstance(action, argparse._SubParsersAction):
                 for choice in action.choices.values():
                     for a in choice._actions:
-                        owners.setdefault(a.dest, (choice, a))
+                        owners.setdefault(a.dest, []).append((choice, a))
         unknown = set(config) - set(owners)
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
         for key, raw in config.items():
-            owner, action = owners[key]
-            if isinstance(action, argparse._StoreTrueAction):
-                value = raw.lower() in ("1", "true", "yes", "on")
-            elif action.type is not None:
-                try:
-                    value = action.type(raw)
-                except ValueError as exc:
-                    raise CliError(f"config key {key}: {exc}") from exc
-            else:
-                value = raw
-            owner.set_defaults(**{key: value})
+            for owner, action in owners[key]:
+                if isinstance(action, argparse._StoreTrueAction):
+                    value = raw.lower() in ("1", "true", "yes", "on")
+                elif action.type is not None:
+                    try:
+                        value = action.type(raw)
+                    except ValueError as exc:
+                        raise CliError(f"config key {key}: {exc}") from exc
+                else:
+                    value = raw
+                owner.set_defaults(**{key: value})
         # re-parse so explicit flags keep precedence over config values
         args = parser.parse_args(argv)
     return args
@@ -179,6 +182,14 @@ def _run_bc_once(items, args, threshold_mode) -> tuple[int, int, object]:
 
 def cmd_bc(args: argparse.Namespace, out: Path) -> int:
     items = _load_dataset(args)
+    # the items this run used, in the native layout, so that the output
+    # directory serves as `report --truth`; a --dataset that is this very
+    # file is left as it is
+    items_csv = out / "items.csv"
+    if (args.dataset is None or not items_csv.exists()
+            or not items_csv.samefile(args.dataset)):
+        with open(items_csv, "w") as fh:
+            write_items(items, fh)
     summary_lines = []
     if args.sweep_migration:
         for key in args.sweep_migration.split(","):
@@ -350,8 +361,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         except OSError as exc:
             raise CliError(f"cannot write to --out {out}: {exc}") from exc
         return COMMANDS[args.command](args, out)
-    # library ValueErrors reaching here are bad settings or input files
-    except (CliError, ValueError) as exc:
+    # library ValueErrors reaching here are bad settings or input files,
+    # and an OSError is an output (or input) the command could not open
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

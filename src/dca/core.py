@@ -1,35 +1,23 @@
-"""Cell-level mathematics of the dendritic cell algorithm.
+"""Signal mathematics of the dendritic cell algorithm.
 
 A dendritic cell fuses four tissue signals (PAMP, danger, safe,
 inflammation) into three cytokine accumulators via a weighted sum,
 collects antigen labels while immature, and migrates once its
 costimulatory (csm) accumulator crosses an individual threshold.
 Migrated cells present their antigen store under a binary context
-decided by comparing the mature and semi-mature accumulators.
+decided by comparing the mature and semi-mature accumulators. The cell
+pool itself lives in `dca.tissue`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-
-
-class CellState(Enum):
-    IMMATURE = "immature"
-    MIGRATED = "migrated"
 
 
 class Context(Enum):
     MATURE = "mature"
     SEMI_MATURE = "semi-mature"
-
-
-class CellStateError(Exception):
-    """Operation invoked on a cell in the wrong state."""
-
-
-class AntigenStoreFull(Exception):
-    """Ingestion attempted on a cell whose antigen store is at capacity."""
 
 
 class InvalidWeights(ValueError):
@@ -99,84 +87,3 @@ def fuse_signals(s: SignalVector, w: WeightMatrix) -> tuple[float, float, float]
         out.append(num / den * ic_factor)
     return out[0], out[1], out[2]
 
-
-@dataclass
-class CytokineState:
-    """Cumulative cytokine levels of one cell."""
-
-    csm: float = 0.0
-    semi: float = 0.0
-    mat: float = 0.0
-
-
-@dataclass
-class DendriticCell:
-    """One dendritic cell of the sampling pool.
-
-    The cell is mutable: `update` accumulates fused signals and flips the
-    state to migrated once csm reaches the migration threshold; `ingest`
-    appends antigen labels (a bounded multiset); `present` reads out the
-    context and antigen of a migrated cell.
-    """
-
-    id: int
-    migration_threshold: float
-    antigen_capacity: int = 50
-    state: CellState = CellState.IMMATURE
-    cytokines: CytokineState = field(default_factory=CytokineState)
-    antigen_store: list[str] = field(default_factory=list)
-
-    def __post_init__(self):
-        if self.migration_threshold <= 0:
-            raise ValueError("migration threshold must be positive")
-        if self.antigen_capacity <= 0:
-            raise ValueError("antigen capacity must be positive")
-
-    @property
-    def is_migrated(self) -> bool:
-        return self.state is CellState.MIGRATED
-
-    @property
-    def store_full(self) -> bool:
-        return len(self.antigen_store) >= self.antigen_capacity
-
-    def update(self, s: SignalVector, w: WeightMatrix) -> None:
-        """Accumulate fused signals; migrate on threshold crossing.
-
-        The per-update csm increment is floored at zero as defensive
-        hygiene (never triggered by the default weights).
-        """
-        self.apply_deltas(fuse_signals(s, w))
-
-    def apply_deltas(self, deltas: tuple[float, float, float]) -> None:
-        """Accumulate pre-fused increments (shared per tick by the pool)."""
-        if self.is_migrated:
-            raise CellStateError("cannot update a migrated cell")
-        d_csm, d_semi, d_mat = deltas
-        self.cytokines.csm += max(0.0, d_csm)
-        self.cytokines.semi += d_semi
-        self.cytokines.mat += d_mat
-        if self.cytokines.csm >= self.migration_threshold:
-            self.state = CellState.MIGRATED
-
-    def ingest(self, label: str) -> None:
-        """Add one antigen label to the internal store (duplicates allowed)."""
-        if not label:
-            raise ValueError("antigen label must be non-empty")
-        if self.is_migrated:
-            raise CellStateError("migrated cells do not ingest antigen")
-        if self.store_full:
-            raise AntigenStoreFull(f"cell {self.id} store at capacity")
-        self.antigen_store.append(label)
-
-    def present(self) -> tuple[Context, list[str]]:
-        """Read out the context and antigen store of a migrated cell.
-
-        Context is mature iff the mature accumulator strictly exceeds
-        the semi-mature one; ties resolve to semi-mature.
-        """
-        if not self.is_migrated:
-            raise CellStateError("only migrated cells present antigen")
-        if self.cytokines.mat > self.cytokines.semi:
-            return Context.MATURE, list(self.antigen_store)
-        return Context.SEMI_MATURE, list(self.antigen_store)

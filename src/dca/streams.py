@@ -23,8 +23,8 @@ import time
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
-from .analysis import (AntigenVerdict, PairedTTestResult, aggregate,
-                       mean_and_std, paired_t_test, process_mag)
+from .analysis import (PairedTTestResult, aggregate, mean_and_std,
+                       paired_t_test, process_mag)
 from .core import SignalVector, WeightMatrix
 from .tissue import MigrationRecord, PopulationConfig, Tissue
 
@@ -582,8 +582,8 @@ class TissueServer:
         try:
             with conn:
                 events = [parse_event(line) for line in _read_frames(conn)]
-        except (ProtocolError, ValueError) as exc:
-            # bad framing, undecodable bytes or a malformed event
+        except (ProtocolError, ValueError, OSError) as exc:
+            # bad framing, undecodable bytes, a malformed event or a reset
             log.warning("client %d dropped: %s", index, exc)
             return
         with self._lock:
@@ -637,12 +637,9 @@ PORTSCAN_EXPERIMENTS: dict[int, PortscanExperiment] = {
 class PortscanResult:
     """Aggregate outcome of one experiment over its repeats."""
 
-    experiment: PortscanExperiment
-    per_process_runs: dict[str, list[Optional[float]]]
     process_table: dict[str, tuple[float, float, float]]
     scanner_vs_transfer: PairedTTestResult
     antigen_per_cell: float
-    verdicts_per_run: list[dict[str, AntigenVerdict]]
 
 
 def run_portscan_experiment(scenario: ScenarioConfig, experiment: int,
@@ -661,7 +658,6 @@ def run_portscan_experiment(scenario: ScenarioConfig, experiment: int,
 
     per_process: dict[str, list[Optional[float]]] = {}
     per_process_counts: dict[str, list[float]] = {}
-    verdicts_per_run: list[dict[str, AntigenVerdict]] = []
     antigen_per_cell_runs: list[float] = []
     for r in range(repeats):
         events = generate_scenario(replace(
@@ -674,7 +670,6 @@ def run_portscan_experiment(scenario: ScenarioConfig, experiment: int,
         runner.drain()
         records = runner.tissue.records
         verdicts = aggregate(records)
-        verdicts_per_run.append(verdicts)
         groups = scenario_process_groups(events)
         for name, mag in process_mag(verdicts, groups).items():
             per_process.setdefault(name, []).append(mag)
@@ -696,10 +691,7 @@ def run_portscan_experiment(scenario: ScenarioConfig, experiment: int,
              if x is not None and y is not None]
     ttest = paired_t_test([p[0] for p in pairs], [p[1] for p in pairs])
     return PortscanResult(
-        experiment=exp,
-        per_process_runs=per_process,
         process_table=table,
         scanner_vs_transfer=ttest,
         antigen_per_cell=sum(antigen_per_cell_runs) / len(antigen_per_cell_runs),
-        verdicts_per_run=verdicts_per_run,
     )

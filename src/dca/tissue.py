@@ -18,8 +18,7 @@ from typing import Iterable, NamedTuple, Optional, TextIO
 
 import numpy as np
 
-from .core import (Context, CytokineState, DendriticCell, SignalVector,
-                   WeightMatrix, fuse_signals)
+from .core import Context, SignalVector, WeightMatrix, fuse_signals
 
 
 @dataclass(frozen=True)
@@ -204,7 +203,7 @@ class Tissue:
 
     @property
     def pool(self) -> "_PoolView":
-        """The cells as a read-only sequence of `DendriticCell` snapshots."""
+        """The cells as a read-only sequence of `CellSnapshot`s."""
         return _PoolView(self)
 
     def enqueue_antigen(self, label: str) -> None:
@@ -298,9 +297,26 @@ class Tissue:
         return records
 
 
+class Cytokines(NamedTuple):
+    """The three cytokine accumulators of one cell."""
+
+    csm: float
+    semi: float
+    mat: float
+
+
+class CellSnapshot(NamedTuple):
+    """One cell of the pool at the moment it was read."""
+
+    id: int
+    migration_threshold: float
+    cytokines: Cytokines
+    antigen_store: list[str]
+
+
 class _PoolView(Sequence):
-    """A tissue's cells as a read-only sequence. Items are `DendriticCell`
-    snapshots built on access; changing one does not change the tissue."""
+    """A tissue's cells as a read-only sequence. Items are `CellSnapshot`s
+    built on access; changing one does not change the tissue."""
 
     def __init__(self, tissue: Tissue):
         self._tissue = tissue
@@ -308,18 +324,12 @@ class _PoolView(Sequence):
     def __len__(self) -> int:
         return self._tissue.cfg.num_cells
 
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return [self[k] for k in range(*i.indices(len(self)))]
+    def __getitem__(self, i: int) -> CellSnapshot:
         i = range(len(self))[i]
         t = self._tissue
-        return DendriticCell(
-            id=int(t._id[i]),
-            migration_threshold=float(t._threshold[i]),
-            antigen_capacity=t.cfg.cell_antigen_capacity,
-            cytokines=CytokineState(*t._cytokines[i].tolist()),
-            antigen_store=list(t._labels[i]),
-        )
+        return CellSnapshot(int(t._id[i]), float(t._threshold[i]),
+                            Cytokines(*t._cytokines[i].tolist()),
+                            list(t._labels[i]))
 
 
 # Migration log field order, stable across runs:

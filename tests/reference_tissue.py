@@ -7,14 +7,117 @@ per position in that order, then one threshold per fresh cell in tick
 order. Every cell in turn samples the store when its coin comes up and
 its own store has room, then takes the tick's cytokine increments.
 Equal seeds and inputs must give equal records and pool snapshots.
+
+`DendriticCell` is the oracle's own per-cell model of the algorithm:
+`update` accumulates fused signals and migrates the cell at its
+threshold, `ingest` fills its bounded antigen store and `present` reads
+out its context. The library keeps only the array form of the pool.
 """
 
 from collections import deque
+from dataclasses import dataclass, field
+from enum import Enum
 
 import numpy as np
 
-from dca.core import DendriticCell, SignalVector, fuse_signals
+from dca.core import Context, SignalVector, WeightMatrix, fuse_signals
 from dca.tissue import MigrationRecord
+
+
+class CellState(Enum):
+    IMMATURE = "immature"
+    MIGRATED = "migrated"
+
+
+class CellStateError(Exception):
+    """Operation invoked on a cell in the wrong state."""
+
+
+class AntigenStoreFull(Exception):
+    """Ingestion attempted on a cell whose antigen store is at capacity."""
+
+
+@dataclass
+class CytokineState:
+    """Cumulative cytokine levels of one cell."""
+
+    csm: float = 0.0
+    semi: float = 0.0
+    mat: float = 0.0
+
+
+@dataclass
+class DendriticCell:
+    """One dendritic cell of the sampling pool.
+
+    The cell is mutable: `update` accumulates fused signals and flips the
+    state to migrated once csm reaches the migration threshold; `ingest`
+    appends antigen labels (a bounded multiset); `present` reads out the
+    context and antigen of a migrated cell.
+    """
+
+    id: int
+    migration_threshold: float
+    antigen_capacity: int = 50
+    state: CellState = CellState.IMMATURE
+    cytokines: CytokineState = field(default_factory=CytokineState)
+    antigen_store: list[str] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.migration_threshold <= 0:
+            raise ValueError("migration threshold must be positive")
+        if self.antigen_capacity <= 0:
+            raise ValueError("antigen capacity must be positive")
+
+    @property
+    def is_migrated(self) -> bool:
+        return self.state is CellState.MIGRATED
+
+    @property
+    def store_full(self) -> bool:
+        return len(self.antigen_store) >= self.antigen_capacity
+
+    def update(self, s: SignalVector, w: WeightMatrix) -> None:
+        """Accumulate fused signals; migrate on threshold crossing.
+
+        The per-update csm increment is floored at zero as defensive
+        hygiene (never triggered by the default weights).
+        """
+        self.apply_deltas(fuse_signals(s, w))
+
+    def apply_deltas(self, deltas: tuple[float, float, float]) -> None:
+        """Accumulate pre-fused increments (shared per tick by the pool)."""
+        if self.is_migrated:
+            raise CellStateError("cannot update a migrated cell")
+        d_csm, d_semi, d_mat = deltas
+        self.cytokines.csm += max(0.0, d_csm)
+        self.cytokines.semi += d_semi
+        self.cytokines.mat += d_mat
+        if self.cytokines.csm >= self.migration_threshold:
+            self.state = CellState.MIGRATED
+
+    def ingest(self, label: str) -> None:
+        """Add one antigen label to the internal store (duplicates allowed)."""
+        if not label:
+            raise ValueError("antigen label must be non-empty")
+        if self.is_migrated:
+            raise CellStateError("migrated cells do not ingest antigen")
+        if self.store_full:
+            raise AntigenStoreFull(f"cell {self.id} store at capacity")
+        self.antigen_store.append(label)
+
+    def present(self) -> tuple[Context, list[str]]:
+        """Read out the context and antigen store of a migrated cell.
+
+        Context is mature iff the mature accumulator strictly exceeds
+        the semi-mature one; ties resolve to semi-mature.
+        """
+        if not self.is_migrated:
+            raise CellStateError("only migrated cells present antigen")
+        if self.cytokines.mat > self.cytokines.semi:
+            return Context.MATURE, list(self.antigen_store)
+        return Context.SEMI_MATURE, list(self.antigen_store)
+
 
 
 class ReferenceTissue:

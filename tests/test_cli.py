@@ -10,7 +10,7 @@ import pytest
 
 import dca
 from dca.cli import main
-from dca.datasets import synthetic_items, write_items
+from dca.datasets import load_items, load_uci, synthetic_items, write_items
 
 
 def run(argv, capsys=None):
@@ -32,8 +32,8 @@ class TestBc:
         assert run(["--out", tmp_path / "b"] + argv) == 0
         a, b = tree_bytes(tmp_path / "a"), tree_bytes(tmp_path / "b")
         assert a == b
-        assert set(a) == {"manifest.txt", "summary.txt", "verdicts.txt",
-                          "verdicts.tsv", "migration.log"}
+        assert set(a) == {"manifest.txt", "items.csv", "summary.txt",
+                          "verdicts.txt", "verdicts.tsv", "migration.log"}
 
     def test_different_seeds_differ(self, tmp_path):
         assert run(["--seed", "3", "--out", tmp_path / "a",
@@ -64,6 +64,48 @@ class TestBc:
             write_items(synthetic_items(), fh)
         assert run(["--out", tmp_path / "out", "bc", "--repeats", "1",
                     "--dataset", data]) == 0
+
+    def test_items_csv_reproduces_the_run_and_its_errors(self, tmp_path):
+        first, again, report = (tmp_path / d for d in ("a", "b", "r"))
+        assert run(["--seed", "2", "--out", first, "bc", "--repeats", "1"]) == 0
+        items = first / "items.csv"
+        with open(items) as fh:
+            assert load_items(fh) == synthetic_items()
+        assert run(["--seed", "2", "--out", again, "bc", "--repeats", "1",
+                    "--dataset", items]) == 0
+        for name in ("migration.log", "verdicts.tsv", "summary.txt"):
+            assert (again / name).read_bytes() == (first / name).read_bytes()
+        assert run(["--out", report, "report", "--log", first / "migration.log",
+                    "--truth", items]) == 0
+        bc_counts = (first / "summary.txt").read_text().split(": ")[-1]
+        assert bc_counts.startswith("errors=")
+        assert (report / "summary.txt").read_text().endswith(bc_counts)
+
+    def test_items_csv_of_a_uci_run_is_the_converted_layout(self, tmp_path):
+        raw = tmp_path / "wisconsin.data"
+        lines = [f"{1000 + i},"
+                 + ",".join(str(round(a * 10)) for a in it.attributes)
+                 + f",{4 if it.true_class else 2}"
+                 for i, it in enumerate(synthetic_items()[::10])]
+        lines += [lines[0], "9999,1,?,1,1,1,1,1,1,1,2"]
+        raw.write_text("\n".join(lines) + "\n")
+        assert run(["--out", tmp_path / "out", "bc", "--repeats", "1",
+                    "--uci", "--dataset", raw]) == 0
+        with open(raw) as fh:
+            converted = load_uci(fh)
+        with open(tmp_path / "out" / "items.csv") as fh:
+            assert load_items(fh) == converted
+        assert converted[-1].id == "1000#1"
+
+    def test_dataset_named_items_csv_in_out_is_not_overwritten(self, tmp_path):
+        data = tmp_path / "items.csv"
+        with open(data, "w") as fh:
+            fh.write("# hand-written\n")
+            write_items(synthetic_items(), fh)
+        before = data.read_bytes()
+        assert run(["--out", tmp_path, "bc", "--repeats", "1",
+                    "--dataset", data]) == 0
+        assert data.read_bytes() == before
 
     def test_missing_dataset_fails_cleanly(self, tmp_path, capsys):
         code, captured = run(["--out", tmp_path, "bc",
@@ -124,6 +166,23 @@ class TestConfigFile:
         assert "expected 'key = value'" in captured.err
 
 
+    @pytest.mark.parametrize("argv,setting", [
+        (["portscan", "--experiment", "2"], "repeats = 3"),
+        (["report"], "threshold = 0.3"),
+    ], ids=["portscan", "report"])
+    def test_config_reaches_every_subcommand_that_declares_a_key(
+            self, tmp_path, argv, setting):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("repeats = 3\nthreshold = 0.3\n")
+        if argv == ["report"]:
+            log = tmp_path / "migration.log"
+            log.write_text("3\t7\tmature\ta\t1.0\t2.0\t3.0\n")
+            argv = argv + ["--log", log]
+        assert run(["--config", cfg, "--out", tmp_path / "out"] + argv) == 0
+        manifest = (tmp_path / "out" / "manifest.txt").read_text()
+        assert setting in manifest.splitlines()
+
+
 class TestPortscan:
     def test_single_experiment_outputs(self, tmp_path):
         assert run(["--out", tmp_path, "portscan", "--experiment", "2",
@@ -170,6 +229,17 @@ class TestPipeline:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "p" / "verdicts.tsv").exists()
 
+    def test_report_truth_without_a_label_exits_one(self, tmp_path, capsys):
+        log = tmp_path / "migration.log"
+        log.write_text("3\t7\tmature\ta\t1.0\t2.0\t3.0\n")
+        truth = tmp_path / "items.csv"
+        with open(truth, "w") as fh:
+            write_items(synthetic_items()[:2], fh)
+        code, captured = run(["--out", tmp_path / "p", "report", "--log", log,
+                              "--truth", truth], capsys)
+        assert code == 1
+        assert captured.err == "error: label 'a' missing from ground truth\n"
+
     def test_replay_malformed_log_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.log"
         bad.write_text("garbage\n")
@@ -214,6 +284,11 @@ class TestSetUpErrors:
                               "--repeats", "1"], capsys)
         self.assert_one_error_line(code, captured, "cannot write to --out")
 
+    def test_output_in_a_missing_directory(self, tmp_path, capsys):
+        code, captured = run(["--out", tmp_path / "o", "generate", "--log",
+                              tmp_path / "absent" / "scenario.log"], capsys)
+        self.assert_one_error_line(code, captured, "[Errno 2]")
+
     def test_serve_on_a_port_in_use(self, tmp_path, capsys):
         with socket.create_server(("127.0.0.1", 0)) as busy:
             port = busy.getsockname()[1]
@@ -231,6 +306,11 @@ class TestManifest:
         assert "order = two-step" in manifest
         assert "command = bc" in manifest
         assert "out =" not in manifest
+
+
+def test_every_public_name_resolves():
+    for name in dca.__all__:
+        assert getattr(dca, name) is not None, name
 
 
 def _scipy_loaded_after(probe: str) -> str:

@@ -1,5 +1,9 @@
 """Cell-level mathematics: fusion oracle values, accumulator updates,
-the migration state machine, and algebraic properties of the fusion."""
+the migration state machine, and algebraic properties of the fusion.
+
+The per-cell state machine is the test oracle's `DendriticCell`
+(`tests/reference_tissue.py`); `TestDendriticCell` pins the rules that
+the oracle checks the library's array tick against."""
 
 import math
 import random
@@ -8,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dca.core import (AntigenStoreFull, CellStateError, Context,
-                      DendriticCell, InvalidWeights, SignalVector,
-                      WeightMatrix, fuse_signals)
+from dca.core import (Context, InvalidWeights, SignalVector, WeightMatrix,
+                      fuse_signals)
+from reference_tissue import AntigenStoreFull, CellStateError, DendriticCell
 
 DEFAULT = WeightMatrix()
 

@@ -521,6 +521,23 @@ class TestWireTransport:
         assert wait_for(server) == expected
         assert "dropped" in caplog.text
 
+    def test_reset_connection_drops_that_client(self, caplog):
+        events = scenario_events()
+        expected = run_in_process(events)
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))), expected_clients=2)
+        server.start()
+        rogue = socket.create_connection(server.address)
+        rogue.sendall(struct.pack(">I", 100) + b"only-ten-b")
+        # a zero linger time makes close() reset the connection
+        rogue.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                         struct.pack("ii", 1, 0))
+        rogue.close()
+        with StreamClient(*server.address) as client:
+            replay(events, "max", client)
+        assert wait_for(server) == expected
+        assert "client 0 dropped" in caplog.text
+
     @pytest.mark.parametrize("line", ["0.5\tA\ta,b\tshell",
                                       "0.5\tA\tx\ny\tshell",
                                       "0.5\tA\tx\tsh\rell"])
