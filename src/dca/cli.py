@@ -14,16 +14,16 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import __version__
 from .analysis import (aggregate, classify, count_errors, write_process_table,
                        write_verdict_table)
-from .datasets import (load_items, load_uci, run_bc_experiment,
-                       synthetic_items, write_items)
+from .datasets import (DEFAULT_THRESHOLD, load_items, load_uci,
+                       run_bc_experiment, synthetic_items, write_items)
 from .streams import (EventDrivenRunner, PORTSCAN_EXPERIMENTS, ScenarioConfig,
-                      SinkDisconnected, StreamClient, StreamFormatError,
-                      TissueServer, generate_scenario, read_log, replay,
+                      SinkDisconnected, StreamClient, TissueServer,
+                      generate_scenario, read_log, replay,
                       run_portscan_experiment, write_log)
 from .tissue import (PopulationConfig, Tissue, read_migration_log,
                      write_migration_log)
@@ -39,6 +39,13 @@ SWEEP_SETTINGS = {
 
 class CliError(Exception):
     """Fatal operator-facing problem; message goes to stderr, exit 1."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Hands argparse's usage errors to `main` as a `CliError`."""
+
+    def error(self, message: str):
+        raise CliError(message)
 
 
 def read_config(path: Path) -> dict[str, str]:
@@ -59,92 +66,97 @@ def read_config(path: Path) -> dict[str, str]:
     return out
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="dca", description="dendritic-cell anomaly detection harness")
-    parser.add_argument("--seed", type=int, default=0,
-                        help="master random seed (default 0)")
+Option = tuple[argparse.ArgumentParser, argparse.Action]
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, list[Option]]:
+    """The `dca` parser, and each option a config key may set together
+    with the parser that owns it."""
+    options: list[Option] = []
+
+    def add(owner: argparse.ArgumentParser, *flags, **kwargs) -> None:
+        options.append((owner, owner.add_argument(*flags, **kwargs)))
+
+    parser = _Parser(prog="dca",
+                     description="dendritic-cell anomaly detection harness")
+    add(parser, "--seed", type=int, default=0,
+        help="master random seed (default 0)")
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value settings file (flags win)")
-    parser.add_argument("--out", type=Path, default=Path("out"),
-                        help="output directory (default ./out)")
+    add(parser, "--out", type=Path, default=Path("out"),
+        help="output directory (default ./out)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     bc = sub.add_parser("bc", help="labelled-dataset experiments")
-    bc.add_argument("--dataset", type=Path, default=None,
-                    help="items CSV (default: built-in synthetic dataset)")
-    bc.add_argument("--uci", action="store_true",
-                    help="dataset is in the raw UCI breast-cancer format")
-    bc.add_argument("--order", choices=("one-step", "two-step", "random"),
-                    default="one-step")
-    bc.add_argument("--repeats", type=int, default=20)
-    bc.add_argument("--threshold", type=float, default=0.65)
-    bc.add_argument("--single-sample", action="store_true",
-                    help="sample each antigen once instead of 10 times")
-    bc.add_argument("--sweep-migration", default=None, metavar="LIST",
-                    help="comma list from {1,5,10,15,var}: run one "
-                         "experiment per migration-threshold setting")
+    add(bc, "--dataset", type=Path, default=None,
+        help="items CSV (default: built-in synthetic dataset)")
+    add(bc, "--uci", action="store_true",
+        help="dataset is in the raw UCI breast-cancer format")
+    add(bc, "--order", choices=("one-step", "two-step", "random"),
+        default="one-step")
+    add(bc, "--repeats", type=int, default=20)
+    add(bc, "--threshold", type=float, default=DEFAULT_THRESHOLD)
+    add(bc, "--single-sample", action="store_true",
+        help="sample each antigen once instead of 10 times")
+    add(bc, "--sweep-migration", default=None, metavar="LIST",
+        help="comma list from {1,5,10,15,var}: run one "
+             "experiment per migration-threshold setting")
 
     ps = sub.add_parser("portscan", help="scan-detection experiment series")
-    ps.add_argument("--experiment", default="all",
-                    help="experiment number 1-4 or 'all' (default)")
-    ps.add_argument("--repeats", type=int, default=10)
+    add(ps, "--experiment", default="all",
+        help="experiment number 1-4 or 'all' (default)")
+    add(ps, "--repeats", type=int, default=10)
 
     gen = sub.add_parser("generate", help="write a synthetic scenario log")
-    gen.add_argument("--log", type=Path, default=None,
-                     help="output path (default OUT/scenario.log)")
+    add(gen, "--log", type=Path, default=None,
+        help="output path (default OUT/scenario.log)")
 
     rep = sub.add_parser("replay", help="replay an event log into a tissue")
-    rep.add_argument("--log", type=Path, required=True)
-    rep.add_argument("--rate", default="max",
-                     help="replay speed multiplier or 'max' (default)")
-    rep.add_argument("--endpoint", default=None, metavar="HOST:PORT",
-                     help="remote tissue server (default: run in-process)")
+    add(rep, "--log", type=Path, default=None, help="event log (required)")
+    add(rep, "--rate", default="max",
+        help="replay speed multiplier or 'max' (default)")
+    add(rep, "--endpoint", default=None, metavar="HOST:PORT",
+        help="remote tissue server (default: run in-process)")
 
     srv = sub.add_parser("serve", help="run a tissue server for remote clients")
-    srv.add_argument("--endpoint", default="127.0.0.1:0", metavar="HOST:PORT")
-    srv.add_argument("--expect-clients", type=int, default=1)
+    add(srv, "--endpoint", default="127.0.0.1:0", metavar="HOST:PORT")
+    add(srv, "--expect-clients", type=int, default=1)
 
     rpt = sub.add_parser("report", help="re-analyze a migration log")
-    rpt.add_argument("--log", type=Path, required=True)
-    rpt.add_argument("--threshold", type=float, default=0.65)
-    rpt.add_argument("--truth", type=Path, default=None,
-                     help="items CSV supplying ground-truth classes")
-    return parser
+    add(rpt, "--log", type=Path, default=None, help="migration log (required)")
+    add(rpt, "--threshold", type=float, default=DEFAULT_THRESHOLD)
+    add(rpt, "--truth", type=Path, default=None,
+        help="items CSV supplying ground-truth classes")
+    return parser, options
 
 
 def parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    parser = _build_parser()
+    parser, options = _build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
         config = read_config(args.config)
-        # a key such as `repeats` or `threshold` may belong to several
-        # subcommands, and sets the default of each one that declares it
-        owners: dict[str, list[tuple[argparse.ArgumentParser,
-                                     argparse.Action]]] = {}
-        for action in parser._actions:
-            owners.setdefault(action.dest, []).append((parser, action))
-            if isinstance(action, argparse._SubParsersAction):
-                for choice in action.choices.values():
-                    for a in choice._actions:
-                        owners.setdefault(a.dest, []).append((choice, a))
-        unknown = set(config) - set(owners)
+        unknown = set(config) - {action.dest for _, action in options}
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        for key, raw in config.items():
-            for owner, action in owners[key]:
-                if isinstance(action, argparse._StoreTrueAction):
-                    value = raw.lower() in ("1", "true", "yes", "on")
-                elif action.type is not None:
-                    try:
-                        value = action.type(raw)
-                    except ValueError as exc:
-                        raise CliError(f"config key {key}: {exc}") from exc
-                else:
-                    value = raw
-                owner.set_defaults(**{key: value})
+        # a key such as `repeats` or `threshold` may belong to several
+        # subcommands, and sets the default of each one that declares it;
+        # argparse applies the option's type to a string default
+        for owner, action in options:
+            value = config.get(action.dest)
+            if value is None:
+                continue
+            if action.nargs == 0:  # a flag
+                value = value.lower() in ("1", "true", "yes", "on")
+            elif action.choices is not None and value not in action.choices:
+                raise CliError(
+                    f"config key {action.dest}: invalid choice {value!r} "
+                    f"(choose from {', '.join(action.choices)})")
+            owner.set_defaults(**{action.dest: value})
         # re-parse so explicit flags keep precedence over config values
         args = parser.parse_args(argv)
+    # checked after the merge, so that a config key can supply --log
+    if args.command in ("replay", "report") and args.log is None:
+        raise CliError(f"{args.command} needs --log (a flag or config key)")
     return args
 
 
@@ -158,16 +170,28 @@ def _write_manifest(args: argparse.Namespace, out: Path) -> None:
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _load_dataset(args: argparse.Namespace):
-    if args.dataset is None:
-        return synthetic_items()
+def _read(path: Path, what: str, parse: Callable):
+    """Parse an input file; an unreadable or malformed one ends the run."""
     try:
-        with open(args.dataset) as fh:
-            return load_uci(fh) if args.uci else load_items(fh)
+        with open(path) as fh:
+            return parse(fh)
     except OSError as exc:
-        raise CliError(f"cannot read dataset: {exc}") from exc
+        raise CliError(f"cannot read {what}: {exc}") from exc
     except ValueError as exc:
-        raise CliError(f"unparseable dataset {args.dataset}: {exc}") from exc
+        raise CliError(f"malformed {what} {path}: {exc}") from exc
+
+
+def _write_table(write, table, out: Path, stem: str) -> None:
+    """Write a table for people to STEM.txt and for programs to STEM.tsv."""
+    for suffix, machine in ((".txt", False), (".tsv", True)):
+        with open(out / f"{stem}{suffix}", "w") as fh:
+            write(table, fh, machine=machine)
+
+
+def _write_summary(lines: list[str], out: Path) -> None:
+    text = "\n".join(lines) + "\n"
+    (out / "summary.txt").write_text(text)
+    print(text, end="")
 
 
 def _run_bc_once(items, args, threshold_mode) -> tuple[int, int, object]:
@@ -181,7 +205,14 @@ def _run_bc_once(items, args, threshold_mode) -> tuple[int, int, object]:
 
 
 def cmd_bc(args: argparse.Namespace, out: Path) -> int:
-    items = _load_dataset(args)
+    sweep = ([key.strip() for key in args.sweep_migration.split(",")]
+             if args.sweep_migration else [])
+    for key in sweep:
+        if key not in SWEEP_SETTINGS:
+            raise CliError(f"unknown sweep setting {key!r} "
+                           f"(choose from {', '.join(SWEEP_SETTINGS)})")
+    items = (synthetic_items() if args.dataset is None else _read(
+        args.dataset, "dataset", load_uci if args.uci else load_items))
     # the items this run used, in the native layout, so that the output
     # directory serves as `report --truth`; a --dataset that is this very
     # file is left as it is
@@ -191,12 +222,8 @@ def cmd_bc(args: argparse.Namespace, out: Path) -> int:
         with open(items_csv, "w") as fh:
             write_items(items, fh)
     summary_lines = []
-    if args.sweep_migration:
-        for key in args.sweep_migration.split(","):
-            key = key.strip()
-            if key not in SWEEP_SETTINGS:
-                raise CliError(f"unknown sweep setting {key!r} "
-                               f"(choose from {', '.join(SWEEP_SETTINGS)})")
+    if sweep:
+        for key in sweep:
             errors, unseen, _ = _run_bc_once(items, args, SWEEP_SETTINGS[key])
             summary_lines.append(
                 f"migration-threshold {key}: errors={errors} unseen={unseen}")
@@ -206,15 +233,12 @@ def cmd_bc(args: argparse.Namespace, out: Path) -> int:
         summary_lines.append(
             f"order={args.order} repeats={args.repeats} "
             f"threshold={args.threshold}: errors={errors} unseen={unseen}")
-        with open(out / "verdicts.txt", "w") as fh:
-            write_verdict_table(result.summary.verdicts, fh)
-        with open(out / "verdicts.tsv", "w") as fh:
-            write_verdict_table(result.summary.verdicts, fh, machine=True)
+        _write_table(write_verdict_table, result.summary.verdicts, out,
+                     "verdicts")
         with open(out / "migration.log", "w") as fh:
             for records in result.records_per_repeat:
                 write_migration_log(records, fh)
-    (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
-    print("\n".join(summary_lines))
+    _write_summary(summary_lines, out)
     return 0
 
 
@@ -228,16 +252,13 @@ def cmd_portscan(args: argparse.Namespace, out: Path) -> int:
     for n in numbers:
         res = run_portscan_experiment(scenario, n, seed=args.seed,
                                       repeats=args.repeats)
-        with open(out / f"exp{n}_processes.txt", "w") as fh:
-            write_process_table(res.process_table, fh)
-        with open(out / f"exp{n}_processes.tsv", "w") as fh:
-            write_process_table(res.process_table, fh, machine=True)
+        _write_table(write_process_table, res.process_table, out,
+                     f"exp{n}_processes")
         tt = res.scanner_vs_transfer
         summary_lines.append(
             f"experiment {n}: scanner-transfer diff={tt.mean_difference:.4f} "
             f"p={tt.p_value:.3e} antigen/cell={res.antigen_per_cell:.4f}")
-    (out / "summary.txt").write_text("\n".join(summary_lines) + "\n")
-    print("\n".join(summary_lines))
+    _write_summary(summary_lines, out)
     return 0
 
 
@@ -260,14 +281,7 @@ def _parse_endpoint(text: str) -> tuple[str, int]:
 
 
 def cmd_replay(args: argparse.Namespace, out: Path) -> int:
-    try:
-        with open(args.log) as fh:
-            events = read_log(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read log: {exc}") from exc
-    except StreamFormatError as exc:
-        raise CliError(f"malformed log {args.log}: {exc}") from exc
-
+    events = _read(args.log, "log", read_log)
     if args.endpoint is not None:
         host, port = _parse_endpoint(args.endpoint)
         try:
@@ -285,9 +299,8 @@ def cmd_replay(args: argparse.Namespace, out: Path) -> int:
     with open(out / "migration.log", "w") as fh:
         write_migration_log(records, fh)
     verdicts = aggregate(records)
-    classify(verdicts, 0.65)
-    with open(out / "verdicts.txt", "w") as fh:
-        write_verdict_table(verdicts, fh)
+    classify(verdicts, DEFAULT_THRESHOLD)
+    _write_table(write_verdict_table, verdicts, out, "verdicts")
     print(f"replayed {len(events)} events; {len(records)} migrations")
     return 0
 
@@ -312,32 +325,18 @@ def cmd_serve(args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_report(args: argparse.Namespace, out: Path) -> int:
-    try:
-        with open(args.log) as fh:
-            records = read_migration_log(fh)
-    except OSError as exc:
-        raise CliError(f"cannot read log: {exc}") from exc
-    except ValueError as exc:
-        raise CliError(f"malformed migration log {args.log}: {exc}") from exc
-    truth = None
-    if args.truth is not None:
-        try:
-            with open(args.truth) as fh:
-                truth = {it.id: it.true_class for it in load_items(fh)}
-        except OSError as exc:
-            raise CliError(f"cannot read truth: {exc}") from exc
+    records = _read(args.log, "migration log", read_migration_log)
+    truth = None if args.truth is None else _read(
+        args.truth, "truth",
+        lambda fh: {it.id: it.true_class for it in load_items(fh)})
     verdicts = aggregate(records)
     classify(verdicts, args.threshold)
-    with open(out / "verdicts.txt", "w") as fh:
-        write_verdict_table(verdicts, fh)
-    with open(out / "verdicts.tsv", "w") as fh:
-        write_verdict_table(verdicts, fh, machine=True)
+    _write_table(write_verdict_table, verdicts, out, "verdicts")
     lines = [f"records={len(records)} antigens={len(verdicts)}"]
     if truth is not None:
         errors, unseen = count_errors(verdicts, truth)
         lines.append(f"errors={errors} unseen={unseen}")
-    (out / "summary.txt").write_text("\n".join(lines) + "\n")
-    print("\n".join(lines))
+    _write_summary(lines, out)
     return 0
 
 

@@ -384,8 +384,9 @@ class SignalMask:
 class EventDrivenRunner:
     """Maps an event stream onto tissue ticks: one tick per whole second
     of logical time; each event is applied before the tick covering its
-    second runs. Wall-clock pacing never affects the outcome. This is the
-    only caller of `Tissue.tick`, for both experiment families."""
+    second runs, and `drain` runs the tick covering the last event's
+    second. Wall-clock pacing never affects the outcome. This is the only
+    caller of `Tissue.tick`, for both experiment families."""
 
     def __init__(self, tissue: Tissue, mask: SignalMask = SignalMask()):
         self.tissue = tissue
@@ -407,13 +408,14 @@ class EventDrivenRunner:
     def run(self, events: Iterable[Event]) -> None:
         for e in events:
             self.apply(e)
-        # the tick covering the last event's second
-        while self.tissue.compartment.clock <= self._last_ts:
-            self.tissue.tick()
 
     def drain(self, max_ticks: int = DRAIN_TICKS) -> None:
-        """Keep ticking under the final signals until the tissue has
-        settled (`Tissue.settled`) or the safety cap is reached."""
+        """End the stream: run the tick covering the last event's second,
+        then keep ticking under the final signals until the tissue has
+        settled (`Tissue.settled`) or `max_ticks` more ticks have run.
+        Every delivery path ends with this call."""
+        while self.tissue.compartment.clock <= self._last_ts:
+            self.tissue.tick()
         for _ in range(max_ticks):
             if self.tissue.settled:
                 return

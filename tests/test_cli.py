@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import dca
+from dca import cli
 from dca.cli import main
 from dca.datasets import load_items, load_uci, synthetic_items, write_items
 
@@ -57,6 +58,13 @@ class TestBc:
                               "--sweep-migration", "7"], capsys)
         assert code == 1
         assert "unknown sweep setting" in captured.err
+
+    def test_sweep_list_is_checked_before_any_run(self, tmp_path, capsys):
+        code, captured = run(["--out", tmp_path, "bc", "--repeats", "1",
+                              "--sweep-migration", "1,5,7"], capsys)
+        assert code == 1
+        assert captured.err.startswith("error: unknown sweep setting '7'")
+        assert not (tmp_path / "items.csv").exists()
 
     def test_dataset_file_round_trip(self, tmp_path):
         data = tmp_path / "items.csv"
@@ -129,6 +137,34 @@ def test_degenerate_run_settings_fail_before_running(tmp_path, capsys, argv):
     assert not (tmp_path / "summary.txt").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["bc", "--order", "bogus"],
+    ["bc", "--bogus"],
+    ["bc", "--repeats", "x"],
+    ["replay"],
+    ["report"],
+], ids=["bad-choice", "unknown-flag", "bad-int", "replay-without-log",
+        "report-without-log"])
+def test_usage_errors_end_in_one_error_line(tmp_path, capsys, argv):
+    code, captured = run(["--out", tmp_path] + argv, capsys)
+    assert code == 1
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "manifest.txt").exists()
+
+
+def test_cli_uses_public_argparse_only_and_every_help_prints(capsys):
+    source = Path(cli.__file__).read_text()
+    assert "argparse._" not in source
+    assert "._actions" not in source
+    assert len(cli.COMMANDS) == 6
+    for argv in [[]] + [[command] for command in cli.COMMANDS]:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: dca")
+
+
 class TestConfigFile:
     def test_config_sets_subcommand_options(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
@@ -165,6 +201,49 @@ class TestConfigFile:
         assert code == 1
         assert "expected 'key = value'" in captured.err
 
+    def test_value_outside_choices_fails_before_any_output(self, tmp_path,
+                                                           capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("order = bogus\n")
+        code, captured = run(["--config", cfg, "--out", tmp_path / "out",
+                              "bc"], capsys)
+        assert code == 1
+        assert captured.err.startswith("error: config key order: invalid")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_keys_that_are_not_options_rejected(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("command = bc\nconfig = run.cfg\nhelp = yes\n")
+        code, captured = run(["--config", cfg, "--out", tmp_path / "out",
+                              "bc"], capsys)
+        assert code == 1
+        assert captured.err == ("error: unknown config keys: "
+                                "command, config, help\n")
+
+    def test_flag_keys_take_yes_and_off(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("single_sample = yes\nuci = off\nrepeats = 1\n")
+        assert run(["--config", cfg, "--out", tmp_path / "out", "bc"]) == 0
+        manifest = (tmp_path / "out" / "manifest.txt").read_text().splitlines()
+        assert "single_sample = True" in manifest
+        assert "uci = False" in manifest
+
+    @pytest.mark.parametrize("command,line", [
+        ("replay", "0.5\tA\tx\tshell\n"),
+        ("report", "3\t7\tmature\ta\t1.0\t2.0\t3.0\n"),
+    ], ids=["replay", "report"])
+    def test_config_log_satisfies_a_required_log(self, tmp_path, command,
+                                                 line):
+        log = tmp_path / "in.log"
+        log.write_text(line)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"log = {log}\n")
+        assert run(["--config", cfg, "--out", tmp_path / "out", command]) == 0
+        out = tmp_path / "out"
+        assert f"log = {log}" in (out / "manifest.txt").read_text()
+        assert (out / "verdicts.txt").exists()
+        assert (out / "verdicts.tsv").exists()
 
     @pytest.mark.parametrize("argv,setting", [
         (["portscan", "--experiment", "2"], "repeats = 3"),

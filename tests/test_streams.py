@@ -357,6 +357,24 @@ class TestRunner:
         # ticks 0-2 ran under the first signal set
         assert runner.tissue.compartment.clock == 3
 
+    def test_replay_and_run_end_a_stream_alike(self):
+        # the stream ends in signal-only seconds, so the tissue has settled
+        # before the tick covering the last event's second has run
+        events = [e for e in scenario_events()[:200] if e.kind == SIGNAL_SET]
+
+        def fresh_runner():
+            return EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=9)))
+
+        direct, replayed = fresh_runner(), fresh_runner()
+        direct.run(events)
+        direct.drain()
+        replay(events, "max", replayed)
+        replayed.drain()
+        clock = replayed.tissue.compartment.clock
+        assert clock == int(events[-1].timestamp) + 1
+        assert clock == direct.tissue.compartment.clock
+        assert replayed.tissue.records == direct.tissue.records
+
     def test_drain_presents_every_antigen(self):
         # fewer cells than store slots: sampled antigen outlives the last
         # immature cell holding some, so the drain must also wait for the
