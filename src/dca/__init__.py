@@ -12,8 +12,8 @@ from .datasets import (LabelledItem, SignalMapping, item_to_signals,
                        load_items, load_uci, order_stream, run_bc_experiment,
                        select_attributes, synthetic_items)
 from .streams import (Event, EventDrivenRunner, ScenarioConfig, SignalMask,
-                      SignalScales, StreamClient, TissueServer,
-                      derive_signals, generate_scenario, read_log, replay,
+                      StreamClient, TissueServer, derive_signals,
+                      generate_scenario, read_log, replay,
                       run_portscan_experiment, write_log)
 from .tissue import (CellSnapshot, MigrationRecord, PopulationConfig, Tissue,
                      TissueCompartment, read_migration_log,
@@ -25,7 +25,7 @@ __all__ = [
     "AntigenVerdict", "CellSnapshot", "Context", "Event", "EventDrivenRunner",
     "InvalidWeights", "LabelledItem", "MigrationRecord", "PairedTTestResult",
     "PopulationConfig", "RunSummary", "ScenarioConfig", "SignalMapping",
-    "SignalMask", "SignalScales", "SignalVector", "StreamClient", "Tissue",
+    "SignalMask", "SignalVector", "StreamClient", "Tissue",
     "TissueCompartment", "TissueServer", "WeightMatrix", "aggregate",
     "classify", "count_errors", "derive_signals", "fuse_signals",
     "generate_scenario", "item_to_signals", "load_items", "load_uci",

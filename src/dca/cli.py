@@ -12,9 +12,10 @@ byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import __version__
 from .analysis import (aggregate, classify, count_errors, write_process_table,
@@ -35,6 +36,9 @@ SWEEP_SETTINGS = {
     "15": ("fixed", 15.0),
     "var": ("uniform", 5.0, 15.0),
 }
+
+FLAG_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+              **dict.fromkeys(("0", "false", "no", "off"), False)}
 
 
 class CliError(Exception):
@@ -66,12 +70,51 @@ def read_config(path: Path) -> dict[str, str]:
     return out
 
 
+def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool],
+             rule: str) -> Callable[[str], Any]:
+    """An option type that converts its text and checks the value, so that
+    a bad flag or config value fails before any output is written."""
+    def check(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(
+            f"invalid value {text!r} (expected {rule})")
+    return check
+
+
+def _at_least(minimum: int) -> Callable[[str], Any]:
+    return _checked(int, lambda v: v >= minimum, f"an integer >= {minimum}")
+
+
+_fraction = _checked(float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+_flag_word = _checked(str.lower, FLAG_WORDS.__contains__,
+                      "one of " + ", ".join(FLAG_WORDS))
+
+
+def _split_endpoint(text: str) -> tuple[str, int]:
+    host, _, port = text.rpartition(":")
+    if not (host and port.isascii() and port.isdigit()) or int(port) > 65535:
+        raise argparse.ArgumentTypeError(
+            f"invalid endpoint {text!r} (expected HOST:PORT, port 0-65535)")
+    return host, int(port)
+
+
+def _endpoint(text: str) -> str:
+    _split_endpoint(text)  # checked here, split by the commands
+    return text
+
+
 Option = tuple[argparse.ArgumentParser, argparse.Action]
 
 
-def _build_parser() -> tuple[argparse.ArgumentParser, list[Option]]:
-    """The `dca` parser, and each option a config key may set together
-    with the parser that owns it."""
+def _build_parser() -> tuple[argparse.ArgumentParser,
+                             dict[str, argparse.ArgumentParser], list[Option]]:
+    """The `dca` parser, its subcommand parsers by name, and each option a
+    config key may set together with the parser that owns it."""
     options: list[Option] = []
 
     def add(owner: argparse.ArgumentParser, *flags, **kwargs) -> None:
@@ -79,7 +122,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[Option]]:
 
     parser = _Parser(prog="dca",
                      description="dendritic-cell anomaly detection harness")
-    add(parser, "--seed", type=int, default=0,
+    add(parser, "--seed", type=_at_least(0), default=0,
         help="master random seed (default 0)")
     parser.add_argument("--config", type=Path, default=None,
                         help="key = value settings file (flags win)")
@@ -94,8 +137,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[Option]]:
         help="dataset is in the raw UCI breast-cancer format")
     add(bc, "--order", choices=("one-step", "two-step", "random"),
         default="one-step")
-    add(bc, "--repeats", type=int, default=20)
-    add(bc, "--threshold", type=float, default=DEFAULT_THRESHOLD)
+    add(bc, "--repeats", type=_at_least(1), default=20)
+    add(bc, "--threshold", type=_fraction, default=DEFAULT_THRESHOLD)
     add(bc, "--single-sample", action="store_true",
         help="sample each antigen once instead of 10 times")
     add(bc, "--sweep-migration", default=None, metavar="LIST",
@@ -104,8 +147,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[Option]]:
 
     ps = sub.add_parser("portscan", help="scan-detection experiment series")
     add(ps, "--experiment", default="all",
-        help="experiment number 1-4 or 'all' (default)")
-    add(ps, "--repeats", type=int, default=10)
+        choices=("all", *map(str, PORTSCAN_EXPERIMENTS)),
+        help="experiment number or 'all' (default)")
+    add(ps, "--repeats", type=_at_least(2), default=10)
 
     gen = sub.add_parser("generate", help="write a synthetic scenario log")
     add(gen, "--log", type=Path, default=None,
@@ -113,45 +157,58 @@ def _build_parser() -> tuple[argparse.ArgumentParser, list[Option]]:
 
     rep = sub.add_parser("replay", help="replay an event log into a tissue")
     add(rep, "--log", type=Path, default=None, help="event log (required)")
-    add(rep, "--rate", default="max",
+    add(rep, "--rate", default="max", type=_checked(
+        str, lambda v: v == "max" or 0.0 < float(v) < math.inf,
+        "a positive number or 'max'"),
         help="replay speed multiplier or 'max' (default)")
-    add(rep, "--endpoint", default=None, metavar="HOST:PORT",
+    add(rep, "--endpoint", type=_endpoint, default=None, metavar="HOST:PORT",
         help="remote tissue server (default: run in-process)")
 
     srv = sub.add_parser("serve", help="run a tissue server for remote clients")
-    add(srv, "--endpoint", default="127.0.0.1:0", metavar="HOST:PORT")
-    add(srv, "--expect-clients", type=int, default=1)
+    add(srv, "--endpoint", type=_endpoint, default="127.0.0.1:0",
+        metavar="HOST:PORT")
+    add(srv, "--expect-clients", type=_at_least(1), default=1)
 
     rpt = sub.add_parser("report", help="re-analyze a migration log")
     add(rpt, "--log", type=Path, default=None, help="migration log (required)")
-    add(rpt, "--threshold", type=float, default=DEFAULT_THRESHOLD)
+    add(rpt, "--threshold", type=_fraction, default=DEFAULT_THRESHOLD)
     add(rpt, "--truth", type=Path, default=None,
         help="items CSV supplying ground-truth classes")
-    return parser, options
+    return parser, sub.choices, options
+
+
+def _config_value(action: argparse.Action, value: str):
+    """A config string converted and checked as the option's flag value
+    would be; a bad value is a CliError that names the key."""
+    try:
+        if action.nargs == 0:  # a flag
+            return FLAG_WORDS[_flag_word(value)]
+        if action.type is not None:
+            value = action.type(value)
+        if action.choices is not None and value not in action.choices:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice {value!r} "
+                f"(choose from {', '.join(action.choices)})")
+    except argparse.ArgumentTypeError as exc:
+        raise CliError(f"config key {action.dest}: {exc}") from None
+    return value
 
 
 def parse_args(argv: Optional[Sequence[str]]) -> argparse.Namespace:
-    parser, options = _build_parser()
+    parser, commands, options = _build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
         config = read_config(args.config)
         unknown = set(config) - {action.dest for _, action in options}
         if unknown:
             raise CliError(f"unknown config keys: {', '.join(sorted(unknown))}")
-        # a key such as `repeats` or `threshold` may belong to several
-        # subcommands, and sets the default of each one that declares it;
-        # argparse applies the option's type to a string default
+        # a key such as `repeats` may belong to several subcommands; it
+        # is checked and set as an option of the chosen one
+        chosen = (parser, commands[args.command])
         for owner, action in options:
-            value = config.get(action.dest)
-            if value is None:
-                continue
-            if action.nargs == 0:  # a flag
-                value = value.lower() in ("1", "true", "yes", "on")
-            elif action.choices is not None and value not in action.choices:
-                raise CliError(
-                    f"config key {action.dest}: invalid choice {value!r} "
-                    f"(choose from {', '.join(action.choices)})")
-            owner.set_defaults(**{action.dest: value})
+            if owner in chosen and action.dest in config:
+                owner.set_defaults(**{action.dest: _config_value(
+                    action, config[action.dest])})
         # re-parse so explicit flags keep precedence over config values
         args = parser.parse_args(argv)
     # checked after the merge, so that a config key can supply --log
@@ -186,6 +243,16 @@ def _write_table(write, table, out: Path, stem: str) -> None:
     for suffix, machine in ((".txt", False), (".tsv", True)):
         with open(out / f"{stem}{suffix}", "w") as fh:
             write(table, fh, machine=machine)
+
+
+def _write_tissue_outputs(records, out: Path) -> None:
+    """The migration log and verdict tables of one event-log tissue run,
+    in-process or served."""
+    with open(out / "migration.log", "w") as fh:
+        write_migration_log(records, fh)
+    verdicts = aggregate(records)
+    classify(verdicts, DEFAULT_THRESHOLD)
+    _write_table(write_verdict_table, verdicts, out, "verdicts")
 
 
 def _write_summary(lines: list[str], out: Path) -> None:
@@ -243,10 +310,8 @@ def cmd_bc(args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_portscan(args: argparse.Namespace, out: Path) -> int:
-    numbers = [n for n in sorted(PORTSCAN_EXPERIMENTS)
-               if args.experiment in ("all", str(n))]
-    if not numbers:
-        raise CliError(f"invalid experiment {args.experiment!r}")
+    numbers = (sorted(PORTSCAN_EXPERIMENTS) if args.experiment == "all"
+               else [int(args.experiment)])
     scenario = ScenarioConfig(noise_seed=args.seed)
     summary_lines = []
     for n in numbers:
@@ -271,21 +336,11 @@ def cmd_generate(args: argparse.Namespace, out: Path) -> int:
     return 0
 
 
-def _parse_endpoint(text: str) -> tuple[str, int]:
-    host, _, port = text.rpartition(":")
-    if not host or not port.isdigit():
-        raise CliError(f"invalid endpoint {text!r} (expected HOST:PORT)")
-    if not 0 <= int(port) <= 65535:
-        raise CliError(f"invalid endpoint {text!r} (port outside 0-65535)")
-    return host, int(port)
-
-
 def cmd_replay(args: argparse.Namespace, out: Path) -> int:
     events = _read(args.log, "log", read_log)
     if args.endpoint is not None:
-        host, port = _parse_endpoint(args.endpoint)
         try:
-            with StreamClient(host, port) as client:
+            with StreamClient(*_split_endpoint(args.endpoint)) as client:
                 replay(events, args.rate, client)
         except (OSError, SinkDisconnected) as exc:
             raise CliError(f"replay to {args.endpoint} failed: {exc}") from exc
@@ -296,17 +351,13 @@ def cmd_replay(args: argparse.Namespace, out: Path) -> int:
     replay(events, args.rate, runner)
     runner.drain()
     records = runner.tissue.records
-    with open(out / "migration.log", "w") as fh:
-        write_migration_log(records, fh)
-    verdicts = aggregate(records)
-    classify(verdicts, DEFAULT_THRESHOLD)
-    _write_table(write_verdict_table, verdicts, out, "verdicts")
+    _write_tissue_outputs(records, out)
     print(f"replayed {len(events)} events; {len(records)} migrations")
     return 0
 
 
 def cmd_serve(args: argparse.Namespace, out: Path) -> int:
-    host, port = _parse_endpoint(args.endpoint)
+    host, port = _split_endpoint(args.endpoint)
     runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=args.seed)))
     try:
         server = TissueServer(runner, expected_clients=args.expect_clients,
@@ -318,8 +369,12 @@ def cmd_serve(args: argparse.Namespace, out: Path) -> int:
         print(f"listening on {server.address[0]}:{server.address[1]}",
               flush=True)
         records = server.wait()
-    with open(out / "migration.log", "w") as fh:
-        write_migration_log(records, fh)
+    if server.dropped:
+        drops = "; ".join(f"client {index} ({reason})"
+                          for index, reason in sorted(server.dropped))
+        raise CliError(f"{len(server.dropped)} of {args.expect_clients} "
+                       f"client(s) dropped, no migration log written: {drops}")
+    _write_tissue_outputs(records, out)
     print(f"served {args.expect_clients} client(s); {len(records)} migrations")
     return 0
 

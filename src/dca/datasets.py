@@ -27,6 +27,9 @@ from .tissue import MigrationRecord, PopulationConfig, Tissue
 
 DANGER_ATTRIBUTE_COUNT = 3
 DEFAULT_THRESHOLD = 0.65
+TARGET_CSM_RATE = 0.2  # mean per-tick csm increment set by the scale
+CURVE_WINDOW = 21  # items per window of context_switch_curve
+N_CLASS0, N_CLASS1 = 240, 460  # class sizes of the synthetic surrogate
 
 
 @dataclass(frozen=True)
@@ -46,18 +49,14 @@ class LabelledItem:
 
 @dataclass(frozen=True)
 class SignalMapping:
-    """Attribute-to-signal assignment plus the calibrated scale.
-
-    `pamp_from_class0_mean` picks the deviation orientation: when true,
-    pamp measures distance from the class-0 mean (so class-1-like items
-    look dangerous) and safe measures distance from the class-1 mean.
-    """
+    """Attribute-to-signal assignment plus the calibrated scale. Pamp
+    measures distance from the class-0 mean (so class-1-like items look
+    dangerous) and safe measures distance from the class-1 mean."""
 
     danger_attributes: tuple[int, int, int]
     pamp_safe_attribute: int
     class_means: tuple[float, float]
     scale: float
-    pamp_from_class0_mean: bool = True
 
     def __post_init__(self):
         idxs = set(self.danger_attributes) | {self.pamp_safe_attribute}
@@ -67,14 +66,12 @@ class SignalMapping:
             raise ValueError("scale must be positive")
 
 
-def select_attributes(items: Sequence[LabelledItem],
-                      pamp_from_class0_mean: bool = True,
-                      target_csm_rate: float = 0.2) -> SignalMapping:
+def select_attributes(items: Sequence[LabelledItem]) -> SignalMapping:
     """Rank attributes by standard deviation and build the signal mapping.
 
     The top attribute feeds PAMP/safe, the next three feed danger. The
     scale is calibrated so the mean per-tick csm increment over the
-    dataset equals `target_csm_rate` under default weights.
+    dataset equals TARGET_CSM_RATE under default weights.
     """
     if len(items) < 2:
         raise ValueError("need at least two items")
@@ -97,13 +94,12 @@ def select_attributes(items: Sequence[LabelledItem],
     mu0 = sum(by_class[0]) / len(by_class[0])
     mu1 = sum(by_class[1]) / len(by_class[1])
 
-    unscaled = SignalMapping(danger, top, (mu0, mu1), scale=1.0,
-                             pamp_from_class0_mean=pamp_from_class0_mean)
+    unscaled = SignalMapping(danger, top, (mu0, mu1), scale=1.0)
     csm_rate = sum(fuse_signals(item_to_signals(it, unscaled), _DEFAULT_WEIGHTS)[0]
                    for it in items) / n
     if csm_rate <= 0:
         raise ValueError("dataset produces no csm signal; cannot calibrate")
-    return replace(unscaled, scale=target_csm_rate / csm_rate)
+    return replace(unscaled, scale=TARGET_CSM_RATE / csm_rate)
 
 
 _DEFAULT_WEIGHTS = PopulationConfig().weights
@@ -114,12 +110,8 @@ def item_to_signals(item: LabelledItem, m: SignalMapping) -> SignalVector:
     danger = m.scale * sum(item.attributes[a] for a in m.danger_attributes) / len(m.danger_attributes)
     x = item.attributes[m.pamp_safe_attribute]
     mu0, mu1 = m.class_means
-    dev0, dev1 = abs(x - mu0), abs(x - mu1)
-    if m.pamp_from_class0_mean:
-        pamp, safe = m.scale * dev0, m.scale * dev1
-    else:
-        pamp, safe = m.scale * dev1, m.scale * dev0
-    return SignalVector(pamp=pamp, danger=danger, safe=safe, inflammation=0.0)
+    return SignalVector(pamp=m.scale * abs(x - mu0), danger=danger,
+                        safe=m.scale * abs(x - mu1), inflammation=0.0)
 
 
 def order_stream(items: Sequence[LabelledItem], order: str,
@@ -185,8 +177,8 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
 
 
 def context_switch_curve(ordered_ids: Sequence[str],
-                         verdicts: dict[str, AntigenVerdict],
-                         window: int = 21) -> list[Optional[float]]:
+                         verdicts: dict[str, AntigenVerdict]
+                         ) -> list[Optional[float]]:
     """Rolling mean of per-position mean context along a stream ordering.
 
     Positions whose antigen was never presented contribute nothing to
@@ -194,7 +186,7 @@ def context_switch_curve(ordered_ids: Sequence[str],
     """
     values = [verdicts[i].mean_context if i in verdicts else None
               for i in ordered_ids]
-    half = window // 2
+    half = CURVE_WINDOW // 2
     out: list[Optional[float]] = []
     for pos in range(len(values)):
         lo, hi = max(0, pos - half), min(len(values), pos + half + 1)
@@ -230,15 +222,14 @@ def write_items(items: Iterable[LabelledItem], fh: TextIO) -> None:
         fh.write(f"{it.id},{attrs},{it.true_class}\n")
 
 
-def load_uci(fh: TextIO, class_zero_value: Optional[int] = None) -> list[LabelledItem]:
+def load_uci(fh: TextIO) -> list[LabelledItem]:
     """Read the UCI breast-cancer-wisconsin format.
 
     Lines are: sample code number, 9 attributes on the 1-10 integer
     scale, class 2 (benign) or 4 (malignant). Attributes are divided by
-    10; records with missing values ('?') are dropped. `class_zero_value`
-    picks which source class maps to 0; by default the smaller class
-    becomes class 0. Duplicate sample codes are disambiguated with a
-    suffix so every antigen label stays unique.
+    10; records with missing values ('?') are dropped. The smaller class
+    becomes class 0 (class 2 on a tie). Duplicate sample codes are
+    disambiguated with a suffix so every antigen label stays unique.
     """
     raw = []
     for lineno, parts in _rows(fh):
@@ -248,13 +239,8 @@ def load_uci(fh: TextIO, class_zero_value: Optional[int] = None) -> list[Labelle
         if cls not in (2, 4):
             raise ValueError(f"line {lineno}: class must be 2 or 4, got {cls}")
         raw.append((parts[0], tuple(int(p) / 10.0 for p in parts[1:10]), cls))
-    if not raw:
-        return []
-    if class_zero_value is None:
-        counts = {2: 0, 4: 0}
-        for _, _, cls in raw:
-            counts[cls] += 1
-        class_zero_value = min(counts, key=lambda c: (counts[c], c))
+    n4 = sum(cls == 4 for _, _, cls in raw)
+    class_zero_value = 4 if n4 < len(raw) - n4 else 2
     seen: dict[str, int] = {}
     items = []
     for code, attrs, cls in raw:
@@ -267,8 +253,7 @@ def load_uci(fh: TextIO, class_zero_value: Optional[int] = None) -> list[Labelle
 
 # --- synthetic surrogate ----------------------------------------------------
 
-def synthetic_items(seed: int = 97, n_class0: int = 240,
-                    n_class1: int = 460) -> list[LabelledItem]:
+def synthetic_items(seed: int = 97) -> list[LabelledItem]:
     """Deterministic Wisconsin-like surrogate dataset.
 
     Attribute 0 (clump thickness) separates the classes most strongly
@@ -298,7 +283,7 @@ def synthetic_items(seed: int = 97, n_class0: int = 240,
             attrs.append(grid / 10.0)
         return tuple(attrs)
 
-    items = [LabelledItem(f"bc-{i:04d}", draw(0), 0) for i in range(n_class0)]
-    items += [LabelledItem(f"bc-{n_class0 + i:04d}", draw(1), 1)
-              for i in range(n_class1)]
+    items = [LabelledItem(f"bc-{i:04d}", draw(0), 0) for i in range(N_CLASS0)]
+    items += [LabelledItem(f"bc-{N_CLASS0 + i:04d}", draw(1), 1)
+              for i in range(N_CLASS1)]
     return items

@@ -20,7 +20,7 @@ import socket
 import struct
 import threading
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .analysis import (PairedTTestResult, aggregate, mean_and_std,
@@ -163,35 +163,27 @@ def read_log(fh: TextIO) -> list[Event]:
 # signal derivation from per-second traffic counters
 
 
-@dataclass(frozen=True)
-class SignalScales:
-    """Free conversion constants from traffic counters to concentrations.
-
-    pamp = k_pamp * icmp-unreachable/s; danger = k_danger * packets/s;
-    safe = max(0, safe_max - k_safe * |delta of the 2-second moving
-    average of packets/s|).
-    """
-
-    k_pamp: float = 0.15
-    k_danger: float = 0.05
-    k_safe: float = 0.3
-    safe_max: float = 5.0
+# conversion from traffic counters to concentrations (see derive_signals)
+K_PAMP = 0.15  # per icmp-unreachable/s
+K_DANGER = 0.05  # per packet/s
+K_SAFE = 0.3  # per packet/s of change in the moving average
+SAFE_MAX = 5.0
+INFLAMMATION = 1.0  # the session's user is absent
 
 
-def derive_signals(pps: Sequence[float], unreachable: Sequence[float],
-                   user_absent: bool = False,
-                   scales: SignalScales = SignalScales()) -> list[SignalVector]:
+def derive_signals(pps: Sequence[float],
+                   unreachable: Sequence[float]) -> list[SignalVector]:
     """Convert per-second traffic counters into one SignalVector per second.
 
-    The safe signal is the inverse rate of change of traffic: full at
-    steady load, eroded by the absolute change of the 2-sample moving
-    average of packets/sec, floored at zero.
+    Pamp is K_PAMP * icmp-unreachable/s and danger K_DANGER * packets/s.
+    The safe signal is the inverse rate of change of traffic: SAFE_MAX at
+    steady load, eroded by K_SAFE times the absolute change of the
+    2-sample moving average of packets/sec, floored at zero.
     """
     if len(pps) != len(unreachable):
         raise ValueError("counter series must have equal length")
     if any(v < 0 for v in pps) or any(v < 0 for v in unreachable):
         raise ValueError("traffic counters must be non-negative")
-    ic = 1.0 if user_absent else 0.0
     out: list[SignalVector] = []
     prev_ma: Optional[float] = None
     prev_sample: Optional[float] = None
@@ -200,10 +192,10 @@ def derive_signals(pps: Sequence[float], unreachable: Sequence[float],
         ma = (load + window_prev) / 2.0
         delta = 0.0 if prev_ma is None else ma - prev_ma
         out.append(SignalVector(
-            pamp=scales.k_pamp * unreachable[t],
-            danger=scales.k_danger * load,
-            safe=max(0.0, scales.safe_max - scales.k_safe * abs(delta)),
-            inflammation=ic,
+            pamp=K_PAMP * unreachable[t],
+            danger=K_DANGER * load,
+            safe=max(0.0, SAFE_MAX - K_SAFE * abs(delta)),
+            inflammation=INFLAMMATION,
         ))
         prev_ma, prev_sample = ma, load
     return out
@@ -211,6 +203,13 @@ def derive_signals(pps: Sequence[float], unreachable: Sequence[float],
 
 # ---------------------------------------------------------------------------
 # synthetic remote-session scenario
+
+ADDRESS_COUNT = 1000  # addresses probed by the scan
+FRACTION_UNREACHABLE = 0.9  # of those, with no host behind them
+BASELINE_PPS = 10.0
+SCAN_PPS = 200.0
+TRANSFER_BYTES = 3.3e6  # copied by the transfer phase
+PACKET_BYTES = 1000.0
 
 
 @dataclass(frozen=True)
@@ -220,8 +219,7 @@ class ScenarioConfig:
     Five phases run back to back: log-in, scan, pause, file transfer,
     session close. Traffic is a noisy packets/sec series; the scan
     phase adds ICMP destination-unreachable errors for addresses with
-    no host behind them. `transfer_bytes` sets the transfer-phase
-    traffic level via the packet size.
+    no host behind them.
     """
 
     login_duration: int = 30
@@ -229,15 +227,7 @@ class ScenarioConfig:
     pause_duration: int = 30
     transfer_duration: int = 15
     close_duration: int = 10
-    address_count: int = 1000
-    fraction_unreachable: float = 0.9
-    baseline_pps: float = 10.0
-    scan_pps: float = 200.0
-    transfer_bytes: float = 3.3e6
-    packet_bytes: float = 1000.0
-    user_absent: bool = True
     noise_seed: int = 0
-    scales: SignalScales = field(default_factory=SignalScales)
 
     def __post_init__(self):
         durations = (self.login_duration, self.scan_duration,
@@ -245,11 +235,6 @@ class ScenarioConfig:
                      self.close_duration)
         if min(durations) <= 0:
             raise ValueError("phase durations must be positive")
-        if not 0.0 <= self.fraction_unreachable <= 1.0:
-            raise ValueError("fraction_unreachable must lie in [0, 1]")
-        if min(self.baseline_pps, self.scan_pps, self.transfer_bytes,
-               self.packet_bytes, self.address_count) <= 0:
-            raise ValueError("traffic parameters must be positive")
 
     @property
     def total_duration(self) -> int:
@@ -299,8 +284,8 @@ def generate_scenario(cfg: ScenarioConfig) -> list[Event]:
     per-process antigen events, deterministically from the noise seed."""
     rng = random.Random(cfg.noise_seed)
     seconds = cfg.total_duration
-    transfer_pps = cfg.transfer_bytes / cfg.packet_bytes / cfg.transfer_duration
-    scan_rate = cfg.address_count / cfg.scan_duration
+    transfer_pps = TRANSFER_BYTES / PACKET_BYTES / cfg.transfer_duration
+    scan_rate = ADDRESS_COUNT / cfg.scan_duration
 
     pps: list[float] = []
     unreachable: list[float] = []
@@ -308,19 +293,19 @@ def generate_scenario(cfg: ScenarioConfig) -> list[Event]:
         phase = cfg.phase_of(t)
         if phase == "scan":
             # bursty probing traffic: large swings defeat the moving average
-            load = cfg.scan_pps * rng.uniform(0.3, 1.7)
-            unreach = scan_rate * cfg.fraction_unreachable * rng.uniform(0.8, 1.2)
+            load = SCAN_PPS * rng.uniform(0.3, 1.7)
+            unreach = scan_rate * FRACTION_UNREACHABLE * rng.uniform(0.8, 1.2)
         elif phase == "transfer":
             # bulk copy: high, mostly steady traffic with mild rate wobble
             load = transfer_pps + rng.gauss(0.0, 12.0)
             unreach = 0.0
         else:
-            load = cfg.baseline_pps + rng.gauss(0.0, 1.0)
+            load = BASELINE_PPS + rng.gauss(0.0, 1.0)
             unreach = 0.0
         pps.append(max(0.0, load))
         unreachable.append(max(0.0, unreach))
 
-    signals = derive_signals(pps, unreachable, cfg.user_absent, cfg.scales)
+    signals = derive_signals(pps, unreachable)
 
     # a fixed pid universe per process; the ssh-daemon spawns children
     pid_counts = {"ssh-daemon": 4, "shell": 1, "scanner": 1,
@@ -519,7 +504,8 @@ class TissueServer:
     number of clients has finished, their streams are merged by
     timestamp and applied at tick boundaries via the shared runner. A
     client that violates the frame protocol is dropped (its partial
-    stream discarded) without disturbing the others.
+    stream discarded) without disturbing the others, and recorded in
+    `dropped` as its index and the reason.
 
     The listening socket opens here and closes once the expected
     clients have connected, or on `close()`; use the server as a
@@ -534,6 +520,7 @@ class TissueServer:
         self.expected_clients = expected_clients
         self._listener = socket.create_server((host, port))
         self._streams: list[tuple[int, list[Event]]] = []
+        self.dropped: list[tuple[int, str]] = []
         self._lock = threading.Lock()
         self._thread: Optional[threading.Thread] = None
         self._connected = 0
@@ -587,6 +574,8 @@ class TissueServer:
         except (ProtocolError, ValueError, OSError) as exc:
             # bad framing, undecodable bytes, a malformed event or a reset
             log.warning("client %d dropped: %s", index, exc)
+            with self._lock:
+                self.dropped.append((index, str(exc)))
             return
         with self._lock:
             self._streams.append((index, events))
@@ -645,8 +634,7 @@ class PortscanResult:
 
 
 def run_portscan_experiment(scenario: ScenarioConfig, experiment: int,
-                            seed: int = 0, repeats: int = 10,
-                            num_cells: int = 500) -> PortscanResult:
+                            seed: int = 0, repeats: int = 10) -> PortscanResult:
     """Run one signal-combination experiment over fresh scenario noise
     per repeat, reporting per-process mature-presentation fractions,
     the scanner-vs-transfer paired test, and antigen per migrated cell."""
@@ -664,9 +652,8 @@ def run_portscan_experiment(scenario: ScenarioConfig, experiment: int,
     for r in range(repeats):
         events = generate_scenario(replace(
             scenario, noise_seed=scenario.noise_seed + 100003 * seed + r))
-        cfg = PopulationConfig.portscan(
-            seed=seed * 1000003 + r, num_cells=num_cells,
-            tissue_antigen_capacity=num_cells, weights=weights)
+        cfg = PopulationConfig.portscan(seed=seed * 1000003 + r,
+                                        weights=weights)
         runner = EventDrivenRunner(Tissue(cfg), mask=exp.mask)
         runner.run(events)
         runner.drain()

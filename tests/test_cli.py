@@ -135,6 +135,8 @@ def test_degenerate_run_settings_fail_before_running(tmp_path, capsys, argv):
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
     assert not (tmp_path / "summary.txt").exists()
+    assert not (tmp_path / "manifest.txt").exists()
+    assert not (tmp_path / "items.csv").exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -143,8 +145,13 @@ def test_degenerate_run_settings_fail_before_running(tmp_path, capsys, argv):
     ["bc", "--repeats", "x"],
     ["replay"],
     ["report"],
+    ["portscan", "--experiment", "9"],
+    ["replay", "--log", "absent.log", "--rate", "0"],
+    ["replay", "--log", "absent.log", "--endpoint", "nowhere"],
+    ["serve", "--endpoint", "nowhere"],
 ], ids=["bad-choice", "unknown-flag", "bad-int", "replay-without-log",
-        "report-without-log"])
+        "report-without-log", "bad-experiment", "zero-rate",
+        "replay-bad-endpoint", "serve-bad-endpoint"])
 def test_usage_errors_end_in_one_error_line(tmp_path, capsys, argv):
     code, captured = run(["--out", tmp_path] + argv, capsys)
     assert code == 1
@@ -229,6 +236,37 @@ class TestConfigFile:
         assert "single_sample = True" in manifest
         assert "uci = False" in manifest
 
+    @pytest.mark.parametrize("setting,message", [
+        ("single_sample = ture", "config key single_sample: invalid value "
+         "'ture' (expected one of 1, true, yes, on, 0, false, no, off)"),
+        ("repeats = x", "config key repeats: invalid value 'x' "
+         "(expected an integer >= 1)"),
+        ("repeats = 0", "config key repeats: invalid value '0' "
+         "(expected an integer >= 1)"),
+        ("threshold = x", "config key threshold: invalid value 'x' "
+         "(expected a number in [0, 1])"),
+        ("seed = -2", "config key seed: invalid value '-2' "
+         "(expected an integer >= 0)"),
+    ], ids=["flag-typo", "bad-int", "int-below-minimum", "bad-float",
+            "negative-seed"])
+    def test_bad_value_names_its_key_before_any_output(self, tmp_path, capsys,
+                                                      setting, message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(setting + "\n")
+        code, captured = run(["--config", cfg, "--out", tmp_path / "out",
+                              "bc"], capsys)
+        assert code == 1
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_key_is_checked_as_the_chosen_commands_option(self, tmp_path):
+        # portscan needs two repeats, bc one: `repeats = 1` suits bc
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("repeats = 1\n")
+        assert run(["--config", cfg, "--out", tmp_path / "bc", "bc"]) == 0
+        assert run(["--config", cfg, "--out", tmp_path / "ps",
+                    "portscan"]) == 1
+
     @pytest.mark.parametrize("command,line", [
         ("replay", "0.5\tA\tx\tshell\n"),
         ("report", "3\t7\tmature\ta\t1.0\t2.0\t3.0\n"),
@@ -274,7 +312,8 @@ class TestPortscan:
         code, captured = run(["--out", tmp_path, "portscan",
                               "--experiment", "9"], capsys)
         assert code == 1
-        assert "invalid experiment" in captured.err
+        assert "argument --experiment: invalid choice: '9'" in captured.err
+        assert not (tmp_path / "manifest.txt").exists()
 
 
 class TestPipeline:
@@ -336,6 +375,60 @@ class TestPipeline:
         assert "invalid endpoint" in captured.err
 
 
+class TestServe:
+    """`dca serve` in a child process, so that its exit code and its
+    whole stderr are the command's own."""
+
+    @staticmethod
+    def serve(out, work):
+        """Run `dca serve` for one client while `work(port)` runs; return
+        its exit code and stderr."""
+        src = str(Path(dca.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "dca.cli", "--seed", "2", "--out", str(out),
+             "serve", "--endpoint", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={"PYTHONPATH": src})
+        try:
+            listening = proc.stdout.readline()
+            assert listening.startswith("listening on 127.0.0.1:"), listening
+            work(int(listening.rsplit(":", 1)[1]))
+            _, err = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+            proc.wait()
+        return proc.returncode, err
+
+    def test_served_outputs_equal_in_process_replay(self, tmp_path):
+        log = tmp_path / "scenario.log"
+        assert run(["--seed", "2", "--out", tmp_path / "g",
+                    "generate", "--log", log]) == 0
+        local, served = tmp_path / "local", tmp_path / "served"
+        assert run(["--seed", "2", "--out", local, "replay", "--log", log]) == 0
+        code, _ = self.serve(served, lambda port: run(
+            ["--out", tmp_path / "c", "replay", "--log", log,
+             "--endpoint", f"127.0.0.1:{port}"]))
+        assert code == 0
+        for name in ("migration.log", "verdicts.txt", "verdicts.tsv"):
+            assert (served / name).read_bytes() == (local / name).read_bytes()
+
+    def test_dropped_client_fails_the_run(self, tmp_path):
+        def send_undecodable(port):
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.sendall(b"\x00\x00\x00\x02\xff\xfe")
+
+        code, err = self.serve(tmp_path, send_undecodable)
+        assert code == 1
+        errors = [line for line in err.splitlines()
+                  if line.startswith("error: ")]
+        assert len(errors) == 1
+        assert errors[0].startswith(
+            "error: 1 of 1 client(s) dropped, no migration log written: "
+            "client 0 ('utf-8' codec can't decode")
+        assert not (tmp_path / "migration.log").exists()
+        assert not (tmp_path / "verdicts.tsv").exists()
+
+
 class TestSetUpErrors:
     """Operator mistakes found while setting a run up end in one `error:`
     line and exit 1, not a traceback."""
@@ -355,7 +448,8 @@ class TestSetUpErrors:
         if command == "replay":
             argv += ["--log", log]
         code, captured = run(argv, capsys)
-        self.assert_one_error_line(code, captured, "invalid endpoint")
+        self.assert_one_error_line(code, captured,
+                                   "argument --endpoint: invalid endpoint")
 
     def test_out_under_a_regular_file(self, tmp_path, capsys):
         (tmp_path / "file").write_text("")

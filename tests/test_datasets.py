@@ -10,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dca.core import fuse_signals
-from dca.datasets import (LabelledItem, SignalMapping, item_to_signals,
-                          load_items, load_uci, order_stream,
+from dca.datasets import (TARGET_CSM_RATE, LabelledItem, SignalMapping,
+                          item_to_signals, load_items, load_uci, order_stream,
                           select_attributes, synthetic_items, write_items)
 from dca.tissue import PopulationConfig
 
@@ -65,12 +65,12 @@ class TestSelectAttributes:
 
     def test_scale_calibrates_mean_csm_rate(self):
         items = synthetic_items()
-        mapping = select_attributes(items, target_csm_rate=0.2)
+        mapping = select_attributes(items)
         weights = PopulationConfig().weights
         rate = statistics.mean(
             fuse_signals(item_to_signals(it, mapping), weights)[0]
             for it in items)
-        assert rate == pytest.approx(0.2, rel=1e-9)
+        assert rate == pytest.approx(TARGET_CSM_RATE, rel=1e-9)
 
 
 class TestItemToSignals:
@@ -99,12 +99,13 @@ class TestItemToSignals:
         assert signals.safe == 0.0
         assert signals.pamp == pytest.approx(60.0)
 
-    def test_orientation_flag_swaps_pamp_and_safe(self):
-        item = make_item("x", [0.7] + [0.0] * 8, 1)
-        fwd = item_to_signals(item, self.make_mapping())
-        rev = item_to_signals(item, self.make_mapping(
-            pamp_from_class0_mean=False))
-        assert (fwd.pamp, fwd.safe) == (rev.safe, rev.pamp)
+    def test_pamp_from_class0_mean_and_safe_from_class1_mean(self):
+        mapping = self.make_mapping()
+        for x in (0.0, 0.35, 0.7, 1.0):
+            signals = item_to_signals(make_item("x", [x] + [0.0] * 8, 1),
+                                      mapping)
+            assert signals.pamp == pytest.approx(100.0 * abs(x - 0.2))
+            assert signals.safe == pytest.approx(100.0 * abs(x - 0.8))
 
     def test_inflammation_stays_zero(self):
         assert item_to_signals(toy_items()[0],
@@ -195,10 +196,14 @@ class TestFileFormats:
         assert [it.true_class for it in items] == [1, 1, 0]
         assert items[0].attributes[0] == pytest.approx(0.5)
 
-    def test_uci_explicit_class_assignment(self):
-        raw = io.StringIO("1,5,1,1,1,2,1,3,1,1,2\n2,8,10,10,8,7,10,9,7,1,4\n")
-        items = load_uci(raw, class_zero_value=2)
-        assert [it.true_class for it in items] == [0, 1]
+    @pytest.mark.parametrize("classes,expected", [
+        ((2, 4, 4), [0, 1, 1]),
+        ((2, 4), [0, 1]),
+    ], ids=["benign-minority", "tie-benign"])
+    def test_uci_minority_class_becomes_class0(self, classes, expected):
+        raw = io.StringIO("".join(f"{i},5,1,1,1,2,1,3,1,1,{cls}\n"
+                                  for i, cls in enumerate(classes)))
+        assert [it.true_class for it in load_uci(raw)] == expected
 
     def test_uci_duplicate_codes_stay_unique(self):
         raw = io.StringIO("9,5,1,1,1,2,1,3,1,1,2\n9,5,1,1,1,2,1,3,1,1,4\n")

@@ -12,14 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dca.core import SignalVector
-from dca.streams import (ANTIGEN, MAX_FRAME, SIGNAL_SET, Event,
-                         EventDrivenRunner, ProtocolError, ScenarioConfig,
-                         SignalMask, SignalScales, SinkDisconnected,
-                         StreamClient, StreamFormatError, TissueServer,
-                         _read_frames, derive_signals, format_event,
-                         generate_scenario, parse_event, read_log, replay,
-                         run_portscan_experiment, scenario_process_groups,
-                         write_log)
+from dca.streams import (ANTIGEN, BASELINE_PPS, K_DANGER, K_SAFE, MAX_FRAME,
+                         SAFE_MAX, SIGNAL_SET, Event, EventDrivenRunner,
+                         ProtocolError, ScenarioConfig, SignalMask,
+                         SinkDisconnected, StreamClient, StreamFormatError,
+                         TissueServer, _read_frames, derive_signals,
+                         format_event, generate_scenario, parse_event,
+                         read_log, replay, run_portscan_experiment,
+                         scenario_process_groups, write_log)
 from dca.tissue import PopulationConfig, Tissue
 
 events_strategy = st.lists(
@@ -196,35 +196,32 @@ class TestEventLog:
 
 class TestDeriveSignals:
     def test_steady_traffic_gives_full_safe(self):
-        out = derive_signals([50.0] * 5, [0.0] * 5,
-                             scales=SignalScales(safe_max=100.0, k_safe=1.0))
-        assert all(s.safe == 100.0 for s in out)
+        out = derive_signals([50.0] * 5, [0.0] * 5)
+        assert all(s.safe == SAFE_MAX for s in out)
 
     def test_zero_traffic_zero_pamp_danger(self):
         out = derive_signals([0.0] * 3, [0.0] * 3)
         assert all(s.pamp == 0.0 and s.danger == 0.0 for s in out)
 
     def test_step_erodes_safe_via_moving_average(self):
-        scales = SignalScales(k_safe=1.0, safe_max=100.0, k_danger=0.0)
-        out = derive_signals([10.0, 10.0, 110.0, 110.0], [0.0] * 4,
-                             scales=scales)
-        # the 2-sample moving average moves 10 -> 60 -> 110 across the step
-        assert out[2].safe == pytest.approx(50.0)
-        assert out[3].safe == pytest.approx(50.0)
-        assert out[1].safe == pytest.approx(100.0)
+        out = derive_signals([10.0, 10.0, 14.0, 14.0, 14.0], [0.0] * 5)
+        # the 2-sample moving average moves 10 -> 12 -> 14 across the step
+        assert out[1].safe == SAFE_MAX
+        assert out[2].safe == pytest.approx(SAFE_MAX - K_SAFE * 2.0)
+        assert out[3].safe == pytest.approx(SAFE_MAX - K_SAFE * 2.0)
+        assert out[4].safe == SAFE_MAX
+        # a step large enough floors safe at zero
+        assert derive_signals([10.0, 110.0], [0.0] * 2)[1].safe == 0.0
 
     def test_danger_scale_covariance(self):
         pps = [3.0, 80.0, 15.0]
-        base = derive_signals(pps, [0.0] * 3,
-                              scales=SignalScales(k_danger=0.05))
-        doubled = derive_signals(pps, [0.0] * 3,
-                                 scales=SignalScales(k_danger=0.10))
-        for b, d in zip(base, doubled):
-            assert d.danger == pytest.approx(2 * b.danger)
+        out = derive_signals(pps, [0.0] * 3)
+        assert [s.danger for s in out] == [K_DANGER * p for p in pps]
 
     def test_user_absent_sets_inflammation(self):
-        out = derive_signals([1.0], [0.0], user_absent=True)
-        assert out[0].inflammation == 1.0
+        # the scenario's user is absent, so every second is inflamed
+        out = derive_signals([1.0, 50.0], [0.0, 3.0])
+        assert [s.inflammation for s in out] == [1.0, 1.0]
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -246,15 +243,9 @@ class TestScenario:
                  if e.kind == SIGNAL_SET and start + 2 <= e.timestamp
                  < start + cfg.pause_duration]
         assert all(s.pamp == 0.0 for s in pause)
-        baseline_danger = cfg.scales.k_danger * cfg.baseline_pps
+        baseline_danger = K_DANGER * BASELINE_PPS
         for s in pause:
             assert s.danger == pytest.approx(baseline_danger, abs=0.5)
-
-    def test_no_unreachable_addresses_means_no_pamp(self):
-        events = generate_scenario(ScenarioConfig(noise_seed=2,
-                                                  fraction_unreachable=0.0))
-        assert all(e.signals.pamp == 0.0 for e in events
-                   if e.kind == SIGNAL_SET)
 
     def test_scanner_emits_most_antigen_and_only_while_scanning(self):
         cfg = ScenarioConfig(noise_seed=4)
@@ -284,8 +275,6 @@ class TestScenario:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig(scan_duration=0)
-        with pytest.raises(ValueError):
-            ScenarioConfig(fraction_unreachable=1.5)
 
     def test_process_groups_cover_all_antigen(self):
         events = scenario_events()
