@@ -50,10 +50,13 @@ class RunSummary:
 def aggregate(records: Iterable[MigrationRecord]) -> dict[str, AntigenVerdict]:
     """Count presentations per label across all records (multiplicity counts)."""
     verdicts: dict[str, AntigenVerdict] = {}
+    get = verdicts.get
     for rec in records:
         mature = rec.context is Context.MATURE
         for label in rec.antigens:
-            v = verdicts.setdefault(label, AntigenVerdict(label))
+            v = get(label)
+            if v is None:
+                v = verdicts[label] = AntigenVerdict(label)
             if mature:
                 v.presented_mature += 1
             else:

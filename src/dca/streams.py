@@ -657,15 +657,16 @@ def run_portscan_experiment(scenario: ScenarioConfig, experiment: int,
         runner = EventDrivenRunner(Tissue(cfg), mask=exp.mask)
         runner.run(events)
         runner.drain()
-        records = runner.tissue.records
-        verdicts = aggregate(records)
+        presenting = runner.tissue.records_with_antigen()
+        verdicts = aggregate(presenting)
         groups = scenario_process_groups(events)
         for name, mag in process_mag(verdicts, groups).items():
             per_process.setdefault(name, []).append(mag)
             per_process_counts.setdefault(name, []).append(
                 sum(verdicts[l].total for l in groups[name] if l in verdicts))
-        presented = sum(len(rec.antigens) for rec in records)
-        antigen_per_cell_runs.append(presented / len(records) if records else 0.0)
+        presented = sum(len(rec.antigens) for rec in presenting)
+        migrations = runner.tissue.migrations
+        antigen_per_cell_runs.append(presented / migrations if migrations else 0.0)
 
     table: dict[str, tuple[float, float, float]] = {}
     for name, runs in per_process.items():

@@ -14,6 +14,7 @@ from __future__ import annotations
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import chain, repeat
 from typing import Iterable, NamedTuple, Optional, TextIO
 
 import numpy as np
@@ -82,8 +83,8 @@ class PopulationConfig:
 class MigrationRecord(NamedTuple):
     """One migration event: the cell's context, antigen and final cytokines.
 
-    A named tuple because a tick builds one per migrated cell, and a tuple
-    costs less than half of a frozen dataclass to construct."""
+    A tissue logs its migrations as arrays and builds these only when its
+    log is read, many at a time (see `Tissue.records`)."""
 
     tick: int
     cell_id: int
@@ -182,7 +183,9 @@ class Tissue:
         self.compartment = TissueCompartment(
             cfg.tissue_antigen_capacity, cfg.antigen_sample_multiplicity, self.rng
         )
-        self.records: list[MigrationRecord] = []
+        self._records: list[MigrationRecord] = []
+        self._pending: list[_TickLog] = []  # ticks not yet built into records
+        self._migrations = 0
         self._feed: deque[str] = deque()
         n = cfg.num_cells
         self._id = np.arange(n)
@@ -232,8 +235,31 @@ class Tissue:
     def set_signals(self, s: SignalVector) -> None:
         self.compartment.set_signals(s)
 
-    def tick(self) -> list[MigrationRecord]:
-        """Run one cell cycle; returns the migrations it produced.
+    @property
+    def records(self) -> list[MigrationRecord]:
+        """Every migration so far, in log order. The ticks logged since the
+        last read are built into records in one pass and cached, so a read
+        mid-run and a read at the end agree."""
+        if self._pending:
+            self._records.extend(_build_records(self._pending))
+            self._pending = []
+        return self._records
+
+    @property
+    def migrations(self) -> int:
+        """The number of migrations so far; builds no record."""
+        return self._migrations
+
+    def records_with_antigen(self) -> list[MigrationRecord]:
+        """The records of the migrated cells that held antigen, in log
+        order. Only antigen reaches a verdict, so this is all `aggregate`
+        needs; it builds no record for a migration without antigen."""
+        return ([r for r in self._records if r.antigens]
+                + _build_records(self._pending, antigen_only=True))
+
+    def tick(self) -> Sequence[MigrationRecord]:
+        """Run one cell cycle; returns the migrations it produced, as a
+        sequence whose records are built when first read.
 
         The tick draws its randomness in fixed blocks, in this order: the
         tick order (a permutation of the pool), then for each position in
@@ -268,25 +294,24 @@ class Tissue:
                     self._refill()
         self._cytokines += np.array((max(0.0, d_csm), d_semi, d_mat))
         migrated = order[(self._cytokines[:, 0] >= self._threshold)[order]]
-        new_records = self._replace(migrated) if migrated.size else []
+        tick = comp.clock
         comp.clock += 1
-        self.records.extend(new_records)
-        return new_records
+        if not migrated.size:
+            return ()
+        logged = self._replace(tick, migrated)
+        self._pending.append(logged)
+        self._migrations += migrated.size
+        return logged
 
-    def _replace(self, cells: np.ndarray) -> list[MigrationRecord]:
-        """Record the migrated cells, in tick order, and put fresh immature
-        cells in their places."""
-        tick = self.compartment.clock
+    def _replace(self, tick: int, cells: np.ndarray) -> _TickLog:
+        """Log the migrated cells, in tick order, and put fresh immature
+        cells in their places. Each migrated cell's label list moves into
+        the log, since its replacement starts with a new one."""
         labels = self._labels
-        records = [
-            MigrationRecord(tick, cell_id,
-                            Context.MATURE if mat > semi else Context.SEMI_MATURE,
-                            tuple(labels[cell]), csm, semi, mat)
-            for cell, cell_id, (csm, semi, mat) in zip(
-                cells.tolist(), self._id[cells].tolist(),
-                self._cytokines[cells].tolist())
-        ]
-        for cell in cells.tolist():
+        cell_list = cells.tolist()
+        logged = _TickLog(tick, self._id[cells], self._cytokines[cells],
+                          [labels[cell] for cell in cell_list])
+        for cell in cell_list:
             labels[cell] = []
         count = cells.size
         self._id[cells] = np.arange(self._next_id, self._next_id + count)
@@ -294,7 +319,59 @@ class Tissue:
         self._threshold[cells] = self._draw_thresholds(count)
         self._cytokines[cells] = 0.0
         self._held[cells] = 0
-        return records
+        return logged
+
+
+class _TickLog(Sequence):
+    """The migrations of one tick, in tick order: the cells' ids, their
+    cytokine rows (csm, semi, mat) and their label lists. As a sequence it
+    holds the tick's records, built on first access."""
+
+    __slots__ = ("tick", "ids", "cytokines", "labels", "_records")
+
+    def __init__(self, tick: int, ids: np.ndarray, cytokines: np.ndarray,
+                 labels: list[list[str]]):
+        self.tick = tick
+        self.ids = ids
+        self.cytokines = cytokines
+        self.labels = labels
+        self._records: Optional[list[MigrationRecord]] = None
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, i):
+        if self._records is None:
+            self._records = _build_records((self,))
+        return self._records[i]
+
+
+_CONTEXTS = (Context.SEMI_MATURE, Context.MATURE)  # indexed by mat > semi
+
+
+def _build_records(logged: Sequence[_TickLog],
+                   antigen_only: bool = False) -> list[MigrationRecord]:
+    """The records of the logged ticks, in log order, built one column at
+    a time; with `antigen_only`, only those of cells that held antigen."""
+    if not logged:
+        return []
+    # the records of one tick share its tick number object
+    ticks = list(chain.from_iterable(repeat(m.tick, len(m.labels))
+                                     for m in logged))
+    ids = np.concatenate([m.ids for m in logged])
+    cytokines = np.concatenate([m.cytokines for m in logged])
+    labels = list(chain.from_iterable(m.labels for m in logged))
+    if antigen_only:
+        held = np.flatnonzero(np.fromiter(map(bool, labels), bool, len(labels)))
+        rows = held.tolist()
+        ticks = list(map(ticks.__getitem__, rows))
+        labels = list(map(labels.__getitem__, rows))
+        ids, cytokines = ids[held], cytokines[held]
+    csm, semi, mat = cytokines.T.tolist()
+    contexts = map(_CONTEXTS.__getitem__,
+                   (cytokines[:, 2] > cytokines[:, 1]).tolist())
+    return list(map(tuple.__new__, repeat(MigrationRecord), zip(
+        ticks, ids.tolist(), contexts, map(tuple, labels), csm, semi, mat)))
 
 
 class Cytokines(NamedTuple):
@@ -347,7 +424,17 @@ def format_record(r: MigrationRecord) -> str:
     ))
 
 
+_CONTEXT_BY_VALUE = {c.value: c for c in Context}
+
+# the converter of each field, for naming the one that failed
+_FIELD_PARSERS = {"tick": int, "cell_id": int,
+                  "context": _CONTEXT_BY_VALUE.__getitem__, "antigens": str,
+                  "csm": float, "semi": float, "mat": float}
+
+
 def read_migration_log(fh: TextIO) -> list[MigrationRecord]:
+    """Parse a migration log. Every malformed line raises a `ValueError`
+    whose message starts with `line N:`."""
     records = []
     for lineno, line in enumerate(fh, start=1):
         line = line.rstrip("\n")
@@ -357,13 +444,26 @@ def read_migration_log(fh: TextIO) -> list[MigrationRecord]:
         if len(parts) != 7:
             raise ValueError(f"line {lineno}: expected 7 fields, got {len(parts)}")
         tick, cell_id, context, antigens, csm, semi, mat = parts
-        records.append(MigrationRecord(
-            tick=int(tick),
-            cell_id=int(cell_id),
-            context=Context(context),
-            antigens=tuple(antigens.split(",")) if antigens else (),
-            csm=float(csm),
-            semi=float(semi),
-            mat=float(mat),
-        ))
+        try:
+            records.append(MigrationRecord(
+                tick=int(tick),
+                cell_id=int(cell_id),
+                context=_CONTEXT_BY_VALUE[context],
+                antigens=tuple(antigens.split(",")) if antigens else (),
+                csm=float(csm),
+                semi=float(semi),
+                mat=float(mat),
+            ))
+        except (KeyError, ValueError):
+            raise _field_error(lineno, parts) from None
     return records
+
+
+def _field_error(lineno: int, parts: list[str]) -> ValueError:
+    """The error for the first field of a line that does not convert."""
+    for name, text in zip(MigrationRecord._fields, parts):
+        try:
+            _FIELD_PARSERS[name](text)
+        except (KeyError, ValueError):
+            return ValueError(f"line {lineno}: invalid {name} {text!r}")
+    return ValueError(f"line {lineno}: malformed record")

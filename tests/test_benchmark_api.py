@@ -1,9 +1,11 @@
-"""The benchmark's set-up probes, run as tests.
+"""The benchmark's set-up probes and tracer hooks, run as tests.
 
 Each probe in ``perfbench/workloads.py`` makes one minimal call into every
 library function its workload uses, so renaming or removing any of them
-fails here rather than only when the benchmark runs. The benchmark
-directory is only put on ``sys.path`` and read, never written.
+fails here rather than only when the benchmark runs. The tracer's hooks
+read what the library returns, so a change to a return type fails here
+too. The benchmark directory is only put on ``sys.path`` and read, never
+written.
 """
 
 import importlib
@@ -12,18 +14,37 @@ from pathlib import Path
 
 import pytest
 
+from dca.core import SignalVector
+from dca.tissue import PopulationConfig, Tissue
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 @pytest.fixture(scope="module")
-def probes():
+def perfbench():
+    """Imports a benchmark module by name, without writing bytecode."""
     with pytest.MonkeyPatch.context() as mp:
         mp.syspath_prepend(str(PERFBENCH))
         mp.setattr(sys, "dont_write_bytecode", True)
-        yield importlib.import_module("workloads").PROBES
+        yield importlib.import_module
 
 
 @pytest.mark.parametrize("workload",
                          ["bc-orders", "portscan-series", "wire-replay"])
-def test_probe_runs(probes, workload):
-    probes[workload](seed=3)
+def test_probe_runs(perfbench, workload):
+    perfbench("workloads").PROBES[workload](seed=3)
+
+
+def test_tracer_counts_tick_returns_as_the_records(perfbench):
+    tracer = perfbench("tracer")
+    tissue = Tissue(PopulationConfig.portscan(seed=3))
+    buf = tracer._Buffer()
+    for i in range(30):
+        for k in range(20):
+            tissue.enqueue_antigen(f"ag-{i}-{k}")
+        tissue.set_signals(SignalVector(pamp=i % 3, danger=2, safe=i % 2))
+        tracer.Tracer._post_tissue_tick(buf, tissue.tick())
+    records = tissue.records
+    presented = sum(len(r.antigens) for r in records)
+    assert buf.counts["tissue.migrations"] == len(records) > 0
+    assert buf.counts["tissue.antigen_presented"] == presented > 0

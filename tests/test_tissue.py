@@ -2,13 +2,16 @@
 population invariants, and the migration-log file format."""
 
 import io
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dca.analysis import aggregate
 from dca.core import Context, SignalVector
+from dca.streams import EventDrivenRunner, ScenarioConfig, generate_scenario
 from dca.tissue import (MigrationRecord, PopulationConfig, Tissue,
                         TissueCompartment, format_record, read_migration_log,
                         write_migration_log)
@@ -124,8 +127,7 @@ class TestTick:
             seed=1, threshold_mode=("fixed", 10.0))
         tissue = Tissue(cfg)
         tissue.set_signals(CONSTANT_PAMP)
-        records = tissue.tick()
-        assert len(records) == 100
+        assert len(tissue.tick()) == 100
 
     def test_pool_size_constant_after_every_tick(self):
         tissue = Tissue(small_config(seed=7, antigen_overwrite=True))
@@ -224,22 +226,111 @@ class TestTick:
         assert len(thresholds) > 10
 
 
-records_strategy = st.lists(
-    st.builds(
-        MigrationRecord,
-        tick=st.integers(0, 10_000),
-        cell_id=st.integers(0, 10_000),
-        context=st.sampled_from([Context.MATURE, Context.SEMI_MATURE]),
-        antigens=st.lists(
-            st.text(alphabet=st.characters(
-                whitelist_categories=("L", "N"), max_codepoint=0x2000),
-                min_size=1, max_size=8),
-            max_size=5).map(tuple),
-        csm=st.floats(0, 1e6, allow_nan=False),
-        semi=st.floats(-1e6, 1e6, allow_nan=False),
-        mat=st.floats(-1e6, 1e6, allow_nan=False),
-    ),
-    max_size=20,
+def _driven_tissue(seed):
+    """A small overwriting tissue and the steps that drive it: antigen and
+    signals that make cells migrate both with and without antigen."""
+    tissue = Tissue(small_config(seed, antigen_overwrite=True))
+    steps = [([f"item-{i}"] if i % 3 else [],
+              SignalVector(pamp=i % 7, danger=i % 4, safe=(i + 3) % 5))
+             for i in range(80)]
+    return tissue, steps
+
+
+def _step(tissue, labels, signals):
+    for label in labels:
+        tissue.enqueue_antigen(label)
+    tissue.set_signals(signals)
+    return tissue.tick()
+
+
+class TestLazyLog:
+    """The migration log is kept as per-tick arrays and built into records
+    only when read; every way of reading it must give the same records."""
+
+    def test_reading_every_tick_equals_reading_once(self):
+        eager, steps = _driven_tissue(21)
+        lazy, _ = _driven_tissue(21)
+        for labels, signals in steps:
+            before = list(eager.records)
+            _step(eager, labels, signals)
+            assert eager.records[:len(before)] == before
+            _step(lazy, labels, signals)
+        assert eager.records == lazy.records
+        assert any(r.antigens for r in lazy.records)
+        assert any(not r.antigens for r in lazy.records)
+
+    def test_migrations_counts_every_record(self):
+        tissue, steps = _driven_tissue(5)
+        for i, (labels, signals) in enumerate(steps):
+            _step(tissue, labels, signals)
+            if i == 40:
+                assert tissue.migrations == len(tissue.records)
+        assert tissue.migrations == len(tissue.records) > 0
+
+    @pytest.mark.parametrize("read_midway", [False, True])
+    def test_records_with_antigen_filters_records(self, read_midway):
+        tissue, steps = _driven_tissue(9)
+        for i, (labels, signals) in enumerate(steps):
+            _step(tissue, labels, signals)
+            if read_midway and i == 40:
+                tissue.records  # builds the first half; the rest stays pending
+        held = tissue.records_with_antigen()
+        assert held == [r for r in tissue.records if r.antigens]
+        assert held
+
+    def test_tick_returns_the_records_it_appended(self):
+        tissue, steps = _driven_tissue(13)
+        sizes = set()
+        for labels, signals in steps:
+            before = len(tissue.records)
+            returned = _step(tissue, labels, signals)
+            assert list(returned) == tissue.records[before:]
+            assert len(returned) == len(tissue.records) - before
+            sizes.add(len(returned))
+        assert 0 in sizes and max(sizes) > 1
+
+    def test_antigen_records_give_the_same_verdicts_on_the_portscan_shape(self):
+        events = generate_scenario(ScenarioConfig(noise_seed=3))
+        runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=3)))
+        runner.run(events)
+        runner.drain()
+        tissue = runner.tissue
+        held = tissue.records_with_antigen()
+        assert 0 < len(held) < tissue.migrations
+        assert aggregate(held) == aggregate(tissue.records)
+
+
+record_strategy = st.builds(
+    MigrationRecord,
+    tick=st.integers(0, 10_000),
+    cell_id=st.integers(0, 10_000),
+    context=st.sampled_from([Context.MATURE, Context.SEMI_MATURE]),
+    antigens=st.lists(
+        st.text(alphabet=st.characters(
+            whitelist_categories=("L", "N"), max_codepoint=0x2000),
+            min_size=1, max_size=8),
+        max_size=5).map(tuple),
+    csm=st.floats(0, 1e6, allow_nan=False),
+    semi=st.floats(-1e6, 1e6, allow_nan=False),
+    mat=st.floats(-1e6, 1e6, allow_nan=False),
+)
+records_strategy = st.lists(record_strategy, max_size=20)
+
+log_text = st.text(alphabet=st.sampled_from("\t\n,.-+_ 019aeimnrtux"),
+                   max_size=40) | st.text(max_size=40)
+
+
+def _with_field(record, index, text):
+    parts = format_record(record).split("\t")
+    parts[index] = text
+    return "\t".join(parts)
+
+
+# whole records, records with one field replaced, and arbitrary text
+log_line = st.one_of(
+    record_strategy.map(format_record),
+    st.builds(_with_field, record_strategy, st.integers(0, 6), log_text),
+    log_text,
 )
 
 
@@ -261,3 +352,30 @@ class TestMigrationLog:
         buf = io.StringIO("3\t7\tmature\ta\t1.0\t2.0\t3.0\nbroken line\n")
         with pytest.raises(ValueError, match="line 2"):
             read_migration_log(buf)
+
+    @pytest.mark.parametrize("line,message", [
+        ("1\t2\tbogus\ta\t1.0\t2.0\t3.0", "line 2: invalid context 'bogus'"),
+        ("1\t2\tmature\ta\tx\t2.0\t3.0", "line 2: invalid csm 'x'"),
+        ("1.5\t2\tmature\ta\t1.0\t2.0\t3.0", "line 2: invalid tick '1.5'"),
+        ("1\t2\tmature\t\t1.0\t2.0\t", "line 2: invalid mat ''"),
+    ])
+    def test_bad_field_names_its_line_and_field(self, line, message):
+        buf = io.StringIO("3\t7\tmature\ta\t1.0\t2.0\t3.0\n" + line + "\n")
+        with pytest.raises(ValueError) as info:
+            read_migration_log(buf)
+        assert str(info.value) == message
+
+    @given(st.lists(log_line, max_size=8).map("\n".join))
+    @settings(max_examples=300)
+    def test_any_text_parses_or_names_its_first_bad_line(self, text):
+        try:
+            read_migration_log(io.StringIO(text))
+        except ValueError as exc:
+            match = re.match(r"line (\d+): ", str(exc))
+            assert match, str(exc)
+            lines = io.StringIO(text).readlines()
+            bad = int(match[1])
+            assert 1 <= bad <= len(lines)
+            read_migration_log(io.StringIO("".join(lines[:bad - 1])))
+            with pytest.raises(ValueError, match="^line 1: "):
+                read_migration_log(io.StringIO(lines[bad - 1]))

@@ -82,7 +82,7 @@ def run_both(cfg, steps):
             t.set_signals(signals)
             for label in labels:
                 t.enqueue_antigen(label)
-        assert tissue.tick() == ref.tick()
+        assert list(tissue.tick()) == ref.tick()
         assert_same(tissue, ref)
     return tissue
 
