@@ -3,6 +3,8 @@ cells fuses multi-channel sensor signals, tags sampled antigen labels
 with a mature/semi-mature context, and aggregates presentations into
 per-label anomaly verdicts."""
 
+import logging
+
 from .analysis import (AntigenVerdict, PairedTTestResult, RunSummary,
                        aggregate, classify, count_errors, paired_t_test,
                        process_mag)
@@ -20,6 +22,10 @@ from .tissue import (CellSnapshot, MigrationRecord, PopulationConfig, Tissue,
                      write_migration_log)
 
 __version__ = "0.1.0"
+
+# warnings (a dropped server client) reach only the handlers an
+# application configures, not logging's last-resort stderr handler
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "AntigenVerdict", "CellSnapshot", "Context", "Event", "EventDrivenRunner",

@@ -227,10 +227,12 @@ def _write_manifest(args: argparse.Namespace, out: Path) -> None:
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _read(path: Path, what: str, parse: Callable):
-    """Parse an input file; an unreadable or malformed one ends the run."""
+def _read(path: Path, what: str, parse: Callable, binary: bool = False):
+    """Parse an input file; an unreadable or malformed one ends the run.
+    The log readers take the file in binary mode, so that bytes that are
+    not UTF-8 are reported by line."""
     try:
-        with open(path) as fh:
+        with open(path, "rb" if binary else "r") as fh:
             return parse(fh)
     except OSError as exc:
         raise CliError(f"cannot read {what}: {exc}") from exc
@@ -337,7 +339,7 @@ def cmd_generate(args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_replay(args: argparse.Namespace, out: Path) -> int:
-    events = _read(args.log, "log", read_log)
+    events = _read(args.log, "log", read_log, binary=True)
     if args.endpoint is not None:
         try:
             with StreamClient(*_split_endpoint(args.endpoint)) as client:
@@ -380,7 +382,8 @@ def cmd_serve(args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_report(args: argparse.Namespace, out: Path) -> int:
-    records = _read(args.log, "migration log", read_migration_log)
+    records = _read(args.log, "migration log", read_migration_log,
+                    binary=True)
     truth = None if args.truth is None else _read(
         args.truth, "truth",
         lambda fh: {it.id: it.true_class for it in load_items(fh)})

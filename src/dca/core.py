@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 
 class Context(Enum):
@@ -24,24 +25,36 @@ class InvalidWeights(ValueError):
     """Weight row whose absolute-value sum is zero (normalization undefined)."""
 
 
-@dataclass(frozen=True)
-class SignalVector:
-    """Signal concentrations at one instant.
-
-    pamp, danger and safe are non-negative concentrations (nominal range
-    0-100); inflammation is a context amplifier in [0, 2].
-    """
-
+class _SignalFields(NamedTuple):
     pamp: float = 0.0
     danger: float = 0.0
     safe: float = 0.0
     inflammation: float = 0.0
 
-    def __post_init__(self):
-        if self.pamp < 0 or self.danger < 0 or self.safe < 0:
+
+class SignalVector(_SignalFields):
+    """Signal concentrations at one instant.
+
+    pamp, danger and safe are non-negative concentrations (nominal range
+    0-100); inflammation is a context amplifier in [0, 2]. An immutable
+    named tuple, equal and hashed by value; every way of building one
+    (the constructor, `_make`, `_replace`) checks the ranges.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, pamp: float = 0.0, danger: float = 0.0,
+                safe: float = 0.0, inflammation: float = 0.0):
+        if pamp < 0 or danger < 0 or safe < 0:
             raise ValueError("pamp, danger and safe must be non-negative")
-        if not 0.0 <= self.inflammation <= 2.0:
+        if not 0.0 <= inflammation <= 2.0:
             raise ValueError("inflammation must lie in [0, 2]")
+        return tuple.__new__(cls, (pamp, danger, safe, inflammation))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ equal seeds.
 
 from __future__ import annotations
 
+import bisect
 import logging
 import math
 import random
@@ -21,12 +22,13 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TextIO
+from typing import (BinaryIO, Callable, Iterable, Iterator, NamedTuple,
+                    Optional, Sequence, TextIO, Union)
 
 from .analysis import (PairedTTestResult, aggregate, mean_and_std,
                        paired_t_test, process_mag)
 from .core import SignalVector, WeightMatrix
-from .tissue import MigrationRecord, PopulationConfig, Tissue
+from .tissue import MigrationRecord, PopulationConfig, Tissue, log_lines
 
 log = logging.getLogger(__name__)
 
@@ -62,46 +64,59 @@ class SinkDisconnected(Exception):
         self.undelivered = undelivered
 
 
-@dataclass(frozen=True)
-class Event:
-    """One timestamped input to the tissue server.
-
-    `kind` is SIGNAL_SET (payload: signals) or ANTIGEN (payload: label
-    and source process name). Timestamps are seconds since stream start
-    and must be non-decreasing within a stream.
-    """
-
+class _EventFields(NamedTuple):
     timestamp: float
     kind: str
     signals: Optional[SignalVector] = None
     label: Optional[str] = None
     process: Optional[str] = None
 
-    def __post_init__(self):
-        if self.timestamp < 0 or not math.isfinite(self.timestamp):
+
+class Event(_EventFields):
+    """One timestamped input to the tissue server.
+
+    `kind` is SIGNAL_SET (payload: signals) or ANTIGEN (payload: label
+    and source process name). Timestamps are seconds since stream start
+    and must be non-decreasing within a stream. An immutable named tuple,
+    equal and hashed by value; every way of building one (the
+    constructor, `_make`, `_replace`) runs the same checks.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, timestamp: float, kind: str,
+                signals: Optional[SignalVector] = None,
+                label: Optional[str] = None, process: Optional[str] = None):
+        if not 0 <= timestamp < math.inf:  # NaN fails too
             raise ValueError("timestamp must be finite and non-negative")
-        if self.kind == SIGNAL_SET:
-            if self.signals is None:
-                raise ValueError("signal-set event requires a signal vector")
-        elif self.kind == ANTIGEN:
-            if not self.label or not self.process:
+        if kind == ANTIGEN:
+            if not label or not process:
                 raise ValueError("antigen event requires label and process")
-            if _BAD_LABEL.search(self.label):
-                raise ValueError(f"antigen label {self.label!r} contains a "
+            if _BAD_LABEL.search(label):
+                raise ValueError(f"antigen label {label!r} contains a "
                                  "comma, tab or line break")
-            if _BAD_PROCESS.search(self.process):
-                raise ValueError(f"process name {self.process!r} contains a "
+            if _BAD_PROCESS.search(process):
+                raise ValueError(f"process name {process!r} contains a "
                                  "tab or line break")
+        elif kind == SIGNAL_SET:
+            if signals is None:
+                raise ValueError("signal-set event requires a signal vector")
         else:
-            raise ValueError(f"unknown event kind {self.kind!r}")
+            raise ValueError(f"unknown event kind {kind!r}")
+        return tuple.__new__(cls, (timestamp, kind, signals, label, process))
+
+    @classmethod
+    def _make(cls, iterable):
+        # the inherited _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @classmethod
     def signal_set(cls, timestamp: float, signals: SignalVector) -> "Event":
-        return cls(timestamp, SIGNAL_SET, signals=signals)
+        return cls(timestamp, SIGNAL_SET, signals)
 
     @classmethod
     def antigen(cls, timestamp: float, label: str, process: str) -> "Event":
-        return cls(timestamp, ANTIGEN, label=label, process=process)
+        return cls(timestamp, ANTIGEN, None, label, process)
 
 
 def format_event(e: Event) -> str:
@@ -122,12 +137,11 @@ def parse_event(line: str, lineno: int = 0) -> Event:
     try:
         if len(parts) == 6 and parts[1] == SIGNAL_SET:
             ts, _, p, d, s, ic = parts
-            return Event.signal_set(float(ts), SignalVector(
-                pamp=float(p), danger=float(d), safe=float(s),
-                inflammation=float(ic)))
+            return Event(float(ts), SIGNAL_SET, SignalVector(
+                float(p), float(d), float(s), float(ic)))
         if len(parts) == 4 and parts[1] == ANTIGEN:
             ts, _, label, process = parts
-            return Event.antigen(float(ts), label, process)
+            return Event(float(ts), ANTIGEN, None, label, process)
     except (ValueError, TypeError) as exc:
         raise StreamFormatError(f"line {lineno}: {exc}") from exc
     raise StreamFormatError(f"line {lineno}: unrecognized event layout")
@@ -138,15 +152,16 @@ def write_log(events: Iterable[Event], fh: TextIO) -> None:
         fh.write(format_event(e) + "\n")
 
 
-def read_log(fh: TextIO) -> list[Event]:
-    """Parse an event log, rejecting decreasing timestamps.
+def read_log(fh: Union[TextIO, BinaryIO]) -> list[Event]:
+    """Parse an event log, open in text or binary mode, rejecting
+    decreasing timestamps.
 
-    Errors carry the 1-based offending line number.
+    Errors are StreamFormatErrors that carry the 1-based offending line
+    number.
     """
     events: list[Event] = []
     last = -math.inf
-    for lineno, line in enumerate(fh, start=1):
-        line = line.rstrip("\n")
+    for lineno, line in log_lines(fh, StreamFormatError):
         if not line:
             continue
         e = parse_event(line, lineno)
@@ -440,15 +455,17 @@ def _send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(FRAME_HEADER.pack(len(payload)) + payload)
 
 
-def _read_frames(sock: socket.socket) -> Iterator[str]:
-    """Yield the decoded payload of each frame until a clean EOF.
+def _read_frames(sock: socket.socket) -> Iterator[list[str]]:
+    """Yield the decoded payloads of the whole frames each read delivers,
+    as one list, until a clean EOF.
 
     Reads in bulk with `recv_into` into one reused buffer and splits
     every whole frame out of it, so a burst of small frames costs one
     call into the socket, not two per frame. A declared length over
-    MAX_FRAME raises ProtocolError as soon as its header is in; EOF
-    inside a header or a payload raises ProtocolError; a payload that
-    is not UTF-8 raises UnicodeDecodeError (a ValueError).
+    MAX_FRAME raises ProtocolError as soon as its header is in, after the
+    whole frames before it are yielded; EOF inside a header or a payload
+    raises ProtocolError; a payload that is not UTF-8 raises
+    UnicodeDecodeError (a ValueError).
     """
     buf = bytearray(RECV_BUFFER)
     with memoryview(buf) as view:
@@ -462,19 +479,24 @@ def _read_frames(sock: socket.socket) -> Iterator[str]:
                 return
             end += got
             pos = 0
+            batch = []
             while end - pos >= FRAME_HEADER.size:
                 (length,) = FRAME_HEADER.unpack_from(buf, pos)
                 if length > MAX_FRAME:
+                    if batch:
+                        yield batch
                     raise ProtocolError(
                         f"declared frame length {length} exceeds {MAX_FRAME}")
                 start = pos + FRAME_HEADER.size
                 if end - start < length:
                     break
                 pos = start + length
-                yield str(view[start:pos], "utf-8")
+                batch.append(str(view[start:pos], "utf-8"))
             # move the partial frame left over to the front
             view[:end - pos] = view[pos:end]
             end -= pos
+            if batch:
+                yield batch
 
 
 class StreamClient:
@@ -500,12 +522,26 @@ class TissueServer:
     """Accepts framed event streams and feeds them to one tissue run.
 
     Clients (for example one signal client and one antigen client)
-    connect, push their streams, and disconnect; once the expected
-    number of clients has finished, their streams are merged by
-    timestamp and applied at tick boundaries via the shared runner. A
-    client that violates the frame protocol is dropped (its partial
-    stream discarded) without disturbing the others, and recorded in
-    `dropped` as its index and the reason.
+    connect, push their streams, and disconnect. The server merges the
+    streams while they arrive. After each read, a client's handler parses
+    the whole frames it got and adds them to that client's pending
+    events. Once every expected client has connected, it applies through
+    the runner every pending event below the watermark: the whole second
+    at or below the latest timestamp of the slowest client still
+    streaming. No client can still send an event below it, so the merge
+    order is the one a merge of the finished streams would give:
+    timestamp, then signal sets before antigen, then client index, then
+    arrival. `wait()` applies the rest, drains the tissue and returns its
+    records. Pending events are bounded by the clients' timestamp skew
+    plus one read per client.
+
+    A client that violates the frame protocol, sends a malformed event
+    or a decreasing timestamp, or resets its connection is dropped
+    without disturbing the others, and recorded in `dropped` as its
+    index and the reason. Its events not yet applied are discarded; those
+    applied before the drop stay in the run. A finished or dropped client
+    no longer holds the watermark back. An error the tissue raises while
+    applying events is not a drop: it is raised from `wait()`.
 
     The listening socket opens here and closes once the expected
     clients have connected, or on `close()`; use the server as a
@@ -519,9 +555,14 @@ class TissueServer:
         self.runner = runner
         self.expected_clients = expected_clients
         self._listener = socket.create_server((host, port))
-        self._streams: list[tuple[int, list[Event]]] = []
         self.dropped: list[tuple[int, str]] = []
+        # guarded by the lock: the events of each connected client not yet
+        # applied, the latest timestamp of each client still streaming,
+        # and an error the tissue raised
         self._lock = threading.Lock()
+        self._pending: dict[int, list[Event]] = {}
+        self._latest: dict[int, float] = {}
+        self._failure: Optional[BaseException] = None
         self._thread: Optional[threading.Thread] = None
         self._connected = 0
 
@@ -558,7 +599,10 @@ class TissueServer:
                 conn, _ = self._listener.accept()
             except OSError:
                 break  # close() ended the wait for clients
-            self._connected += 1
+            with self._lock:
+                self._pending[index] = []
+                self._latest[index] = -math.inf
+                self._connected += 1
             t = threading.Thread(target=self._serve_client,
                                  args=(conn, index), daemon=True)
             t.start()
@@ -568,21 +612,69 @@ class TissueServer:
         self._listener.close()
 
     def _serve_client(self, conn: socket.socket, index: int) -> None:
+        last = -math.inf
+        lineno = 0
         try:
             with conn:
-                events = [parse_event(line) for line in _read_frames(conn)]
+                for lines in _read_frames(conn):
+                    events = []
+                    for line in lines:
+                        lineno += 1
+                        e = parse_event(line, lineno)
+                        if e.timestamp < last:
+                            raise StreamFormatError(
+                                f"line {lineno}: timestamp {e.timestamp!r} "
+                                f"decreases (previous {last!r})")
+                        last = e.timestamp
+                        events.append(e)
+                    self._receive(index, events)
         except (ProtocolError, ValueError, OSError) as exc:
-            # bad framing, undecodable bytes, a malformed event or a reset
+            # bad framing, undecodable bytes, a malformed or out-of-order
+            # event, or a reset
             log.warning("client %d dropped: %s", index, exc)
             with self._lock:
                 self.dropped.append((index, str(exc)))
+                del self._pending[index]
+                del self._latest[index]
             return
         with self._lock:
-            self._streams.append((index, events))
+            del self._latest[index]
+
+    def _receive(self, index: int, events: list[Event]) -> None:
+        """Add one read's events to a client's pending ones and apply
+        every pending event below the watermark."""
+        with self._lock:
+            self._pending[index] += events
+            self._latest[index] = events[-1].timestamp
+            if self._connected < self.expected_clients:
+                return  # a client yet to connect may send any timestamp
+            low = min(self._latest.values())
+            if low > -math.inf:
+                self._merge(math.floor(low))
+
+    def _merge(self, watermark: float) -> None:
+        """Apply every pending event timestamped below `watermark`, in
+        merge order. The caller holds the lock. Once the tissue has
+        raised, nothing more is applied: the run is lost, and `wait()`
+        raises the error."""
+        if self._failure is not None:
+            return
+        ready: list[Event] = []
+        for index in sorted(self._pending):
+            events = self._pending[index]
+            cut = bisect.bisect_left(events, watermark, key=_timestamp)
+            ready += events[:cut]
+            del events[:cut]
+        # stable: equal keys keep client index, then arrival, order
+        ready.sort(key=_merge_key)
+        try:
+            self.runner.run(ready)
+        except Exception as exc:
+            self._failure = exc
 
     def wait(self) -> list[MigrationRecord]:
-        """Block until all expected clients finish, then run the merged
-        stream through the tissue and return its migration records."""
+        """Block until all expected clients finish, apply the events not
+        yet applied, drain the tissue and return its migration records."""
         if self._thread is None:
             raise RuntimeError("TissueServer.wait() called before start()")
         self._thread.join()
@@ -590,16 +682,20 @@ class TissueServer:
             raise RuntimeError(
                 f"TissueServer closed after {self._connected} of "
                 f"{self.expected_clients} clients connected")
-        # (index, i) is unique, so the sort never compares two events
-        tagged = sorted(
-            (e.timestamp, e.kind != SIGNAL_SET, index, i, e)
-            for index, events in self._streams
-            for i, e in enumerate(events)
-        )
-        merged = [entry[-1] for entry in tagged]
-        self.runner.run(merged)
+        with self._lock:
+            self._merge(math.inf)
+        if self._failure is not None:
+            raise self._failure
         self.runner.drain()
         return self.runner.tissue.records
+
+
+def _timestamp(e: Event) -> float:
+    return e.timestamp
+
+
+def _merge_key(e: Event) -> tuple[float, bool]:
+    return e.timestamp, e.kind != SIGNAL_SET
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,8 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import Iterable, NamedTuple, Optional, TextIO
+from typing import (BinaryIO, Iterable, Iterator, NamedTuple, Optional,
+                    TextIO, Union)
 
 import numpy as np
 
@@ -426,18 +427,41 @@ def format_record(r: MigrationRecord) -> str:
 
 _CONTEXT_BY_VALUE = {c.value: c for c in Context}
 
+
+def _parse_antigens(text: str) -> tuple[str, ...]:
+    labels = tuple(text.split(",")) if text else ()
+    if "" in labels:
+        raise ValueError("empty antigen label")
+    return labels
+
+
 # the converter of each field, for naming the one that failed
 _FIELD_PARSERS = {"tick": int, "cell_id": int,
-                  "context": _CONTEXT_BY_VALUE.__getitem__, "antigens": str,
+                  "context": _CONTEXT_BY_VALUE.__getitem__,
+                  "antigens": _parse_antigens,
                   "csm": float, "semi": float, "mat": float}
 
 
-def read_migration_log(fh: TextIO) -> list[MigrationRecord]:
-    """Parse a migration log. Every malformed line raises a `ValueError`
-    whose message starts with `line N:`."""
-    records = []
+def log_lines(fh: Iterable[Union[str, bytes]],
+              error: type[ValueError] = ValueError) -> Iterator[tuple[int, str]]:
+    """Number the lines of a log from 1 and strip their line ends. The log
+    may be open in binary mode: each line is then decoded as UTF-8 on its
+    own, so bytes that do not decode raise `error` naming their line, not
+    a byte offset into the file."""
     for lineno, line in enumerate(fh, start=1):
-        line = line.rstrip("\n")
+        if isinstance(line, bytes):
+            try:
+                line = line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"line {lineno}: {exc}") from None
+        yield lineno, line.rstrip("\r\n")
+
+
+def read_migration_log(fh: Union[TextIO, BinaryIO]) -> list[MigrationRecord]:
+    """Parse a migration log, open in text or binary mode. Every malformed
+    line raises a `ValueError` whose message starts with `line N:`."""
+    records = []
+    for lineno, line in log_lines(fh):
         if not line:
             continue
         parts = line.split("\t")
@@ -449,7 +473,7 @@ def read_migration_log(fh: TextIO) -> list[MigrationRecord]:
                 tick=int(tick),
                 cell_id=int(cell_id),
                 context=_CONTEXT_BY_VALUE[context],
-                antigens=tuple(antigens.split(",")) if antigens else (),
+                antigens=_parse_antigens(antigens),
                 csm=float(csm),
                 semi=float(semi),
                 mat=float(mat),

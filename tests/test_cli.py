@@ -366,6 +366,30 @@ class TestPipeline:
         assert code == 1
         assert "malformed log" in captured.err
 
+    def test_report_rejects_an_empty_antigen_label(self, tmp_path, capsys):
+        log = tmp_path / "migration.log"
+        log.write_text("3\t7\tmature\ta,,b\t1.0\t2.0\t3.0\n")
+        code, captured = run(["--out", tmp_path / "p", "report",
+                              "--log", log], capsys)
+        assert code == 1
+        assert captured.err == (f"error: malformed migration log {log}: "
+                                "line 1: invalid antigens 'a,,b'\n")
+
+    @pytest.mark.parametrize("command,first", [
+        ("report", b"3\t7\tmature\ta\t1.0\t2.0\t3.0\n"),
+        ("replay", b"0.5\tA\tx\tshell\n"),
+    ], ids=["report", "replay"])
+    def test_undecodable_log_line_is_named(self, tmp_path, capsys, command,
+                                           first):
+        log = tmp_path / "bad.log"
+        log.write_bytes(first + b"\xff\xfe\n")
+        code, captured = run(["--out", tmp_path / "o", command, "--log", log],
+                             capsys)
+        assert code == 1
+        assert captured.err.count("\n") == 1
+        assert (f"{log}: line 2: 'utf-8' codec can't decode byte 0xff in "
+                "position 0") in captured.err
+
     def test_bad_endpoint_rejected(self, tmp_path, capsys):
         log = tmp_path / "s.log"
         assert run(["--out", tmp_path / "g", "generate", "--log", log]) == 0
@@ -427,6 +451,17 @@ class TestServe:
             "client 0 ('utf-8' codec can't decode")
         assert not (tmp_path / "migration.log").exists()
         assert not (tmp_path / "verdicts.tsv").exists()
+
+
+    def test_a_drop_is_reported_once(self, tmp_path):
+        def send_undecodable(port):
+            with socket.create_connection(("127.0.0.1", port)) as sock:
+                sock.sendall(b"\x00\x00\x00\x02\xff\xfe")
+
+        code, err = self.serve(tmp_path, send_undecodable)
+        assert code == 1
+        assert err.count("\n") == 1
+        assert err.startswith("error: 1 of 1 client(s) dropped")
 
 
 class TestSetUpErrors:

@@ -10,10 +10,12 @@ streams across releases.
 
 import hashlib
 import io
+import threading
 
 from dca.analysis import write_process_table
 from dca.cli import main
-from dca.streams import (EventDrivenRunner, ScenarioConfig, generate_scenario,
+from dca.streams import (SIGNAL_SET, EventDrivenRunner, ScenarioConfig,
+                         StreamClient, TissueServer, generate_scenario, replay,
                          run_portscan_experiment)
 from dca.tissue import PopulationConfig, Tissue, write_migration_log
 
@@ -48,6 +50,32 @@ def test_portscan_in_process_migration_log():
     runner.drain()
     buf = io.StringIO()
     write_migration_log(runner.tissue.records, buf)
+    assert sha(buf.getvalue().encode()) == PORTSCAN_SCENARIO_6
+
+
+def test_portscan_served_by_two_clients_migration_log():
+    # a signal client that finishes early and an antigen client, streamed
+    # and merged as they arrive, give the in-process log
+    events = generate_scenario(ScenarioConfig(noise_seed=6))
+    with TissueServer(EventDrivenRunner(Tissue(PopulationConfig.portscan(
+            seed=6))), expected_clients=2) as server:
+        server.start()
+
+        def push(stream):
+            with StreamClient(*server.address) as client:
+                replay(stream, "max", client)
+
+        threads = [threading.Thread(target=push, args=(
+            [e for e in events if (e.kind == SIGNAL_SET) == signals],))
+            for signals in (True, False)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+        records = server.wait()
+    buf = io.StringIO()
+    write_migration_log(records, buf)
     assert sha(buf.getvalue().encode()) == PORTSCAN_SCENARIO_6
 
 

@@ -4,7 +4,9 @@ scenario, replay pacing, and the framed socket transport."""
 import io
 import socket
 import struct
+import sys
 import threading
+import time
 from dataclasses import replace
 
 import pytest
@@ -22,22 +24,33 @@ from dca.streams import (ANTIGEN, BASELINE_PPS, K_DANGER, K_SAFE, MAX_FRAME,
                          scenario_process_groups, write_log)
 from dca.tissue import PopulationConfig, Tissue
 
-events_strategy = st.lists(
-    st.one_of(
-        st.builds(Event.signal_set,
-                  st.floats(0, 1e6, allow_nan=False),
-                  st.builds(SignalVector,
-                            pamp=st.floats(0, 100), danger=st.floats(0, 100),
-                            safe=st.floats(0, 100),
-                            inflammation=st.floats(0, 2))),
-        st.builds(Event.antigen,
-                  st.floats(0, 1e6, allow_nan=False),
-                  st.text(alphabet=st.characters(
-                      whitelist_categories=("L", "N")), min_size=1, max_size=10),
-                  st.sampled_from(["shell", "scanner", "file-transfer"])),
-    ),
-    max_size=20,
-).map(lambda evs: sorted(evs, key=lambda e: e.timestamp))
+event_strategy = st.one_of(
+    st.builds(Event.signal_set,
+              st.floats(0, 1e6, allow_nan=False),
+              st.builds(SignalVector,
+                        pamp=st.floats(0, 100), danger=st.floats(0, 100),
+                        safe=st.floats(0, 100),
+                        inflammation=st.floats(0, 2))),
+    st.builds(Event.antigen,
+              st.floats(0, 1e6, allow_nan=False),
+              st.text(alphabet=st.characters(
+                  whitelist_categories=("L", "N")), min_size=1, max_size=10),
+              st.sampled_from(["shell", "scanner", "file-transfer"])),
+)
+events_strategy = st.lists(event_strategy, max_size=20).map(
+    lambda evs: sorted(evs, key=lambda e: e.timestamp))
+
+
+# near-valid event lines: whole events, tab-joined fields from a vocabulary
+# that reaches every check, and arbitrary text
+event_field = st.one_of(
+    st.sampled_from(["0", "1.5", "-1", "-0.0", "nan", "inf", "1e999", "2.5",
+                     "", "S", "A", "x", "x,y", "sh\rell", " 3 "]),
+    st.text(max_size=8))
+event_line = st.one_of(
+    event_strategy.map(format_event),
+    st.lists(event_field, min_size=1, max_size=7).map("\t".join),
+    st.text(max_size=40))
 
 
 def scenario_events(noise_seed=3):
@@ -114,7 +127,7 @@ class Trickle:
 
 def read_payloads(fragments):
     with Trickle(fragments) as sock:
-        return list(_read_frames(sock))
+        return [payload for batch in _read_frames(sock) for payload in batch]
 
 
 @st.composite
@@ -164,6 +177,53 @@ class TestEventLog:
             read_log(io.StringIO("nonsense\n"))
         with pytest.raises(StreamFormatError, match="line 3"):
             read_log(io.StringIO("0\tA\tx\tshell\n1\tA\ty\tshell\n2\tS\tbad\n"))
+
+    @given(st.lists(event_line, max_size=8))
+    @settings(max_examples=200)
+    def test_any_text_parses_or_raises_a_stream_format_error(self, lines):
+        for line in lines:
+            try:
+                text = format_event(parse_event(line))
+            except StreamFormatError:
+                continue
+            assert format_event(parse_event(text)) == text
+        try:
+            read_log(io.StringIO("\n".join(lines)))
+        except StreamFormatError:
+            pass
+
+    @given(st.binary(max_size=80))
+    @settings(max_examples=200)
+    def test_any_bytes_parse_or_raise_a_stream_format_error(self, data):
+        try:
+            read_log(io.BytesIO(data))
+        except StreamFormatError:
+            pass
+
+    def test_undecodable_bytes_are_reported_by_line(self):
+        data = b"0\tA\tx\tshell\n1\tA\t\xff\xfe\tshell\n"
+        with pytest.raises(StreamFormatError,
+                           match="^line 2: 'utf-8' codec can't decode"):
+            read_log(io.BytesIO(data))
+        assert read_log(io.BytesIO(data[:12])) == [
+            Event.antigen(0.0, "x", "shell")]
+
+    def test_named_tuple_copies_are_validated(self):
+        antigen = Event.antigen(1.0, "a", "shell")
+        assert antigen._replace(label="b") == Event.antigen(1.0, "b", "shell")
+        with pytest.raises(ValueError):
+            antigen._replace(label="a,b")
+        with pytest.raises(ValueError):
+            antigen._replace(timestamp=float("nan"))
+        with pytest.raises(ValueError):
+            Event._make((1.0, "Z", None, None, None))
+        with pytest.raises(ValueError):
+            SignalVector()._replace(inflammation=3.0)
+        with pytest.raises(ValueError):
+            SignalVector._make((-1.0, 0.0, 0.0, 0.0))
+        assert hash(antigen) == hash(Event.antigen(1.0, "a", "shell"))
+        with pytest.raises(AttributeError):
+            antigen.label = "b"
 
     def test_event_validation(self):
         with pytest.raises(ValueError):
@@ -399,7 +459,7 @@ class TestFrameReader:
         payloads = [f"0.5\tA\tx{i}\tshell" for i in range(500)]
         wire = b"".join(frame(p.encode()) for p in payloads)
         with Trickle([wire]) as sock:
-            assert list(_read_frames(sock)) == payloads
+            assert list(_read_frames(sock)) == [payloads]
             assert sock.reads == 2  # the burst, then EOF
 
     def test_eof_at_a_frame_boundary_ends_cleanly(self):
@@ -421,7 +481,7 @@ class TestFrameReader:
             rx.settimeout(WAIT_DEADLINE_S)
             tx.sendall(frame(b"ok") + struct.pack(">I", MAX_FRAME + 1))
             reader = _read_frames(rx)
-            assert next(reader) == "ok"
+            assert next(reader) == ["ok"]
             with pytest.raises(ProtocolError, match="exceeds"):
                 next(reader)
 
@@ -563,6 +623,109 @@ class TestWireTransport:
             replay(events, "max", client)
         assert wait_for(server) == expected
         assert "dropped" in caplog.text
+
+    def test_decreasing_timestamp_drops_that_client(self):
+        events = scenario_events()
+        expected = run_in_process(events)
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))), expected_clients=2)
+        server.start()
+        # past the other stream's end, so neither event can be applied
+        # before the second one drops the client
+        rogue = socket.create_connection(server.address)
+        rogue.sendall(frame(b"1000.0\tA\tx\tshell")
+                      + frame(b"999.0\tA\ty\tshell"))
+        rogue.close()
+        with StreamClient(*server.address) as client:
+            replay(events, "max", client)
+        assert wait_for(server) == expected
+        assert server.dropped == [
+            (0, "line 2: timestamp 999.0 decreases (previous 1000.0)")]
+
+    def test_merges_while_the_stream_runs_and_keeps_them_after_a_drop(self):
+        events = scenario_events()
+        head = [e for e in events if e.timestamp <= 20.0]
+        assert head[-1] == Event.signal_set(20.0, head[-1].signals)
+        expected = run_in_process([e for e in head if e.timestamp < 20.0])
+        runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=9)))
+        server = TissueServer(runner)
+        server.start()
+        with socket.create_connection(server.address) as sock:
+            sock.sendall(b"".join(frame(format_event(e).encode())
+                                  for e in head))
+            # the event at 20.0 moves the watermark to 20: every earlier
+            # event is applied while the client is still connected
+            deadline = time.monotonic() + WAIT_DEADLINE_S
+            while runner.tissue.compartment.clock < 19:
+                assert time.monotonic() < deadline, "no merge before the end"
+                time.sleep(0.01)
+            sock.sendall(frame(b"\xff\xfe"))
+        assert wait_for(server) == expected
+        assert [index for index, _ in server.dropped] == [0]
+
+    def test_nothing_is_applied_before_every_client_has_connected(self):
+        events = scenario_events()
+        expected = run_in_process(events)
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))), expected_clients=2)
+        server.start()
+        with StreamClient(*server.address) as client:
+            replay([e for e in events if e.kind == SIGNAL_SET], "max", client)
+        # give the server time to read the whole signal stream; the
+        # antigen client, yet to connect, still sends from timestamp 0
+        time.sleep(0.2)
+        with StreamClient(*server.address) as client:
+            replay([e for e in events if e.kind == ANTIGEN], "max", client)
+        assert wait_for(server) == expected
+
+    def test_tissue_error_is_raised_from_wait_not_a_drop(self):
+        class FaultyRunner(EventDrivenRunner):
+            def apply(self, event):
+                if event.timestamp > 50:
+                    raise ValueError("tissue fault")
+                super().apply(event)
+
+        server = TissueServer(FaultyRunner(
+            Tissue(PopulationConfig.portscan(seed=9))))
+        server.start()
+        with StreamClient(*server.address) as client:
+            replay(scenario_events(), "max", client)
+        with pytest.raises(ValueError, match="tissue fault"):
+            wait_for(server)
+        assert server.dropped == []
+
+    @given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
+    @settings(max_examples=5, deadline=None)
+    def test_any_split_into_clients_serves_the_in_process_run(self, owners):
+        # event i goes to client owners[i % len(owners)]; a client that
+        # owns none sends nothing and finishes at once. More clients than
+        # cores and a short switch interval stress the shared merge state.
+        events = scenario_events()[:400]
+        parts = [[], [], [], []]
+        for i, e in enumerate(events):
+            parts[owners[i % len(owners)]].append(e)
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))), expected_clients=4)
+        server.start()
+
+        def push(stream):
+            with StreamClient(*server.address) as client:
+                replay(stream, "max", client)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=push, args=(p,))
+                       for p in parts]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(WAIT_DEADLINE_S)
+                assert not t.is_alive()
+            records = wait_for(server)
+        finally:
+            sys.setswitchinterval(interval)
+        assert records == run_in_process(events)
 
     def test_wait_before_start_is_an_error(self):
         with TissueServer(EventDrivenRunner(

@@ -358,12 +358,22 @@ class TestMigrationLog:
         ("1\t2\tmature\ta\tx\t2.0\t3.0", "line 2: invalid csm 'x'"),
         ("1.5\t2\tmature\ta\t1.0\t2.0\t3.0", "line 2: invalid tick '1.5'"),
         ("1\t2\tmature\t\t1.0\t2.0\t", "line 2: invalid mat ''"),
+        ("1\t2\tmature\ta,,b\t1.0\t2.0\t3.0", "line 2: invalid antigens 'a,,b'"),
+        ("1\t2\tmature\t,a\t1.0\t2.0\t3.0", "line 2: invalid antigens ',a'"),
+        ("1\t2\tmature\ta,\t1.0\t2.0\t3.0", "line 2: invalid antigens 'a,'"),
     ])
     def test_bad_field_names_its_line_and_field(self, line, message):
         buf = io.StringIO("3\t7\tmature\ta\t1.0\t2.0\t3.0\n" + line + "\n")
         with pytest.raises(ValueError) as info:
             read_migration_log(buf)
         assert str(info.value) == message
+
+    def test_binary_log_reads_as_text_and_names_an_undecodable_line(self):
+        good = "3\t7\tmature\ta\t1.0\t2.0\t3.0\n"
+        assert (read_migration_log(io.BytesIO(good.encode()))
+                == read_migration_log(io.StringIO(good)))
+        with pytest.raises(ValueError, match="^line 2: 'utf-8' codec"):
+            read_migration_log(io.BytesIO(good.encode() + b"\xff\xfe\n"))
 
     @given(st.lists(log_line, max_size=8).map("\n".join))
     @settings(max_examples=300)
