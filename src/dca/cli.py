@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, BinaryIO, Callable, Optional, Sequence
 
 from . import __version__
 from .analysis import (aggregate, classify, count_errors, write_process_table,
@@ -26,7 +26,7 @@ from .streams import (EventDrivenRunner, PORTSCAN_EXPERIMENTS, ScenarioConfig,
                       SinkDisconnected, StreamClient, TissueServer,
                       generate_scenario, read_log, replay,
                       run_portscan_experiment, write_log)
-from .tissue import (PopulationConfig, Tissue, read_migration_log,
+from .tissue import (PopulationConfig, Tissue, log_lines, read_migration_log,
                      write_migration_log)
 
 SWEEP_SETTINGS = {
@@ -54,17 +54,17 @@ class _Parser(argparse.ArgumentParser):
 
 def read_config(path: Path) -> dict[str, str]:
     """Parse a line-oriented `key = value` configuration file."""
+    return _read(path, "config", _parse_config)
+
+
+def _parse_config(fh: BinaryIO) -> dict[str, str]:
     out: dict[str, str] = {}
-    try:
-        text = path.read_text()
-    except OSError as exc:
-        raise CliError(f"cannot read config {path}: {exc}") from exc
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in log_lines(fh):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
-            raise CliError(f"{path}:{lineno}: expected 'key = value'")
+            raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
         out[key.strip().replace("-", "_")] = value.strip()
     return out
@@ -227,12 +227,13 @@ def _write_manifest(args: argparse.Namespace, out: Path) -> None:
     (out / "manifest.txt").write_text("\n".join(lines) + "\n")
 
 
-def _read(path: Path, what: str, parse: Callable, binary: bool = False):
+def _read(path: Path, what: str, parse: Callable):
     """Parse an input file; an unreadable or malformed one ends the run.
-    The log readers take the file in binary mode, so that bytes that are
-    not UTF-8 are reported by line."""
+    Every reader takes the file in binary mode and decodes it line by
+    line (see `log_lines`), so that bytes that are not UTF-8 are reported
+    by line."""
     try:
-        with open(path, "rb" if binary else "r") as fh:
+        with open(path, "rb") as fh:
             return parse(fh)
     except OSError as exc:
         raise CliError(f"cannot read {what}: {exc}") from exc
@@ -339,7 +340,7 @@ def cmd_generate(args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_replay(args: argparse.Namespace, out: Path) -> int:
-    events = _read(args.log, "log", read_log, binary=True)
+    events = _read(args.log, "log", read_log)
     if args.endpoint is not None:
         try:
             with StreamClient(*_split_endpoint(args.endpoint)) as client:
@@ -382,8 +383,7 @@ def cmd_serve(args: argparse.Namespace, out: Path) -> int:
 
 
 def cmd_report(args: argparse.Namespace, out: Path) -> int:
-    records = _read(args.log, "migration log", read_migration_log,
-                    binary=True)
+    records = _read(args.log, "migration log", read_migration_log)
     truth = None if args.truth is None else _read(
         args.truth, "truth",
         lambda fh: {it.id: it.true_class for it in load_items(fh)})

@@ -11,6 +11,7 @@ pool itself lives in `dca.tissue`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -35,8 +36,8 @@ class _SignalFields(NamedTuple):
 class SignalVector(_SignalFields):
     """Signal concentrations at one instant.
 
-    pamp, danger and safe are non-negative concentrations (nominal range
-    0-100); inflammation is a context amplifier in [0, 2]. An immutable
+    pamp, danger and safe are finite non-negative concentrations (nominal
+    range 0-100); inflammation is a context amplifier in [0, 2]. An immutable
     named tuple, equal and hashed by value; every way of building one
     (the constructor, `_make`, `_replace`) checks the ranges.
     """
@@ -45,8 +46,10 @@ class SignalVector(_SignalFields):
 
     def __new__(cls, pamp: float = 0.0, danger: float = 0.0,
                 safe: float = 0.0, inflammation: float = 0.0):
-        if pamp < 0 or danger < 0 or safe < 0:
-            raise ValueError("pamp, danger and safe must be non-negative")
+        if not (0 <= pamp < math.inf and 0 <= danger < math.inf
+                and 0 <= safe < math.inf):  # NaN fails too
+            raise ValueError("pamp, danger and safe must be finite and "
+                             "non-negative")
         if not 0.0 <= inflammation <= 2.0:
             raise ValueError("inflammation must lie in [0, 2]")
         return tuple.__new__(cls, (pamp, danger, safe, inflammation))

@@ -18,12 +18,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .analysis import AntigenVerdict, RunSummary, aggregate, classify, count_errors
 from .core import SignalVector, fuse_signals
 from .streams import DRAIN_TICKS, Event, EventDrivenRunner
-from .tissue import MigrationRecord, PopulationConfig, Tissue
+from .tissue import MigrationRecord, PopulationConfig, Tissue, log_lines
 
 DANGER_ATTRIBUTE_COUNT = 3
 DEFAULT_THRESHOLD = 0.65
@@ -197,10 +197,12 @@ def context_switch_curve(ordered_ids: Sequence[str],
 
 # --- file formats -----------------------------------------------------------
 
-def _rows(fh: TextIO) -> Iterator[tuple[int, list[str]]]:
+def _rows(fh: Iterable[Union[str, bytes]]
+          ) -> Iterator[tuple[int, list[str]]]:
     """Line number and the 11 comma-separated fields of each line, skipping
-    blank and `#` comment lines; shared by both dataset formats."""
-    for lineno, line in enumerate(fh, start=1):
+    blank and `#` comment lines; shared by both dataset formats, open in
+    text or binary mode (see `log_lines`)."""
+    for lineno, line in log_lines(fh):
         line = line.strip()
         if line and not line.startswith("#"):
             parts = line.split(",")
@@ -209,11 +211,18 @@ def _rows(fh: TextIO) -> Iterator[tuple[int, list[str]]]:
             yield lineno, parts
 
 
-def load_items(fh: TextIO) -> list[LabelledItem]:
-    """Read the native format: id, 9 attribute values, class per line."""
-    return [LabelledItem(parts[0], tuple(float(p) for p in parts[1:10]),
-                         int(parts[10]))
-            for _, parts in _rows(fh)]
+def load_items(fh: Iterable[Union[str, bytes]]) -> list[LabelledItem]:
+    """Read the native format: id, 9 attribute values, class per line.
+    Every malformed line raises a `ValueError` whose message starts with
+    `line N:`."""
+    items = []
+    for lineno, parts in _rows(fh):
+        try:
+            items.append(LabelledItem(
+                parts[0], tuple(map(float, parts[1:10])), int(parts[10])))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
+    return items
 
 
 def write_items(items: Iterable[LabelledItem], fh: TextIO) -> None:
@@ -222,7 +231,7 @@ def write_items(items: Iterable[LabelledItem], fh: TextIO) -> None:
         fh.write(f"{it.id},{attrs},{it.true_class}\n")
 
 
-def load_uci(fh: TextIO) -> list[LabelledItem]:
+def load_uci(fh: Iterable[Union[str, bytes]]) -> list[LabelledItem]:
     """Read the UCI breast-cancer-wisconsin format.
 
     Lines are: sample code number, 9 attributes on the 1-10 integer
@@ -230,15 +239,21 @@ def load_uci(fh: TextIO) -> list[LabelledItem]:
     10; records with missing values ('?') are dropped. The smaller class
     becomes class 0 (class 2 on a tie). Duplicate sample codes are
     disambiguated with a suffix so every antigen label stays unique.
+    Every malformed line raises a `ValueError` whose message starts with
+    `line N:`.
     """
     raw = []
     for lineno, parts in _rows(fh):
         if "?" in parts[1:10]:
             continue
-        cls = int(parts[10])
+        try:
+            cls = int(parts[10])
+            attrs = tuple(int(p) / 10.0 for p in parts[1:10])
+        except (ValueError, OverflowError) as exc:  # too large for a float
+            raise ValueError(f"line {lineno}: {exc}") from None
         if cls not in (2, 4):
             raise ValueError(f"line {lineno}: class must be 2 or 4, got {cls}")
-        raw.append((parts[0], tuple(int(p) / 10.0 for p in parts[1:10]), cls))
+        raw.append((parts[0], attrs, cls))
     n4 = sum(cls == 4 for _, _, cls in raw)
     class_zero_value = 4 if n4 < len(raw) - n4 else 2
     seen: dict[str, int] = {}

@@ -79,7 +79,10 @@ class Event(_EventFields):
     and source process name). Timestamps are seconds since stream start
     and must be non-decreasing within a stream. An immutable named tuple,
     equal and hashed by value; every way of building one (the
-    constructor, `_make`, `_replace`) runs the same checks.
+    constructor, `_make`, `_replace`) runs the same checks. The one
+    exception is `generate_scenario`, which checks its fixed table of
+    (label, process) pairs once per call and then builds its antigen
+    events without repeating the checks.
     """
 
     __slots__ = ()
@@ -330,6 +333,13 @@ def generate_scenario(cfg: ScenarioConfig) -> list[Event]:
                for offset in range(pid_counts[proc])]
         for i, proc in enumerate(PROCESS_RATES)
     }
+    # every antigen event draws its label and process from this table, so
+    # checking each pair once checks them all; the events below skip
+    # `Event.__new__`, and their timestamps t + i/k are finite and
+    # non-negative by construction
+    for proc, proc_labels in labels.items():
+        for label in proc_labels:
+            Event.antigen(0.0, label, proc)
 
     events: list[Event] = []
     for t in range(seconds):
@@ -344,8 +354,9 @@ def generate_scenario(cfg: ScenarioConfig) -> list[Event]:
             for _ in range(_emission_count(rate, rng)):
                 emissions.append((rng.choice(labels[proc]), proc))
         for i, (label, proc) in enumerate(emissions):
-            events.append(Event.antigen(
-                t + (i + 1) / (len(emissions) + 1), label, proc))
+            events.append(tuple.__new__(Event, (
+                t + (i + 1) / (len(emissions) + 1), ANTIGEN, None, label,
+                proc)))
     return events
 
 

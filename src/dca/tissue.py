@@ -254,7 +254,10 @@ class Tissue:
     def records_with_antigen(self) -> list[MigrationRecord]:
         """The records of the migrated cells that held antigen, in log
         order. Only antigen reaches a verdict, so this is all `aggregate`
-        needs; it builds no record for a migration without antigen."""
+        needs. Each tick's log indexes its antigen rows, and only those are
+        gathered: a migration without antigen is neither built nor
+        scanned, except among records already built by a read of
+        `records`."""
         return ([r for r in self._records if r.antigens]
                 + _build_records(self._pending, antigen_only=True))
 
@@ -306,14 +309,23 @@ class Tissue:
 
     def _replace(self, tick: int, cells: np.ndarray) -> _TickLog:
         """Log the migrated cells, in tick order, and put fresh immature
-        cells in their places. Each migrated cell's label list moves into
-        the log, since its replacement starts with a new one."""
+        cells in their places. A migrated cell's label list moves into the
+        log only if it holds antigen, and its replacement starts with a new
+        one; a cell that held nothing logs `()` and leaves its empty list
+        in the pool, so the log never shares a list with a live cell."""
         labels = self._labels
-        cell_list = cells.tolist()
+        logged_labels: list[Sequence[str]] = []
+        rows: list[int] = []
+        for row, cell in enumerate(cells.tolist()):
+            held = labels[cell]
+            if held:
+                labels[cell] = []
+                rows.append(row)
+            else:
+                held = ()
+            logged_labels.append(held)
         logged = _TickLog(tick, self._id[cells], self._cytokines[cells],
-                          [labels[cell] for cell in cell_list])
-        for cell in cell_list:
-            labels[cell] = []
+                          logged_labels, rows)
         count = cells.size
         self._id[cells] = np.arange(self._next_id, self._next_id + count)
         self._next_id += count
@@ -325,17 +337,20 @@ class Tissue:
 
 class _TickLog(Sequence):
     """The migrations of one tick, in tick order: the cells' ids, their
-    cytokine rows (csm, semi, mat) and their label lists. As a sequence it
-    holds the tick's records, built on first access."""
+    cytokine rows (csm, semi, mat) and their labels (`()` for a cell that
+    held none), plus `rows`, the positions of the migrations whose cell
+    held antigen. As a sequence it holds the tick's records, built on
+    first access."""
 
-    __slots__ = ("tick", "ids", "cytokines", "labels", "_records")
+    __slots__ = ("tick", "ids", "cytokines", "labels", "rows", "_records")
 
     def __init__(self, tick: int, ids: np.ndarray, cytokines: np.ndarray,
-                 labels: list[list[str]]):
+                 labels: list[Sequence[str]], rows: list[int]):
         self.tick = tick
         self.ids = ids
         self.cytokines = cytokines
         self.labels = labels
+        self.rows = rows
         self._records: Optional[list[MigrationRecord]] = None
 
     def __len__(self) -> int:
@@ -353,21 +368,25 @@ _CONTEXTS = (Context.SEMI_MATURE, Context.MATURE)  # indexed by mat > semi
 def _build_records(logged: Sequence[_TickLog],
                    antigen_only: bool = False) -> list[MigrationRecord]:
     """The records of the logged ticks, in log order, built one column at
-    a time; with `antigen_only`, only those of cells that held antigen."""
+    a time; with `antigen_only`, only those of the rows each tick indexed
+    as holding antigen, which are gathered without touching the rest."""
+    if antigen_only:
+        logged = [m for m in logged if m.rows]
     if not logged:
         return []
-    # the records of one tick share its tick number object
-    ticks = list(chain.from_iterable(repeat(m.tick, len(m.labels))
-                                     for m in logged))
-    ids = np.concatenate([m.ids for m in logged])
-    cytokines = np.concatenate([m.cytokines for m in logged])
-    labels = list(chain.from_iterable(m.labels for m in logged))
     if antigen_only:
-        held = np.flatnonzero(np.fromiter(map(bool, labels), bool, len(labels)))
-        rows = held.tolist()
-        ticks = list(map(ticks.__getitem__, rows))
-        labels = list(map(labels.__getitem__, rows))
-        ids, cytokines = ids[held], cytokines[held]
+        counts = [len(m.rows) for m in logged]
+        ids = np.concatenate([m.ids[m.rows] for m in logged])
+        cytokines = np.concatenate([m.cytokines[m.rows] for m in logged])
+        labels = chain.from_iterable(
+            map(m.labels.__getitem__, m.rows) for m in logged)
+    else:
+        counts = [len(m.labels) for m in logged]
+        ids = np.concatenate([m.ids for m in logged])
+        cytokines = np.concatenate([m.cytokines for m in logged])
+        labels = chain.from_iterable(m.labels for m in logged)
+    # the records of one tick share its tick number object
+    ticks = chain.from_iterable(map(repeat, [m.tick for m in logged], counts))
     csm, semi, mat = cytokines.T.tolist()
     contexts = map(_CONTEXTS.__getitem__,
                    (cytokines[:, 2] > cytokines[:, 1]).tolist())

@@ -1,12 +1,16 @@
 """Command-line harness: reproducibility of output trees, config-file
 precedence, and the generate/replay/report pipeline."""
 
+import re
 import socket
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dca
 from dca import cli
@@ -104,6 +108,21 @@ class TestBc:
         with open(tmp_path / "out" / "items.csv") as fh:
             assert load_items(fh) == converted
         assert converted[-1].id == "1000#1"
+
+    @pytest.mark.parametrize("attribute,cls,message", [
+        ("x", "1", "line 2: could not convert string to float: 'x'"),
+        ("0.5", "7", "line 2: class must be 0 or 1"),
+    ], ids=["attribute", "class"])
+    def test_malformed_dataset_names_its_line(self, tmp_path, capsys,
+                                              attribute, cls, message):
+        data = tmp_path / "items.csv"
+        data.write_text("a," + ",".join(["0.5"] * 9) + ",0\n"
+                        f"b,{attribute}," + ",".join(["0.5"] * 8)
+                        + f",{cls}\n")
+        code, captured = run(["--out", tmp_path / "out", "bc",
+                              "--dataset", data], capsys)
+        assert code == 1
+        assert captured.err == f"error: malformed dataset {data}: {message}\n"
 
     def test_dataset_named_items_csv_in_out_is_not_overwritten(self, tmp_path):
         data = tmp_path / "items.csv"
@@ -207,6 +226,35 @@ class TestConfigFile:
                               "bc"], capsys)
         assert code == 1
         assert "expected 'key = value'" in captured.err
+
+    def test_undecodable_bytes_are_named_by_file_and_line(self, tmp_path,
+                                                          capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(b"seed = 3\nrepeats = \xff2\n")
+        code, captured = run(["--config", cfg, "--out", tmp_path / "out",
+                              "bc"], capsys)
+        assert code == 1
+        assert captured.err.startswith(
+            f"error: malformed config {cfg}: line 2: 'utf-8' codec can't "
+            "decode byte 0xff")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @given(st.binary(max_size=60) | st.text(
+        alphabet=st.sampled_from("ab =#\t\r\n-\x85\u2028"), max_size=30
+    ).map(str.encode))
+    @settings(max_examples=200)
+    def test_any_config_loads_or_names_its_file_and_line(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            cfg = Path(tmp) / "run.cfg"
+            cfg.write_bytes(data)
+            try:
+                config = cli.read_config(cfg)
+            except cli.CliError as exc:
+                assert re.match(rf"malformed config {re.escape(str(cfg))}: "
+                                r"line \d+: ", str(exc)), exc
+            else:
+                assert all(isinstance(v, str) for v in config.values())
 
     def test_value_outside_choices_fails_before_any_output(self, tmp_path,
                                                            capsys):

@@ -44,6 +44,12 @@ class TestSignalVector:
             with pytest.raises(ValueError):
                 SignalVector(**{field: -0.1})
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["pamp", "danger", "safe"])
+    def test_rejects_non_finite_concentrations(self, field, value):
+        with pytest.raises(ValueError, match="finite"):
+            SignalVector(**{field: value})
+
     def test_rejects_inflammation_outside_range(self):
         with pytest.raises(ValueError):
             SignalVector(inflammation=-0.01)

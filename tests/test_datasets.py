@@ -3,6 +3,7 @@ and the two file formats."""
 
 import io
 import math
+import re
 import statistics
 
 import pytest
@@ -14,6 +15,18 @@ from dca.datasets import (TARGET_CSM_RATE, LabelledItem, SignalMapping,
                           item_to_signals, load_items, load_uci, order_stream,
                           select_attributes, synthetic_items, write_items)
 from dca.tissue import PopulationConfig
+
+
+# near-valid dataset lines: 11 fields from a vocabulary that reaches every
+# check of both formats, any number of such fields, and arbitrary text
+dataset_field = st.one_of(
+    st.sampled_from(["0", "1", "2", "4", "7", "0.5", "10", "?", "nan", "inf",
+                     "-1", "1e999", "9" * 400, "x", "", " 3 ", "#"]),
+    st.text(max_size=6))
+dataset_line = st.one_of(
+    st.lists(dataset_field, min_size=11, max_size=11).map(",".join),
+    st.lists(dataset_field, max_size=13).map(",".join),
+    st.text(max_size=40))
 
 
 def make_item(ident, attrs, cls):
@@ -213,3 +226,56 @@ class TestFileFormats:
     def test_uci_bad_class_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
             load_uci(io.StringIO("9,5,1,1,1,2,1,3,1,1,3\n"))
+
+    @pytest.mark.parametrize("line,message", [
+        ("a,0.5,0.5,0.5,0.5,x,0.5,0.5,0.5,0.5,1",
+         "line 2: could not convert string to float: 'x'"),
+        ("a,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,7",
+         "line 2: class must be 0 or 1"),
+        ("a,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,x",
+         "line 2: invalid literal for int()"),
+        ("a,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,nan,1",
+         "line 2: attributes must be finite"),
+    ], ids=["attribute", "class", "class-text", "nan"])
+    def test_native_value_errors_name_their_line(self, line, message):
+        text = "# header\n" + line + "\n"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            load_items(io.StringIO(text))
+
+    @pytest.mark.parametrize("line,message", [
+        ("9,5,1,x,1,2,1,3,1,1,2", "line 2: invalid literal for int()"),
+        ("9,5,1,1,1,2,1,3,1,1,b", "line 2: invalid literal for int()"),
+        ("9,5,1,1,1,2,1,3,1,1,7", "line 2: class must be 2 or 4, got 7"),
+        ("9,5,1,1,1,2,1,3,1," + "9" * 400 + ",2",
+         "line 2: int too large to convert to float"),
+    ], ids=["attribute", "class-text", "class", "huge"])
+    def test_uci_value_errors_name_their_line(self, line, message):
+        text = "9,5,1,1,1,2,1,3,1,1,2\n" + line + "\n"
+        with pytest.raises(ValueError, match="^" + re.escape(message)):
+            load_uci(io.StringIO(text))
+
+    def test_undecodable_bytes_are_reported_by_line(self):
+        data = b"# items\n\xff\n"
+        for load in (load_items, load_uci):
+            with pytest.raises(ValueError,
+                               match="^line 2: 'utf-8' codec can't decode"):
+                load(io.BytesIO(data))
+
+    @given(st.lists(dataset_line, max_size=6))
+    @settings(max_examples=300)
+    def test_any_text_loads_or_names_its_line(self, lines):
+        text = "\n".join(lines)
+        for load in (load_items, load_uci):
+            try:
+                load(io.StringIO(text))
+            except ValueError as exc:
+                assert re.match(r"line \d+: ", str(exc)), exc
+
+    @given(st.binary(max_size=120))
+    @settings(max_examples=200)
+    def test_any_bytes_load_or_name_their_line(self, data):
+        for load in (load_items, load_uci):
+            try:
+                load(io.BytesIO(data))
+            except ValueError as exc:
+                assert re.match(r"line \d+: ", str(exc)), exc

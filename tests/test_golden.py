@@ -16,7 +16,7 @@ from dca.analysis import write_process_table
 from dca.cli import main
 from dca.streams import (SIGNAL_SET, EventDrivenRunner, ScenarioConfig,
                          StreamClient, TissueServer, generate_scenario, replay,
-                         run_portscan_experiment)
+                         run_portscan_experiment, write_log)
 from dca.tissue import PopulationConfig, Tissue, write_migration_log
 
 BC_SEED_11 = {
@@ -29,6 +29,8 @@ BC_SEED_11 = {
 }
 PORTSCAN_SCENARIO_6 = (
     "a1cc152b8b3fe5e1b291af251cc0653eb209878112483bcd6a7b604f26aa0d4e")
+SCENARIO_6_EVENT_LOG = (
+    "512967b06bcb5808ed27cc488ef07479900b40e3791134afa25c1e021cd316a6")
 EXPERIMENT_2_TABLE = (
     "ba31d9e1eae4458c9b1dbdab19fda3e158c7b1ae32c10320ec793c8f2e3b7b71")
 
@@ -42,6 +44,12 @@ def test_bc_cli_outputs(tmp_path):
                  "bc", "--repeats", "1"]) == 0
     assert {name: sha((tmp_path / name).read_bytes())
             for name in BC_SEED_11} == BC_SEED_11
+
+
+def test_scenario_event_log():
+    buf = io.StringIO()
+    write_log(generate_scenario(ScenarioConfig(noise_seed=6)), buf)
+    assert sha(buf.getvalue().encode()) == SCENARIO_6_EVENT_LOG
 
 
 def test_portscan_in_process_migration_log():

@@ -178,6 +178,10 @@ class TestEventLog:
         with pytest.raises(StreamFormatError, match="line 3"):
             read_log(io.StringIO("0\tA\tx\tshell\n1\tA\ty\tshell\n2\tS\tbad\n"))
 
+    def test_non_finite_signal_rejected_with_line_number(self):
+        with pytest.raises(StreamFormatError, match="^line 2: .*finite"):
+            read_log(io.StringIO("0\tS\t1\t1\t1\t0\n1\tS\tnan\t1\t1\t0\n"))
+
     @given(st.lists(event_line, max_size=8))
     @settings(max_examples=200)
     def test_any_text_parses_or_raises_a_stream_format_error(self, lines):
@@ -335,6 +339,21 @@ class TestScenario:
     def test_invalid_config_rejected(self):
         with pytest.raises(ValueError):
             ScenarioConfig(scan_duration=0)
+
+    @pytest.mark.parametrize("cfg", [
+        ScenarioConfig(noise_seed=0), ScenarioConfig(noise_seed=7),
+        ScenarioConfig(noise_seed=31),
+        ScenarioConfig(login_duration=150, scan_duration=150,
+                       pause_duration=150, transfer_duration=75,
+                       close_duration=50, noise_seed=2)])
+    def test_every_generated_event_passes_the_full_checks(self, cfg):
+        # the generator checks its label table once and builds its antigen
+        # events without the constructor; each must still be one it accepts
+        events = generate_scenario(cfg)
+        assert any(e.kind == ANTIGEN for e in events)
+        for e in events:
+            assert type(e) is Event
+            assert Event(*e) == e
 
     def test_process_groups_cover_all_antigen(self):
         events = scenario_events()
@@ -623,6 +642,21 @@ class TestWireTransport:
             replay(events, "max", client)
         assert wait_for(server) == expected
         assert "dropped" in caplog.text
+
+    def test_non_finite_signal_drops_that_client(self):
+        events = scenario_events()
+        expected = run_in_process(events)
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))), expected_clients=2)
+        server.start()
+        rogue = socket.create_connection(server.address)
+        rogue.sendall(frame(b"0.5\tS\tnan\t1\t1\t0"))
+        rogue.close()
+        with StreamClient(*server.address) as client:
+            replay(events, "max", client)
+        assert wait_for(server) == expected
+        assert server.dropped == [(0, "line 1: pamp, danger and safe must "
+                                      "be finite and non-negative")]
 
     def test_decreasing_timestamp_drops_that_client(self):
         events = scenario_events()

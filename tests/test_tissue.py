@@ -236,6 +236,15 @@ def _driven_tissue(seed):
     return tissue, steps
 
 
+def _bc_driven_tissue(seed):
+    """A tissue of the breast-cancer shape (flow-controlled one-slot store,
+    100 cells) and one item per tick, as `run_bc_experiment` streams them."""
+    tissue = Tissue(PopulationConfig.breast_cancer(seed=seed))
+    steps = [([f"item-{i}"], SignalVector(pamp=i % 5, danger=2, safe=i % 3))
+             for i in range(150)]
+    return tissue, steps
+
+
 def _step(tissue, labels, signals):
     for label in labels:
         tissue.enqueue_antigen(label)
@@ -269,14 +278,35 @@ class TestLazyLog:
 
     @pytest.mark.parametrize("read_midway", [False, True])
     def test_records_with_antigen_filters_records(self, read_midway):
-        tissue, steps = _driven_tissue(9)
-        for i, (labels, signals) in enumerate(steps):
-            _step(tissue, labels, signals)
-            if read_midway and i == 40:
-                tissue.records  # builds the first half; the rest stays pending
-        held = tissue.records_with_antigen()
-        assert held == [r for r in tissue.records if r.antigens]
-        assert held
+        # the overwriting shape and the breast-cancer shape
+        for tissue, steps in (_driven_tissue(9), _bc_driven_tissue(9)):
+            for i, (labels, signals) in enumerate(steps):
+                _step(tissue, labels, signals)
+                if read_midway and i == len(steps) // 2:
+                    tissue.records  # builds the first half; the rest pends
+            held = tissue.records_with_antigen()
+            assert held == [r for r in tissue.records if r.antigens]
+            # some ticks log migrations both with and without antigen
+            by_tick: dict[int, set[bool]] = {}
+            for r in tissue.records:
+                by_tick.setdefault(r.tick, set()).add(bool(r.antigens))
+            assert {True, False} in by_tick.values()
+
+    def test_a_cell_that_migrated_empty_keeps_its_record_empty(self):
+        # the one cell migrates with nothing, then its replacement samples
+        # before the log is read: the logged record must not see the sample
+        tissue = Tissue(PopulationConfig(
+            num_cells=1, tissue_antigen_capacity=1,
+            antigen_sample_multiplicity=1, antigen_sampling_probability=1.0,
+            threshold_mode=("fixed", 1.0)))
+        tissue.set_signals(CONSTANT_PAMP)
+        assert len(tissue.tick()) == 1
+        tissue.enqueue_antigen("a")
+        tissue.set_signals(SignalVector())
+        assert len(tissue.tick()) == 0
+        assert tissue.pool[0].antigen_store == ["a"]
+        assert [r.antigens for r in tissue.records] == [()]
+        assert tissue.records_with_antigen() == []
 
     def test_tick_returns_the_records_it_appended(self):
         tissue, steps = _driven_tissue(13)

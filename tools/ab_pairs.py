@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Compare two checkouts on the benchmark in alternating pairs of runs.
+
+    python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
+        --pairs N --seed S --seconds T
+
+Pair i runs `perfbench/run.py --workload W --seed S+i --seconds T
+--trace 0` once in each checkout, each with that checkout's own
+perfbench, and alternates which side goes first so that a drift of the
+host's speed falls on both sides alike. Each run's last line of standard
+output is its JSON result. The table gives, per end-to-end metric, each
+side's median and quartiles, the pairs the change won, the median gap,
+and the parent's interquartile range; then each side's failed operations.
+A metric's better direction comes from CHANGE_DIR/BENCHMARK.json
+(lower is better when it is not listed).
+
+Both checkouts' sources are compiled to bytecode before the first pair,
+so that neither side pays for it inside a run. The script imports
+nothing from either checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import compileall
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in `checkout`; returns its JSON result."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          timeout=seconds * 20 + 600)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        sys.exit(f"error: {' '.join(cmd)} in {checkout} exited "
+                 f"{proc.returncode}:\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def directions(checkout: Path) -> dict[str, str]:
+    try:
+        spec = json.loads((checkout / "BENCHMARK.json").read_text())
+    except (OSError, ValueError):
+        return {}
+    return {m["name"]: m.get("better", "lower")
+            for m in spec.get("end_to_end", [])}
+
+
+def report(results: dict[str, list[dict]], better: dict[str, str]) -> str:
+    parent, change = results["parent"], results["change"]
+    names = [n for n in parent[0]["metrics"] if n in change[0]["metrics"]]
+    head = (f"{'metric':<22} {'parent median [q1, q3]':>30} "
+            f"{'change median [q1, q3]':>30} {'wins':>6} {'gap':>8} "
+            f"{'parent IQR':>11}")
+    out = [head, "-" * len(head)]
+    for name in names:
+        a = [r["metrics"][name]["value"] for r in parent]
+        b = [r["metrics"][name]["value"] for r in change]
+        sign = -1.0 if better.get(name, "lower") == "lower" else 1.0
+        wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
+        (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
+        gap = (b2 - a2) / a2 if a2 else float("nan")
+        out.append(
+            f"{name:<22} {f'{a2:.4g} [{a1:.4g}, {a3:.4g}]':>30} "
+            f"{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':>30} "
+            f"{f'{wins}/{len(a)}':>6} {gap:>+8.1%} {a3 - a1:>11.4g}")
+    for side in ("parent", "change"):
+        runs = results[side]
+        out.append(f"failed ({side}): {sum(r['failed'] for r in runs)} of "
+                   f"{sum(r['attempted'] for r in runs)} operations; "
+                   f"{sum(not r['correct'] for r in runs)} incorrect runs")
+    return "\n".join(out)
+
+
+def main(argv=None) -> int:
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("parent", type=Path, help="checkout of the parent commit")
+    p.add_argument("change", type=Path, help="checkout of the change")
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, default=10)
+    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seconds", type=float, default=8)
+    args = p.parse_args(argv)
+    if args.pairs < 1 or args.seconds <= 0:
+        p.error("--pairs must be at least 1 and --seconds positive")
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    for path in sides.values():
+        if not (path / "perfbench" / "run.py").is_file():
+            p.error(f"{path} holds no perfbench/run.py")
+        compileall.compile_dir(path / "src", quiet=1)
+        compileall.compile_dir(path / "perfbench", quiet=1)
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            results[side].append(run_once(sides[side], args.workload, seed,
+                                          args.seconds))
+        line = "  ".join(
+            f"{side} {results[side][-1]['metrics']['session_s.p50']['value']:.4g}"
+            for side in ("parent", "change")
+            if "session_s.p50" in results[side][-1]["metrics"])
+        print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): "
+              f"session_s.p50 {line}", file=sys.stderr, flush=True)
+    print(f"workload {args.workload}: {args.pairs} pairs, seeds {args.seed}-"
+          f"{args.seed + args.pairs - 1}, {args.seconds:g} s per run; "
+          "gap is the change's median against the parent's")
+    print(report(results, directions(sides["change"])))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
