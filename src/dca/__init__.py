@@ -18,8 +18,7 @@ from .streams import (Event, EventDrivenRunner, ScenarioConfig, SignalMask,
                       generate_scenario, read_log, replay,
                       run_portscan_experiment, write_log)
 from .tissue import (CellSnapshot, MigrationRecord, PopulationConfig, Tissue,
-                     TissueCompartment, read_migration_log,
-                     write_migration_log)
+                     read_migration_log, write_migration_log)
 
 __version__ = "0.1.0"
 
@@ -31,12 +30,11 @@ __all__ = [
     "AntigenVerdict", "CellSnapshot", "Context", "Event", "EventDrivenRunner",
     "InvalidWeights", "LabelledItem", "MigrationRecord", "PairedTTestResult",
     "PopulationConfig", "RunSummary", "ScenarioConfig", "SignalMapping",
-    "SignalMask", "SignalVector", "StreamClient", "Tissue",
-    "TissueCompartment", "TissueServer", "WeightMatrix", "aggregate",
-    "classify", "count_errors", "derive_signals", "fuse_signals",
-    "generate_scenario", "item_to_signals", "load_items", "load_uci",
-    "order_stream", "paired_t_test", "process_mag", "read_log",
-    "read_migration_log", "replay", "run_bc_experiment",
+    "SignalMask", "SignalVector", "StreamClient", "Tissue", "TissueServer",
+    "WeightMatrix", "aggregate", "classify", "count_errors",
+    "derive_signals", "fuse_signals", "generate_scenario", "item_to_signals",
+    "load_items", "load_uci", "order_stream", "paired_t_test", "process_mag",
+    "read_log", "read_migration_log", "replay", "run_bc_experiment",
     "run_portscan_experiment", "select_attributes", "synthetic_items",
     "write_log", "write_migration_log",
 ]

@@ -108,6 +108,21 @@ def _endpoint(text: str) -> str:
     return text
 
 
+def _sweep_keys(text: Optional[str]) -> list[str]:
+    return [key.strip() for key in text.split(",")] if text else []
+
+
+def _sweep_list(text: str) -> str:
+    """The `--sweep-migration` type: every setting is checked, and the
+    text is kept as given for the manifest."""
+    for key in _sweep_keys(text):
+        if key not in SWEEP_SETTINGS:
+            raise argparse.ArgumentTypeError(
+                f"unknown sweep setting {key!r} "
+                f"(choose from {', '.join(SWEEP_SETTINGS)})")
+    return text
+
+
 Option = tuple[argparse.ArgumentParser, argparse.Action]
 
 
@@ -141,7 +156,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser,
     add(bc, "--threshold", type=_fraction, default=DEFAULT_THRESHOLD)
     add(bc, "--single-sample", action="store_true",
         help="sample each antigen once instead of 10 times")
-    add(bc, "--sweep-migration", default=None, metavar="LIST",
+    add(bc, "--sweep-migration", type=_sweep_list, default=None,
+        metavar="LIST",
         help="comma list from {1,5,10,15,var}: run one "
              "experiment per migration-threshold setting")
 
@@ -275,12 +291,7 @@ def _run_bc_once(items, args, threshold_mode) -> tuple[int, int, object]:
 
 
 def cmd_bc(args: argparse.Namespace, out: Path) -> int:
-    sweep = ([key.strip() for key in args.sweep_migration.split(",")]
-             if args.sweep_migration else [])
-    for key in sweep:
-        if key not in SWEEP_SETTINGS:
-            raise CliError(f"unknown sweep setting {key!r} "
-                           f"(choose from {', '.join(SWEEP_SETTINGS)})")
+    sweep = _sweep_keys(args.sweep_migration)
     items = (synthetic_items() if args.dataset is None else _read(
         args.dataset, "dataset", load_uci if args.uci else load_items))
     # the items this run used, in the native layout, so that the output

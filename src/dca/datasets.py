@@ -39,6 +39,7 @@ class LabelledItem:
     true_class: int
 
     def __post_init__(self):
+        Event.antigen(0.0, self.id, "dataset")  # the id is its antigen label
         if len(self.attributes) != 9:
             raise ValueError("items carry exactly 9 attributes")
         if any(not math.isfinite(a) for a in self.attributes):
@@ -213,15 +214,20 @@ def _rows(fh: Iterable[Union[str, bytes]]
 
 def load_items(fh: Iterable[Union[str, bytes]]) -> list[LabelledItem]:
     """Read the native format: id, 9 attribute values, class per line.
-    Every malformed line raises a `ValueError` whose message starts with
-    `line N:`."""
+    Ids are unique. Every malformed line raises a `ValueError` whose
+    message starts with `line N:`."""
     items = []
+    first_line: dict[str, int] = {}
     for lineno, parts in _rows(fh):
         try:
             items.append(LabelledItem(
                 parts[0], tuple(map(float, parts[1:10])), int(parts[10])))
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
+        first = first_line.setdefault(parts[0], lineno)
+        if first != lineno:
+            raise ValueError(f"line {lineno}: duplicate id {parts[0]!r} "
+                             f"(first on line {first})")
     return items
 
 
@@ -253,16 +259,25 @@ def load_uci(fh: Iterable[Union[str, bytes]]) -> list[LabelledItem]:
             raise ValueError(f"line {lineno}: {exc}") from None
         if cls not in (2, 4):
             raise ValueError(f"line {lineno}: class must be 2 or 4, got {cls}")
-        raw.append((parts[0], attrs, cls))
-    n4 = sum(cls == 4 for _, _, cls in raw)
+        raw.append((lineno, parts[0], attrs, cls))
+    n4 = sum(cls == 4 for _, _, _, cls in raw)
     class_zero_value = 4 if n4 < len(raw) - n4 else 2
     seen: dict[str, int] = {}
+    taken: set[str] = set()
     items = []
-    for code, attrs, cls in raw:
+    for lineno, code, attrs, cls in raw:
         n = seen.get(code, 0)
-        seen[code] = n + 1
         label = code if n == 0 else f"{code}#{n}"
-        items.append(LabelledItem(label, attrs, 0 if cls == class_zero_value else 1))
+        while label in taken:  # a code that looks like a suffixed one
+            n += 1
+            label = f"{code}#{n}"
+        seen[code] = n + 1
+        taken.add(label)
+        try:
+            items.append(LabelledItem(
+                label, attrs, 0 if cls == class_zero_value else 1))
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}") from None
     return items
 
 

@@ -409,7 +409,7 @@ class EventDrivenRunner:
             raise StreamFormatError(
                 f"event timestamp {event.timestamp!r} decreases")
         self._last_ts = event.timestamp
-        while self.tissue.compartment.clock < int(event.timestamp):
+        while self.tissue.clock < int(event.timestamp):
             self.tissue.tick()
         if event.kind == SIGNAL_SET:
             self.tissue.set_signals(self.mask.apply(event.signals))
@@ -425,7 +425,7 @@ class EventDrivenRunner:
         then keep ticking under the final signals until the tissue has
         settled (`Tissue.settled`) or `max_ticks` more ticks have run.
         Every delivery path ends with this call."""
-        while self.tissue.compartment.clock <= self._last_ts:
+        while self.tissue.clock <= self._last_ts:
             self.tissue.tick()
         for _ in range(max_ticks):
             if self.tissue.settled:

@@ -1,7 +1,7 @@
 """Shared tissue environment and the per-tick population scheduler.
 
-The tissue compartment holds a fixed-capacity antigen slot array and the
-current signal levels. A pool of dendritic cells samples the store once
+The tissue holds a fixed-capacity antigen slot array, the current signal
+levels and the clock. A pool of dendritic cells samples the store once
 per tick; migrated cells are logged and replaced so the pool size stays
 constant. The pool is held as arrays with one entry per cell, so a tick
 updates every cell's cytokines in one step. All randomness flows from one
@@ -96,77 +96,15 @@ class MigrationRecord(NamedTuple):
     mat: float
 
 
-class TissueCompartment:
-    """Fixed-capacity antigen store plus current signal levels.
+class Tissue:
+    """The antigen store, the current signal levels and the clock, plus a
+    constant-size dendritic cell pool.
 
     The store is a list of slot labels and an array of samples left per
     slot; a slot with none left is free. Deposits fill the first free
     slot when one exists; otherwise they overwrite a uniformly random
     slot (antigen overwriting). A deposit sets the slot's counter to the
     configured multiplicity, and the slot is cleared once exhausted.
-    """
-
-    def __init__(self, capacity: int, multiplicity: int,
-                 rng: np.random.Generator):
-        if capacity <= 0 or multiplicity <= 0:
-            raise ValueError("capacity and multiplicity must be positive")
-        self.capacity = capacity
-        self.multiplicity = multiplicity
-        self._rng = rng
-        self._labels: list[Optional[str]] = [None] * capacity
-        self._remaining = np.zeros(capacity, dtype=np.int64)
-        self._occupied = 0
-        self.signals = SignalVector()
-        self.clock = 0
-
-    @property
-    def occupied(self) -> int:
-        return self._occupied
-
-    @property
-    def slots(self) -> list[Optional[tuple[str, int]]]:
-        """Snapshot of the store: (label, samples left) or None per slot."""
-        return [None if label is None else (label, int(left))
-                for label, left in zip(self._labels, self._remaining)]
-
-    def is_occupied(self, slots: np.ndarray) -> np.ndarray:
-        """Whether each of the given slot indices holds antigen."""
-        return self._remaining[slots] > 0
-
-    def deposit(self, label: str) -> None:
-        if not label:
-            raise ValueError("antigen label must be non-empty")
-        if self._occupied < self.capacity:
-            idx = int(self._remaining.argmin())  # the first free slot
-            self._occupied += 1
-        else:
-            idx = int(self._rng.integers(self.capacity))
-        self._labels[idx] = label
-        self._remaining[idx] = self.multiplicity
-
-    def set_signals(self, s: SignalVector) -> None:
-        """Replace the current signal levels (100% decay: no blending)."""
-        self.signals = s
-
-    def sample_slot(self, slot: int) -> Optional[str]:
-        """Take one sample from a drawn slot.
-
-        Returns the slot's label and decrements its counter, clearing the
-        slot at zero; returns None for an empty slot.
-        """
-        left = self._remaining[slot]
-        if left == 0:
-            return None
-        label = self._labels[slot]
-        self._remaining[slot] = left - 1
-        if left == 1:
-            self._labels[slot] = None
-            self._occupied -= 1
-        return label
-
-
-class Tissue:
-    """The compartment plus a constant-size dendritic cell pool.
 
     The pool is a set of arrays with one entry per cell (id, migration
     threshold, the three cytokine accumulators, the count of antigen
@@ -181,9 +119,14 @@ class Tissue:
     def __init__(self, cfg: PopulationConfig):
         self.cfg = cfg
         self.rng = np.random.default_rng(cfg.seed)
-        self.compartment = TissueCompartment(
-            cfg.tissue_antigen_capacity, cfg.antigen_sample_multiplicity, self.rng
-        )
+        # read on every deposit, so kept here rather than looked up in cfg
+        self.capacity = cfg.tissue_antigen_capacity
+        self.multiplicity = cfg.antigen_sample_multiplicity
+        self._slot_labels: list[Optional[str]] = [None] * self.capacity
+        self._slot_left = np.zeros(self.capacity, dtype=np.int64)
+        self.occupied = 0
+        self.signals = SignalVector()
+        self.clock = 0
         self._records: list[MigrationRecord] = []
         self._pending: list[_TickLog] = []  # ticks not yet built into records
         self._migrations = 0
@@ -210,12 +153,45 @@ class Tissue:
         """The cells as a read-only sequence of `CellSnapshot`s."""
         return _PoolView(self)
 
+    @property
+    def slots(self) -> list[Optional[tuple[str, int]]]:
+        """Snapshot of the store: (label, samples left) or None per slot."""
+        return [None if label is None else (label, int(left))
+                for label, left in zip(self._slot_labels, self._slot_left)]
+
+    def deposit(self, label: str) -> None:
+        if not label:
+            raise ValueError("antigen label must be non-empty")
+        if self.occupied < self.capacity:
+            idx = int(self._slot_left.argmin())  # the first free slot
+            self.occupied += 1
+        else:
+            idx = int(self.rng.integers(self.capacity))
+        self._slot_labels[idx] = label
+        self._slot_left[idx] = self.multiplicity
+
+    def sample_slot(self, slot: int) -> Optional[str]:
+        """Take one sample from a drawn slot.
+
+        Returns the slot's label and decrements its counter, clearing the
+        slot at zero; returns None for an empty slot.
+        """
+        left = self._slot_left[slot]
+        if left == 0:
+            return None
+        label = self._slot_labels[slot]
+        self._slot_left[slot] = left - 1
+        if left == 1:
+            self._slot_labels[slot] = None
+            self.occupied -= 1
+        return label
+
     def enqueue_antigen(self, label: str) -> None:
         """The one antigen entry. Under flow control antigen is queued until
         a store slot is free, so no undersampled antigen is overwritten;
         under `antigen_overwrite` it is deposited at once."""
         if self.cfg.antigen_overwrite:
-            self.compartment.deposit(label)
+            self.deposit(label)
         else:
             self._feed.append(label)
 
@@ -226,15 +202,15 @@ class Tissue:
     @property
     def settled(self) -> bool:
         """Drain stop rule: no antigen in the feed, the store or a cell."""
-        return (not self._feed and self.compartment.occupied == 0
-                and not self._held.any())
+        return not self._feed and self.occupied == 0 and not self._held.any()
 
     def _refill(self) -> None:
-        while self._feed and self.compartment.occupied < self.compartment.capacity:
-            self.compartment.deposit(self._feed.popleft())
+        while self._feed and self.occupied < self.capacity:
+            self.deposit(self._feed.popleft())
 
     def set_signals(self, s: SignalVector) -> None:
-        self.compartment.set_signals(s)
+        """Replace the current signal levels (100% decay: no blending)."""
+        self.signals = s
 
     @property
     def records(self) -> list[MigrationRecord]:
@@ -273,33 +249,32 @@ class Tissue:
         store; cytokines and migration are computed for the whole pool.
         """
         cfg = self.cfg
-        comp = self.compartment
         n = cfg.num_cells
         order = self.rng.permutation(n)
         coins = self.rng.random(n)
         # numpy draws nothing for a one-slot range, so a one-slot store
         # skips the call without changing the stream
-        slots = (self.rng.integers(comp.capacity, size=n)
-                 if comp.capacity > 1 else self._one_slot)
-        d_csm, d_semi, d_mat = fuse_signals(comp.signals, cfg.weights)
+        slots = (self.rng.integers(self.capacity, size=n)
+                 if self.capacity > 1 else self._one_slot)
+        d_csm, d_semi, d_mat = fuse_signals(self.signals, cfg.weights)
         self._refill()
         # Visiting only draws of occupied slots is exact: a non-empty feed
         # leaves every slot occupied after the refill, and an empty feed
         # cannot fill a slot mid-tick, so every skipped draw finds nothing.
         tries = ((coins < cfg.antigen_sampling_probability)
                  & (self._held[order] < cfg.cell_antigen_capacity)
-                 & comp.is_occupied(slots))
+                 & (self._slot_left[slots] > 0))
         for cell, slot in zip(order[tries].tolist(), slots[tries].tolist()):
-            label = comp.sample_slot(slot)
+            label = self.sample_slot(slot)
             if label is not None:
                 self._labels[cell].append(label)
                 self._held[cell] += 1
-                if self._feed and comp.occupied < comp.capacity:
+                if self._feed and self.occupied < self.capacity:
                     self._refill()
         self._cytokines += np.array((max(0.0, d_csm), d_semi, d_mat))
         migrated = order[(self._cytokines[:, 0] >= self._threshold)[order]]
-        tick = comp.clock
-        comp.clock += 1
+        tick = self.clock
+        self.clock += 1
         if not migrated.size:
             return ()
         logged = self._replace(tick, migrated)
@@ -333,6 +308,11 @@ class Tissue:
         self._cytokines[cells] = 0.0
         self._held[cells] = 0
         return logged
+
+
+# the old name of the store's class: perfbench/tracer.py looks up
+# `deposit` and `sample_slot` through it when imported
+TissueCompartment = Tissue
 
 
 class _TickLog(Sequence):

@@ -48,3 +48,29 @@ def test_tracer_counts_tick_returns_as_the_records(perfbench):
     presented = sum(len(r.antigens) for r in records)
     assert buf.counts["tissue.migrations"] == len(records) > 0
     assert buf.counts["tissue.antigen_presented"] == presented > 0
+
+
+def test_tracer_counts_every_store_call_and_uninstalls(perfbench):
+    tracer = perfbench("tracer")
+    targets = [*tracer.TARGETS.values(), *tracer.COUNTED.values()]
+    originals = [getattr(owner, attr) for owner, attr in targets]
+    tissue = Tissue(PopulationConfig.portscan(
+        seed=3, num_cells=50, tissue_antigen_capacity=40))
+    traced = tracer.Tracer()
+    traced.install()
+    try:
+        deposits = 0
+        for i in range(30):
+            for k in range(20):
+                tissue.enqueue_antigen(f"ag-{i}-{k}")
+                deposits += 1
+            tissue.set_signals(SignalVector(pamp=i % 3, danger=2, safe=i % 2))
+            tissue.tick()
+    finally:
+        traced.uninstall()
+    assert [getattr(owner, attr) for owner, attr in targets] == originals
+    stats, _, counts = traced.summary()
+    presented = sum(len(r.antigens) for r in tissue.records)
+    held = sum(len(cell.antigen_store) for cell in tissue.pool)
+    assert stats["tissue.deposit"]["calls"] == deposits
+    assert counts["tissue.sample_slot.hits"] == presented + held > 0

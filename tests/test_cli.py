@@ -67,7 +67,8 @@ class TestBc:
         code, captured = run(["--out", tmp_path, "bc", "--repeats", "1",
                               "--sweep-migration", "1,5,7"], capsys)
         assert code == 1
-        assert captured.err.startswith("error: unknown sweep setting '7'")
+        assert captured.err.startswith(
+            "error: argument --sweep-migration: unknown sweep setting '7'")
         assert not (tmp_path / "items.csv").exists()
 
     def test_dataset_file_round_trip(self, tmp_path):
@@ -168,9 +169,10 @@ def test_degenerate_run_settings_fail_before_running(tmp_path, capsys, argv):
     ["replay", "--log", "absent.log", "--rate", "0"],
     ["replay", "--log", "absent.log", "--endpoint", "nowhere"],
     ["serve", "--endpoint", "nowhere"],
+    ["bc", "--sweep-migration", "7"],
 ], ids=["bad-choice", "unknown-flag", "bad-int", "replay-without-log",
         "report-without-log", "bad-experiment", "zero-rate",
-        "replay-bad-endpoint", "serve-bad-endpoint"])
+        "replay-bad-endpoint", "serve-bad-endpoint", "bad-sweep"])
 def test_usage_errors_end_in_one_error_line(tmp_path, capsys, argv):
     code, captured = run(["--out", tmp_path] + argv, capsys)
     assert code == 1
@@ -295,8 +297,10 @@ class TestConfigFile:
          "(expected a number in [0, 1])"),
         ("seed = -2", "config key seed: invalid value '-2' "
          "(expected an integer >= 0)"),
+        ("sweep_migration = 1,7", "config key sweep_migration: unknown "
+         "sweep setting '7' (choose from 1, 5, 10, 15, var)"),
     ], ids=["flag-typo", "bad-int", "int-below-minimum", "bad-float",
-            "negative-seed"])
+            "negative-seed", "bad-sweep"])
     def test_bad_value_names_its_key_before_any_output(self, tmp_path, capsys,
                                                       setting, message):
         cfg = tmp_path / "run.cfg"

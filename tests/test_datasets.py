@@ -222,6 +222,9 @@ class TestFileFormats:
         raw = io.StringIO("9,5,1,1,1,2,1,3,1,1,2\n9,5,1,1,1,2,1,3,1,1,4\n")
         items = load_uci(raw)
         assert [it.id for it in items] == ["9", "9#1"]
+        raw = io.StringIO("".join(f"{code},5,1,1,1,2,1,3,1,1,2\n"
+                                  for code in ("5#1", "5", "5")))
+        assert [it.id for it in load_uci(raw)] == ["5#1", "5", "5#2"]
 
     def test_uci_bad_class_rejected(self):
         with pytest.raises(ValueError, match="line 1"):
@@ -236,7 +239,15 @@ class TestFileFormats:
          "line 2: invalid literal for int()"),
         ("a,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,nan,1",
          "line 2: attributes must be finite"),
-    ], ids=["attribute", "class", "class-text", "nan"])
+        (",0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,1",
+         "line 2: antigen event requires label and process"),
+        ("a\tb,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,1",
+         "line 2: antigen label 'a\\tb' contains a comma, tab or line break"),
+        ("a,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,1\n# note\n"
+         "a,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0",
+         "line 4: duplicate id 'a' (first on line 2)"),
+    ], ids=["attribute", "class", "class-text", "nan", "empty-id", "tab-in-id",
+            "duplicate-id"])
     def test_native_value_errors_name_their_line(self, line, message):
         text = "# header\n" + line + "\n"
         with pytest.raises(ValueError, match="^" + re.escape(message)):
@@ -248,7 +259,9 @@ class TestFileFormats:
         ("9,5,1,1,1,2,1,3,1,1,7", "line 2: class must be 2 or 4, got 7"),
         ("9,5,1,1,1,2,1,3,1," + "9" * 400 + ",2",
          "line 2: int too large to convert to float"),
-    ], ids=["attribute", "class-text", "class", "huge"])
+        ("9\t1,5,1,1,1,2,1,3,1,1,2",
+         "line 2: antigen label '9\\t1' contains a comma, tab or line break"),
+    ], ids=["attribute", "class-text", "class", "huge", "tab-in-code"])
     def test_uci_value_errors_name_their_line(self, line, message):
         text = "9,5,1,1,1,2,1,3,1,1,2\n" + line + "\n"
         with pytest.raises(ValueError, match="^" + re.escape(message)):

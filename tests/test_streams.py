@@ -420,10 +420,10 @@ class TestRunner:
     def test_events_apply_before_their_second_ticks(self):
         runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=1)))
         runner.apply(Event.signal_set(0.0, SignalVector(pamp=50)))
-        assert runner.tissue.compartment.clock == 0
+        assert runner.tissue.clock == 0
         runner.apply(Event.signal_set(3.0, SignalVector()))
         # ticks 0-2 ran under the first signal set
-        assert runner.tissue.compartment.clock == 3
+        assert runner.tissue.clock == 3
 
     def test_replay_and_run_end_a_stream_alike(self):
         # the stream ends in signal-only seconds, so the tissue has settled
@@ -438,9 +438,9 @@ class TestRunner:
         direct.drain()
         replay(events, "max", replayed)
         replayed.drain()
-        clock = replayed.tissue.compartment.clock
+        clock = replayed.tissue.clock
         assert clock == int(events[-1].timestamp) + 1
-        assert clock == direct.tissue.compartment.clock
+        assert clock == direct.tissue.clock
         assert replayed.tissue.records == direct.tissue.records
 
     def test_drain_presents_every_antigen(self):
@@ -453,7 +453,7 @@ class TestRunner:
         runner.drain()
         tissue = runner.tissue
         assert tissue.feed_pending == 0
-        assert tissue.compartment.occupied == 0
+        assert tissue.occupied == 0
         assert all(not cell.antigen_store for cell in tissue.pool)
 
 
@@ -690,7 +690,7 @@ class TestWireTransport:
             # the event at 20.0 moves the watermark to 20: every earlier
             # event is applied while the client is still connected
             deadline = time.monotonic() + WAIT_DEADLINE_S
-            while runner.tissue.compartment.clock < 19:
+            while runner.tissue.clock < 19:
                 assert time.monotonic() < deadline, "no merge before the end"
                 time.sleep(0.01)
             sock.sendall(frame(b"\xff\xfe"))

@@ -4,7 +4,6 @@ population invariants, and the migration-log file format."""
 import io
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +12,7 @@ from dca.analysis import aggregate
 from dca.core import Context, SignalVector
 from dca.streams import EventDrivenRunner, ScenarioConfig, generate_scenario
 from dca.tissue import (MigrationRecord, PopulationConfig, Tissue,
-                        TissueCompartment, format_record, read_migration_log,
-                        write_migration_log)
+                        format_record, read_migration_log, write_migration_log)
 
 CONSTANT_PAMP = SignalVector(pamp=50)
 
@@ -60,58 +58,65 @@ class TestPopulationConfig:
             PopulationConfig(seed=-1)
 
 
+def store(capacity, multiplicity, seed=0):
+    """A one-cell tissue, for its antigen store."""
+    return Tissue(PopulationConfig(
+        num_cells=1, tissue_antigen_capacity=capacity,
+        antigen_sample_multiplicity=multiplicity, seed=seed))
+
+
 class TestTissueCompartment:
     def test_deposit_fills_free_slot(self):
-        comp = TissueCompartment(500, 1, np.random.default_rng(0))
-        comp.deposit("y")
-        assert comp.occupied == 1
+        tissue = store(500, 1)
+        tissue.deposit("y")
+        assert tissue.occupied == 1
 
     def test_capacity_one_always_overwrites(self):
-        comp = TissueCompartment(1, 10, np.random.default_rng(0))
-        comp.deposit("x")
-        comp.deposit("y")
-        assert comp.occupied == 1
-        assert comp.sample_slot(0) == "y"
+        tissue = store(1, 10)
+        tissue.deposit("x")
+        tissue.deposit("y")
+        assert tissue.occupied == 1
+        assert tissue.sample_slot(0) == "y"
 
     def test_deposit_takes_first_free_slot(self):
-        comp = TissueCompartment(3, 1, np.random.default_rng(0))
+        tissue = store(3, 1)
         for label in "abc":
-            comp.deposit(label)
-        assert comp.sample_slot(1) == "b"
-        comp.deposit("d")
-        assert comp.slots == [("a", 1), ("d", 1), ("c", 1)]
+            tissue.deposit(label)
+        assert tissue.sample_slot(1) == "b"
+        tissue.deposit("d")
+        assert tissue.slots == [("a", 1), ("d", 1), ("c", 1)]
 
     def test_overwrite_slot_choice_is_uniform(self):
         hits = {"x": 0, "y": 0}
         for seed in range(10000):
-            comp = TissueCompartment(2, 1, np.random.default_rng(seed))
-            comp.deposit("x")
-            comp.deposit("y")
-            comp.deposit("z")
-            survivors = {slot[0] for slot in comp.slots}
+            tissue = store(2, 1, seed)
+            tissue.deposit("x")
+            tissue.deposit("y")
+            tissue.deposit("z")
+            survivors = {slot[0] for slot in tissue.slots}
             overwritten = ({"x", "y"} - survivors).pop()
             hits[overwritten] += 1
         assert hits["x"] / 10000 == pytest.approx(0.5, abs=0.05)
 
     def test_signal_replacement_last_write_wins(self):
-        comp = TissueCompartment(1, 1, np.random.default_rng(0))
-        comp.set_signals(SignalVector(pamp=10))
-        comp.set_signals(SignalVector(danger=7))
-        assert comp.signals == SignalVector(danger=7)
+        tissue = store(1, 1)
+        tissue.set_signals(SignalVector(pamp=10))
+        tissue.set_signals(SignalVector(danger=7))
+        assert tissue.signals == SignalVector(danger=7)
 
     def test_sample_exhaustion_clears_slot(self):
-        comp = TissueCompartment(1, 2, np.random.default_rng(0))
-        comp.deposit("a")
-        assert comp.sample_slot(0) == "a"
-        assert comp.sample_slot(0) == "a"
-        assert comp.occupied == 0
-        assert comp.sample_slot(0) is None
-        assert comp.slots == [None]
+        tissue = store(1, 2)
+        tissue.deposit("a")
+        assert tissue.sample_slot(0) == "a"
+        assert tissue.sample_slot(0) == "a"
+        assert tissue.occupied == 0
+        assert tissue.sample_slot(0) is None
+        assert tissue.slots == [None]
 
     def test_empty_label_rejected(self):
-        comp = TissueCompartment(1, 1, np.random.default_rng(0))
+        tissue = store(1, 1)
         with pytest.raises(ValueError):
-            comp.deposit("")
+            tissue.deposit("")
 
 
 class TestTick:
@@ -200,7 +205,7 @@ class TestTick:
         for i in range(5):
             tissue.enqueue_antigen(f"e-{i}")
         assert tissue.feed_pending == pending
-        assert tissue.compartment.occupied == occupied
+        assert tissue.occupied == occupied
         assert not tissue.settled
 
     def test_settled_needs_feed_store_and_cells_empty(self):

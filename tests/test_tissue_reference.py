@@ -69,9 +69,9 @@ def assert_same(tissue, ref):
     assert tissue.records == ref.records
     assert pool_state(tissue.pool) == pool_state(ref.pool)
     assert list(tissue._feed) == list(ref.feed)
-    assert tissue.compartment.slots == [None if s is None else tuple(s)
+    assert tissue.slots == [None if s is None else tuple(s)
                                         for s in ref.slots]
-    assert tissue.compartment.clock == ref.clock
+    assert tissue.clock == ref.clock
 
 
 def run_both(cfg, steps):
@@ -105,7 +105,7 @@ def test_configs_reach_the_paths_they_name():
     for signals, labels in steps:
         tissue.set_signals(signals)
         for label in labels:
-            full += tissue.compartment.occupied == 3
+            full += tissue.occupied == 3
             tissue.enqueue_antigen(label)
         tissue.tick()
     assert full > 0
