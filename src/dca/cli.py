@@ -257,6 +257,24 @@ def _read(path: Path, what: str, parse: Callable):
         raise CliError(f"malformed {what} {path}: {exc}") from exc
 
 
+def _read_inputs(args: argparse.Namespace) -> dict[str, Any]:
+    """The command's input files, read and parsed, as keyword arguments
+    of the command, so that a malformed one fails before any output."""
+    if args.command == "bc":
+        return {"items": synthetic_items() if args.dataset is None else _read(
+            args.dataset, "dataset", load_uci if args.uci else load_items)}
+    if args.command == "replay":
+        return {"events": _read(args.log, "log", read_log)}
+    if args.command == "report":
+        return {"records": _read(args.log, "migration log",
+                                 read_migration_log),
+                "truth": None if args.truth is None else _read(
+                    args.truth, "truth",
+                    lambda fh: {it.id: it.true_class
+                                for it in load_items(fh)})}
+    return {}
+
+
 def _write_table(write, table, out: Path, stem: str) -> None:
     """Write a table for people to STEM.txt and for programs to STEM.tsv."""
     for suffix, machine in ((".txt", False), (".tsv", True)):
@@ -290,10 +308,8 @@ def _run_bc_once(items, args, threshold_mode) -> tuple[int, int, object]:
     return result.summary.errors, result.summary.unseen, result
 
 
-def cmd_bc(args: argparse.Namespace, out: Path) -> int:
+def cmd_bc(args: argparse.Namespace, out: Path, items) -> int:
     sweep = _sweep_keys(args.sweep_migration)
-    items = (synthetic_items() if args.dataset is None else _read(
-        args.dataset, "dataset", load_uci if args.uci else load_items))
     # the items this run used, in the native layout, so that the output
     # directory serves as `report --truth`; a --dataset that is this very
     # file is left as it is
@@ -350,8 +366,7 @@ def cmd_generate(args: argparse.Namespace, out: Path) -> int:
     return 0
 
 
-def cmd_replay(args: argparse.Namespace, out: Path) -> int:
-    events = _read(args.log, "log", read_log)
+def cmd_replay(args: argparse.Namespace, out: Path, events) -> int:
     if args.endpoint is not None:
         try:
             with StreamClient(*_split_endpoint(args.endpoint)) as client:
@@ -393,11 +408,7 @@ def cmd_serve(args: argparse.Namespace, out: Path) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace, out: Path) -> int:
-    records = _read(args.log, "migration log", read_migration_log)
-    truth = None if args.truth is None else _read(
-        args.truth, "truth",
-        lambda fh: {it.id: it.true_class for it in load_items(fh)})
+def cmd_report(args: argparse.Namespace, out: Path, records, truth) -> int:
     verdicts = aggregate(records)
     classify(verdicts, args.threshold)
     _write_table(write_verdict_table, verdicts, out, "verdicts")
@@ -422,13 +433,14 @@ COMMANDS = {
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parse_args(argv)
+        inputs = _read_inputs(args)
         out = args.out
         try:
             out.mkdir(parents=True, exist_ok=True)
             _write_manifest(args, out)
         except OSError as exc:
             raise CliError(f"cannot write to --out {out}: {exc}") from exc
-        return COMMANDS[args.command](args, out)
+        return COMMANDS[args.command](args, out, **inputs)
     # library ValueErrors reaching here are bad settings or input files,
     # and an OSError is an output (or input) the command could not open
     except (CliError, ValueError, OSError) as exc:

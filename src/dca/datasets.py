@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .analysis import AntigenVerdict, RunSummary, aggregate, classify, count_errors
 from .core import SignalVector, fuse_signals
-from .streams import DRAIN_TICKS, Event, EventDrivenRunner
+from .streams import ANTIGEN, DRAIN_TICKS, SIGNAL_SET, Event, EventDrivenRunner
 from .tissue import MigrationRecord, PopulationConfig, Tissue, log_lines
 
 DANGER_ATTRIBUTE_COUNT = 3
@@ -39,6 +39,8 @@ class LabelledItem:
     true_class: int
 
     def __post_init__(self):
+        if not self.id:
+            raise ValueError("empty item id")
         Event.antigen(0.0, self.id, "dataset")  # the id is its antigen label
         if len(self.attributes) != 9:
             raise ValueError("items carry exactly 9 attributes")
@@ -157,16 +159,22 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
     if mapping is None:
         mapping = select_attributes(items)
     truth = {it.id: it.true_class for it in items}
+    # each item's signals, computed once and looked up by the item itself
+    signals = {id(it): item_to_signals(it, mapping) for it in items}
     all_records: list[list[MigrationRecord]] = []
     orderings: list[list[str]] = []
     for r in range(repeats):
         stream = order_stream(items, order, seed=cfg.seed * 7919 + r)
         runner = EventDrivenRunner(
             Tissue(replace(cfg, seed=cfg.seed * 1_000_003 + r)))
-        # item k sets its signals and enters its id as antigen at second k
+        # item k sets its signals and enters its id as antigen at second k;
+        # `LabelledItem` checked each id as an antigen label, so these
+        # events skip `Event.__new__`
         runner.run(e for k, it in enumerate(stream) for e in (
-            Event.signal_set(float(k), item_to_signals(it, mapping)),
-            Event.antigen(float(k), it.id, "dataset")))
+            tuple.__new__(Event, (float(k), SIGNAL_SET, signals[id(it)],
+                                  None, None)),
+            tuple.__new__(Event, (float(k), ANTIGEN, None, it.id,
+                                  "dataset"))))
         runner.drain(max_ticks=drain_ticks)
         all_records.append(runner.tissue.records)
         orderings.append([it.id for it in stream])

@@ -41,6 +41,8 @@ MAX_FRAME = 4096
 RECV_BUFFER = 65536  # server read size; must exceed one whole frame
 
 DRAIN_TICKS = 300  # safety cap on ticks run after the stream ends
+# a server builds its tissue's records once this many migrations are unbuilt
+FOLD_RECORDS = 256
 
 # characters that would split a field of the event log (tab, newline) or
 # of the migration log, which joins a record's labels with commas
@@ -79,10 +81,11 @@ class Event(_EventFields):
     and source process name). Timestamps are seconds since stream start
     and must be non-decreasing within a stream. An immutable named tuple,
     equal and hashed by value; every way of building one (the
-    constructor, `_make`, `_replace`) runs the same checks. The one
-    exception is `generate_scenario`, which checks its fixed table of
-    (label, process) pairs once per call and then builds its antigen
-    events without repeating the checks.
+    constructor, `_make`, `_replace`) runs the same checks. Two functions
+    that make many events check their inputs once and then skip the checks:
+    `generate_scenario` checks its fixed table of (label, process) pairs
+    once per call, and `datasets.run_bc_experiment` relies on
+    `LabelledItem`, which checked each item id as an antigen label.
     """
 
     __slots__ = ()
@@ -542,9 +545,12 @@ class TissueServer:
     streaming. No client can still send an event below it, so the merge
     order is the one a merge of the finished streams would give:
     timestamp, then signal sets before antigen, then client index, then
-    arrival. `wait()` applies the rest, drains the tissue and returns its
-    records. Pending events are bounded by the clients' timestamp skew
-    plus one read per client.
+    arrival. Once `FOLD_RECORDS` migrations have gone unbuilt, a merge
+    also builds the records of the ticks it finished, so records are built
+    as ticks finish. `wait()` applies the rest, drains the tissue and
+    returns its records, building only those of the last ticks. Pending
+    events are bounded by the clients' timestamp skew plus one read per
+    client.
 
     A client that violates the frame protocol, sends a malformed event
     or a decreasing timestamp, or resets its connection is dropped
@@ -569,11 +575,12 @@ class TissueServer:
         self.dropped: list[tuple[int, str]] = []
         # guarded by the lock: the events of each connected client not yet
         # applied, the latest timestamp of each client still streaming,
-        # and an error the tissue raised
+        # an error the tissue raised, and the records built so far
         self._lock = threading.Lock()
         self._pending: dict[int, list[Event]] = {}
         self._latest: dict[int, float] = {}
         self._failure: Optional[BaseException] = None
+        self._built = 0
         self._thread: Optional[threading.Thread] = None
         self._connected = 0
 
@@ -665,9 +672,10 @@ class TissueServer:
 
     def _merge(self, watermark: float) -> None:
         """Apply every pending event timestamped below `watermark`, in
-        merge order. The caller holds the lock. Once the tissue has
-        raised, nothing more is applied: the run is lost, and `wait()`
-        raises the error."""
+        merge order, then build the records of the finished ticks if
+        `FOLD_RECORDS` migrations are unbuilt. The caller holds the lock.
+        Once the tissue has raised, nothing more is applied: the run is
+        lost, and `wait()` raises the error."""
         if self._failure is not None:
             return
         ready: list[Event] = []
@@ -682,10 +690,17 @@ class TissueServer:
             self.runner.run(ready)
         except Exception as exc:
             self._failure = exc
+            return
+        tissue = self.runner.tissue
+        # one build per many ticks: each build has a fixed cost
+        if tissue.migrations - self._built >= FOLD_RECORDS:
+            self._built = len(tissue.records)
 
     def wait(self) -> list[MigrationRecord]:
         """Block until all expected clients finish, apply the events not
-        yet applied, drain the tissue and return its migration records."""
+        yet applied, drain the tissue and return its migration records.
+        The merges built the records of the ticks finished while the
+        clients streamed, so this builds only those of the last ticks."""
         if self._thread is None:
             raise RuntimeError("TissueServer.wait() called before start()")
         self._thread.join()

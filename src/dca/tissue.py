@@ -468,15 +468,11 @@ def read_migration_log(fh: Union[TextIO, BinaryIO]) -> list[MigrationRecord]:
             raise ValueError(f"line {lineno}: expected 7 fields, got {len(parts)}")
         tick, cell_id, context, antigens, csm, semi, mat = parts
         try:
-            records.append(MigrationRecord(
-                tick=int(tick),
-                cell_id=int(cell_id),
-                context=_CONTEXT_BY_VALUE[context],
-                antigens=_parse_antigens(antigens),
-                csm=float(csm),
-                semi=float(semi),
-                mat=float(mat),
-            ))
+            # positional, in `MigrationRecord._fields` order
+            records.append(tuple.__new__(MigrationRecord, (
+                int(tick), int(cell_id), _CONTEXT_BY_VALUE[context],
+                _parse_antigens(antigens), float(csm), float(semi),
+                float(mat))))
         except (KeyError, ValueError):
             raise _field_error(lineno, parts) from None
     return records

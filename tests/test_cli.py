@@ -181,6 +181,30 @@ def test_usage_errors_end_in_one_error_line(tmp_path, capsys, argv):
     assert not (tmp_path / "manifest.txt").exists()
 
 
+GOOD_MIGRATION_LINE = "3\t7\tmature\ta\t1.0\t2.0\t3.0\n"
+ITEM_LINE = "id1," + ",".join(["0.5"] * 9) + ",0\n"
+
+
+@pytest.mark.parametrize("command,option,text,extra", [
+    ("bc", "--dataset", ITEM_LINE * 2, {}),
+    ("report", "--log", "3\t7\tmature\n", {}),
+    ("replay", "--log", "garbage\n", {}),
+    ("report", "--truth", "id1,0.5\n", {"--log": GOOD_MIGRATION_LINE}),
+], ids=["bc-duplicate-id", "report-log", "replay-log", "report-truth"])
+def test_malformed_input_fails_before_any_output(tmp_path, capsys, command,
+                                                 option, text, extra):
+    argv = ["--out", tmp_path / "o", command]
+    for flag, content in {**extra, option: text}.items():
+        path = tmp_path / flag.lstrip("-")
+        path.write_text(content)
+        argv += [flag, path]
+    code, captured = run(argv, capsys)
+    assert code == 1
+    assert captured.err.startswith("error: malformed ")
+    assert captured.err.count("\n") == 1
+    assert not (tmp_path / "o" / "manifest.txt").exists()
+
+
 def test_cli_uses_public_argparse_only_and_every_help_prints(capsys):
     source = Path(cli.__file__).read_text()
     assert "argparse._" not in source

@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dca import datasets
 from dca.core import fuse_signals
 from dca.datasets import (TARGET_CSM_RATE, LabelledItem, SignalMapping,
                           item_to_signals, load_items, load_uci, order_stream,
-                          select_attributes, synthetic_items, write_items)
+                          run_bc_experiment, select_attributes,
+                          synthetic_items, write_items)
+from dca.streams import Event, EventDrivenRunner
 from dca.tissue import PopulationConfig
 
 
@@ -168,6 +171,30 @@ class TestOrderStream:
             order_stream(items, "three-step")
 
 
+class TestRunBcExperiment:
+    @pytest.mark.parametrize("order", ["one-step", "two-step", "random"])
+    def test_events_pass_the_full_checks(self, items, order, monkeypatch):
+        fed = []
+
+        class Recording(EventDrivenRunner):
+            def run(self, events):
+                events = list(events)
+                fed.append(events)
+                super().run(events)
+
+        monkeypatch.setattr(datasets, "EventDrivenRunner", Recording)
+        cfg = PopulationConfig.breast_cancer(seed=2)
+        run_bc_experiment(items, order, cfg, repeats=2)
+        mapping = select_attributes(items)
+        assert len(fed) == 2
+        for r, events in enumerate(fed):
+            assert all(type(e) is Event and Event(*e) == e for e in events)
+            stream = order_stream(items, order, seed=cfg.seed * 7919 + r)
+            assert events == [e for k, it in enumerate(stream) for e in (
+                Event.signal_set(float(k), item_to_signals(it, mapping)),
+                Event.antigen(float(k), it.id, "dataset"))]
+
+
 class TestSyntheticItems:
     def test_shape_and_determinism(self):
         items = synthetic_items()
@@ -240,7 +267,7 @@ class TestFileFormats:
         ("a,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,nan,1",
          "line 2: attributes must be finite"),
         (",0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,1",
-         "line 2: antigen event requires label and process"),
+         "line 2: empty item id"),
         ("a\tb,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,1",
          "line 2: antigen label 'a\\tb' contains a comma, tab or line break"),
         ("a,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,0.5,1\n# note\n"

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dca.core import SignalVector
-from dca.streams import (ANTIGEN, BASELINE_PPS, K_DANGER, K_SAFE, MAX_FRAME,
-                         SAFE_MAX, SIGNAL_SET, Event, EventDrivenRunner,
+from dca.streams import (ANTIGEN, BASELINE_PPS, FOLD_RECORDS, K_DANGER,
+                         K_SAFE, MAX_FRAME, SAFE_MAX, SIGNAL_SET, Event,
+                         EventDrivenRunner,
                          ProtocolError, ScenarioConfig, SignalMask,
                          SinkDisconnected, StreamClient, StreamFormatError,
                          TissueServer, _read_frames, derive_signals,
@@ -696,6 +697,32 @@ class TestWireTransport:
             sock.sendall(frame(b"\xff\xfe"))
         assert wait_for(server) == expected
         assert [index for index, _ in server.dropped] == [0]
+
+    def test_records_are_built_while_the_stream_runs(self):
+        events = scenario_events()
+        head = [e for e in events if e.timestamp <= 20.0]
+        expected = run_in_process(head)
+        runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=9)))
+        tissue = runner.tissue
+        server = TissueServer(runner)
+        server.start()
+        with socket.create_connection(server.address) as sock:
+            sock.sendall(b"".join(frame(format_event(e).encode())
+                                  for e in head))
+            deadline = time.monotonic() + WAIT_DEADLINE_S
+            while tissue.clock < 19:
+                assert time.monotonic() < deadline, "no merge before the end"
+                time.sleep(0.01)
+            # between merges (the lock is free) fewer than FOLD_RECORDS
+            # migrations are unbuilt; these private reads build nothing
+            with server._lock:
+                assert tissue.migrations >= FOLD_RECORDS
+                built = len(tissue._records)
+                assert built > 0
+                assert tissue.migrations - built < FOLD_RECORDS
+                assert built + sum(map(len, tissue._pending)) == \
+                    tissue.migrations
+        assert wait_for(server) == expected
 
     def test_nothing_is_applied_before_every_client_has_connected(self):
         events = scenario_events()

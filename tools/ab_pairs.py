@@ -8,9 +8,13 @@ Pair i runs `perfbench/run.py --workload W --seed S+i --seconds T
 --trace 0` once in each checkout, each with that checkout's own
 perfbench, and alternates which side goes first so that a drift of the
 host's speed falls on both sides alike. Each run's last line of standard
-output is its JSON result. The table gives, per end-to-end metric, each
-side's median and quartiles, the pairs the change won, the median gap,
-and the parent's interquartile range; then each side's failed operations.
+output is its JSON result; the line before it gives the run's session
+count and the percentile that its `session_s.tail` reads. The table
+gives, per end-to-end metric, each side's median and quartiles, the
+pairs the change won, the median gap, and the parent's interquartile
+range; then each side's session counts and failed operations. The
+`session_s.tail` row is marked when a run had too few sessions for its
+tail to lie above the median.
 A metric's better direction comes from CHANGE_DIR/BENCHMARK.json
 (lower is better when it is not listed).
 
@@ -24,10 +28,15 @@ from __future__ import annotations
 import argparse
 import compileall
 import json
+import re
 import statistics
 import subprocess
 import sys
 from pathlib import Path
+from typing import Optional
+
+TAIL_NOTE = re.compile(r"(\d+) sessions; session_s\.tail is p([\d.]+) of")
+LOW_TAIL_PCT = 50.0  # a tail at or below this percentile is no tail
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -40,7 +49,19 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0 or not lines:
         sys.exit(f"error: {' '.join(cmd)} in {checkout} exited "
                  f"{proc.returncode}:\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["sessions"] = parse_tail_note(proc.stdout)
+    return result
+
+
+def parse_tail_note(stdout: str) -> Optional[tuple[int, float]]:
+    """A run's session count and the percentile its `session_s.tail`
+    reads, from the note `perfbench/run.py` prints before the JSON line;
+    None when the output holds no such note."""
+    match = TAIL_NOTE.search(stdout)
+    if match is None:
+        return None
+    return int(match.group(1)), float(match.group(2))
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -66,6 +87,8 @@ def report(results: dict[str, list[dict]], better: dict[str, str]) -> str:
             f"{'change median [q1, q3]':>30} {'wins':>6} {'gap':>8} "
             f"{'parent IQR':>11}")
     out = [head, "-" * len(head)]
+    low_tail = any(r["sessions"] and r["sessions"][1] <= LOW_TAIL_PCT
+                   for r in parent + change)
     for name in names:
         a = [r["metrics"][name]["value"] for r in parent]
         b = [r["metrics"][name]["value"] for r in change]
@@ -73,12 +96,20 @@ def report(results: dict[str, list[dict]], better: dict[str, str]) -> str:
         wins = sum(sign * (y - x) > 0 for x, y in zip(a, b))
         (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
         gap = (b2 - a2) / a2 if a2 else float("nan")
+        mark = "*" if name == "session_s.tail" and low_tail else ""
         out.append(
-            f"{name:<22} {f'{a2:.4g} [{a1:.4g}, {a3:.4g}]':>30} "
+            f"{name + mark:<22} {f'{a2:.4g} [{a1:.4g}, {a3:.4g}]':>30} "
             f"{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':>30} "
             f"{f'{wins}/{len(a)}':>6} {gap:>+8.1%} {a3 - a1:>11.4g}")
+    if low_tail:
+        out.append(f"* some run read session_s.tail at or below "
+                   f"p{LOW_TAIL_PCT:g}: too few sessions for a tail")
     for side in ("parent", "change"):
         runs = results[side]
+        out.append(f"sessions ({side}): " + ", ".join(
+            "?" if r["sessions"] is None
+            else f"{r['sessions'][0]} (tail p{r['sessions'][1]:g})"
+            for r in runs))
         out.append(f"failed ({side}): {sum(r['failed'] for r in runs)} of "
                    f"{sum(r['attempted'] for r in runs)} operations; "
                    f"{sum(not r['correct'] for r in runs)} incorrect runs")
