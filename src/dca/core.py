@@ -23,7 +23,8 @@ class Context(Enum):
 
 
 class InvalidWeights(ValueError):
-    """Weight row whose absolute-value sum is zero (normalization undefined)."""
+    """Weight row that is not three finite numbers, or whose absolute-value
+    sum is zero (normalization undefined)."""
 
 
 class _SignalFields(NamedTuple):
@@ -75,6 +76,10 @@ class WeightMatrix:
     def __post_init__(self):
         for name in ("csm", "semi", "mat"):
             row = getattr(self, name)
+            if not finite_numbers(row, 3):
+                raise InvalidWeights(
+                    f"{name} weight row must hold three finite numbers, "
+                    f"got {row!r}")
             if sum(abs(w) for w in row) == 0.0:
                 raise InvalidWeights(f"{name} weight row has zero absolute sum")
 
@@ -86,6 +91,14 @@ class WeightMatrix:
         """
         p, d, _ = self.mat
         return WeightMatrix(csm=self.csm, semi=self.semi, mat=(p, d, weight))
+
+
+def finite_numbers(values, count: int) -> bool:
+    """Whether `values` is a sequence of `count` finite real numbers."""
+    try:
+        return len(values) == count and all(map(math.isfinite, values))
+    except TypeError:  # not a sequence, or an item that is not a number
+        return False
 
 
 def fuse_signals(s: SignalVector, w: WeightMatrix) -> tuple[float, float, float]:

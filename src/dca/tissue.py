@@ -20,7 +20,11 @@ from typing import (BinaryIO, Iterable, Iterator, NamedTuple, Optional,
 
 import numpy as np
 
-from .core import Context, SignalVector, WeightMatrix, fuse_signals
+from .core import (Context, SignalVector, WeightMatrix, finite_numbers,
+                   fuse_signals)
+
+# the number of bounds each threshold mode takes
+_THRESHOLD_BOUNDS = {"fixed": 1, "uniform": 2}
 
 
 @dataclass(frozen=True)
@@ -51,16 +55,18 @@ class PopulationConfig:
             raise ValueError("sampling probability must lie in [0, 1]")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
-        mode = self.threshold_mode[0]
-        if mode == "fixed":
-            if self.threshold_mode[1] <= 0:
-                raise ValueError("fixed threshold must be positive")
-        elif mode == "uniform":
-            lo, hi = self.threshold_mode[1], self.threshold_mode[2]
-            if not 0 < lo <= hi:
-                raise ValueError("uniform threshold range requires 0 < lo <= hi")
-        else:
+        mode, *bounds = self.threshold_mode or (None,)
+        if mode not in _THRESHOLD_BOUNDS:
             raise ValueError(f"unknown threshold mode {mode!r}")
+        if not finite_numbers(bounds, _THRESHOLD_BOUNDS[mode]):
+            raise ValueError(f"{mode} threshold mode takes "
+                             f"{_THRESHOLD_BOUNDS[mode]} finite number(s), "
+                             f"got {tuple(bounds)!r}")
+        if mode == "fixed":
+            if bounds[0] <= 0:
+                raise ValueError("fixed threshold must be positive")
+        elif not 0 < bounds[0] <= bounds[1]:
+            raise ValueError("uniform threshold range requires 0 < lo <= hi")
 
     @classmethod
     def breast_cancer(cls, seed: int = 0, **overrides) -> "PopulationConfig":
@@ -107,11 +113,11 @@ class Tissue:
     configured multiplicity, and the slot is cleared once exhausted.
 
     The pool is a set of arrays with one entry per cell (id, migration
-    threshold, the three cytokine accumulators, the count of antigen
-    held) plus one label list per cell. One `tick` exposes every cell to
-    the current signals and, in freshly shuffled order, to a chance to
-    sample the antigen store, then replaces migrated cells with fresh
-    immature ones. Initial pool cells start with a random csm phase in
+    threshold and the three cytokine accumulators) plus one label list
+    per cell, which is the cell's antigen store. One `tick` exposes every
+    cell to the current signals and, in freshly shuffled order, to a
+    chance to sample the antigen store, then replaces migrated cells with
+    fresh immature ones. Initial pool cells start with a random csm phase in
     [0, threshold) so that fixed-threshold pools do not migrate in
     lockstep cohorts.
     """
@@ -138,7 +144,6 @@ class Tissue:
         # one row per cell: csm, semi, mat
         self._cytokines = np.zeros((n, 3))
         self._cytokines[:, 0] = self.rng.uniform(0.0, self._threshold)
-        self._held = np.zeros(n, dtype=np.int64)
         self._labels: list[list[str]] = [[] for _ in range(n)]
         self._one_slot = np.zeros(n, dtype=np.int64)
 
@@ -189,7 +194,10 @@ class Tissue:
     def enqueue_antigen(self, label: str) -> None:
         """The one antigen entry. Under flow control antigen is queued until
         a store slot is free, so no undersampled antigen is overwritten;
-        under `antigen_overwrite` it is deposited at once."""
+        under `antigen_overwrite` it is deposited at once. An empty label is
+        rejected here under both, before it is queued."""
+        if not label:
+            raise ValueError("antigen label must be non-empty")
         if self.cfg.antigen_overwrite:
             self.deposit(label)
         else:
@@ -202,7 +210,7 @@ class Tissue:
     @property
     def settled(self) -> bool:
         """Drain stop rule: no antigen in the feed, the store or a cell."""
-        return not self._feed and self.occupied == 0 and not self._held.any()
+        return not self._feed and self.occupied == 0 and not any(self._labels)
 
     def _refill(self) -> None:
         while self._feed and self.occupied < self.capacity:
@@ -261,14 +269,19 @@ class Tissue:
         # Visiting only draws of occupied slots is exact: a non-empty feed
         # leaves every slot occupied after the refill, and an empty feed
         # cannot fill a slot mid-tick, so every skipped draw finds nothing.
+        # A full cell is skipped before it draws on the store. Only a cell's
+        # own sample grows its list, and it comes once in the order.
         tries = ((coins < cfg.antigen_sampling_probability)
-                 & (self._held[order] < cfg.cell_antigen_capacity)
                  & (self._slot_left[slots] > 0))
+        labels = self._labels
+        cell_capacity = cfg.cell_antigen_capacity
         for cell, slot in zip(order[tries].tolist(), slots[tries].tolist()):
+            held = labels[cell]
+            if len(held) >= cell_capacity:
+                continue
             label = self.sample_slot(slot)
             if label is not None:
-                self._labels[cell].append(label)
-                self._held[cell] += 1
+                held.append(label)
                 if self._feed and self.occupied < self.capacity:
                     self._refill()
         self._cytokines += np.array((max(0.0, d_csm), d_semi, d_mat))
@@ -306,7 +319,6 @@ class Tissue:
         self._next_id += count
         self._threshold[cells] = self._draw_thresholds(count)
         self._cytokines[cells] = 0.0
-        self._held[cells] = 0
         return logged
 
 

@@ -1,7 +1,9 @@
-"""`tools/ab_pairs.py`: reading each benchmark run's session note and
-flagging a `session_s.tail` that is not a tail."""
+"""`tools/ab_pairs.py`: reading each benchmark run's session note,
+flagging a `session_s.tail` that is not a tail, and choosing and running
+the workloads of one call."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,94 @@ def test_a_tail_at_or_below_the_median_is_marked(ab_pairs, pct, marked):
     assert "session_s.p50" in rows
     assert "sessions (change): 15 (tail p" in table
     assert "sessions (parent): 55 (tail p80)" in table
+
+
+def test_every_run_is_listed_in_pair_order(ab_pairs):
+    table = ab_pairs.report(
+        {"parent": [result(55, 80.0, tail=0.3), result(55, 80.0, tail=0.5)],
+         "change": [result(55, 80.0, tail=0.2), result(55, 80.0, tail=0.4)]},
+        {})
+    assert "runs session_s.tail (parent | change): 0.3 0.5 | 0.2 0.4" in table
+
+
+WORKLOADS = ["bc-orders", "portscan-series", "wire-replay"]
+
+
+@pytest.fixture
+def checkouts(tmp_path):
+    """Two checkouts that hold a perfbench/run.py, and a BENCHMARK.json in
+    the change's."""
+    sides = []
+    for side in ("parent", "change"):
+        root = tmp_path / side
+        (root / "perfbench").mkdir(parents=True)
+        (root / "perfbench" / "run.py").write_text("")
+        (root / "src").mkdir()
+        sides.append(root)
+    (sides[1] / "BENCHMARK.json").write_text(json.dumps({
+        "workloads": [{"name": w} for w in WORKLOADS],
+        "end_to_end": [{"name": "session_s.p50", "better": "lower"}]}))
+    return sides
+
+
+@pytest.fixture
+def runs(ab_pairs, monkeypatch):
+    """Replaces `run_once` with canned results; the list of its calls,
+    as (side, workload, seed)."""
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload, seed))
+        return result(55, 80.0)
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    return calls
+
+
+def tables(stdout):
+    return [line.split(":")[0] for line in stdout.splitlines()
+            if line.startswith("workload ")]
+
+
+def test_all_runs_every_workload_in_turn(ab_pairs, checkouts, runs, capsys):
+    parent, change = checkouts
+    assert ab_pairs.main([str(parent), str(change), "--workload", "all",
+                          "--pairs", "2", "--seed", "7"]) == 0
+    assert runs == [call for w in WORKLOADS for call in (
+        ("parent", w, 7), ("change", w, 7),
+        ("change", w, 8), ("parent", w, 8))]
+    assert tables(capsys.readouterr().out) == [
+        f"workload {w}" for w in WORKLOADS]
+
+
+def test_workload_may_repeat(ab_pairs, checkouts, runs, capsys):
+    parent, change = checkouts
+    ab_pairs.main([str(parent), str(change), "--workload", "wire-replay",
+                   "--workload", "bc-orders", "--workload", "wire-replay",
+                   "--pairs", "1"])
+    assert [w for _, w, _ in runs] == ["wire-replay"] * 2 + ["bc-orders"] * 2
+    assert tables(capsys.readouterr().out) == [
+        "workload wire-replay", "workload bc-orders"]
+
+
+@pytest.mark.parametrize("asked", [["bogus"], ["all", "bogus"],
+                                   ["bc-orders", "Wire-Replay"]])
+def test_unknown_workload_is_a_usage_error_before_any_run(
+        ab_pairs, checkouts, runs, capsys, asked):
+    parent, change = checkouts
+    argv = [str(parent), str(change)]
+    for name in asked:
+        argv += ["--workload", name]
+    with pytest.raises(SystemExit) as info:
+        ab_pairs.main(argv)
+    assert info.value.code == 2
+    assert runs == []
+    assert "unknown workload" in capsys.readouterr().err
+
+
+def test_workloads_come_from_the_change_checkout(ab_pairs, checkouts, runs):
+    parent, change = checkouts
+    (change / "BENCHMARK.json").unlink()
+    with pytest.raises(SystemExit):
+        ab_pairs.main([str(parent), str(change), "--workload", "bc-orders"])
+    assert runs == []

@@ -71,6 +71,20 @@ class TestWeightMatrix:
         with pytest.raises(InvalidWeights):
             WeightMatrix(semi=(0.0, 0.0, 0.0))
 
+    @pytest.mark.parametrize("row", [
+        dict(csm=(math.nan, 1.0, 2.0)), dict(mat=(2.0, 1.0, math.inf)),
+        dict(semi=(0.0, -math.inf, 3.0)), dict(csm=(1.0, 1.0)),
+        dict(csm=(1.0, 1.0, 1.0, 1.0)), dict(semi=(0.0, "0", 3.0)),
+        dict(mat=None)])
+    def test_malformed_row_rejected(self, row):
+        with pytest.raises(InvalidWeights, match="three finite numbers"):
+            WeightMatrix(**row)
+
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf])
+    def test_safe_mat_override_checked(self, weight):
+        with pytest.raises(InvalidWeights):
+            DEFAULT.with_safe_mat_weight(weight)
+
     def test_safe_mat_override(self):
         patched = DEFAULT.with_safe_mat_weight(-1.0)
         assert patched.mat == (2.0, 1.0, -1.0)

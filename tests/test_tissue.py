@@ -57,6 +57,15 @@ class TestPopulationConfig:
         with pytest.raises(ValueError, match="seed"):
             PopulationConfig(seed=-1)
 
+    @pytest.mark.parametrize("mode", [
+        ("uniform", 5.0), ("fixed",), ("fixed", 5.0, 6.0),
+        ("uniform", 5.0, 6.0, 7.0), ("fixed", float("nan")),
+        ("fixed", float("inf")), ("uniform", 5.0, float("inf")),
+        ("fixed", "10"), ()])
+    def test_malformed_threshold_mode_rejected(self, mode):
+        with pytest.raises(ValueError):
+            PopulationConfig(threshold_mode=mode)
+
 
 def store(capacity, multiplicity, seed=0):
     """A one-cell tissue, for its antigen store."""
@@ -117,6 +126,17 @@ class TestTissueCompartment:
         tissue = store(1, 1)
         with pytest.raises(ValueError):
             tissue.deposit("")
+
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_empty_label_rejected_where_it_enters(self, overwrite):
+        tissue = Tissue(PopulationConfig.breast_cancer(
+            seed=1, antigen_overwrite=overwrite))
+        with pytest.raises(ValueError, match="non-empty"):
+            tissue.enqueue_antigen("")
+        assert tissue.feed_pending == 0
+        assert tissue.occupied == 0
+        tissue.tick()
+        assert tissue.clock == 1
 
 
 class TestTick:

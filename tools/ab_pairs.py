@@ -2,17 +2,23 @@
 """Compare two checkouts on the benchmark in alternating pairs of runs.
 
     python3 tools/ab_pairs.py PARENT_DIR CHANGE_DIR --workload W \\
-        --pairs N --seed S --seconds T
+        [--workload W2 ...] --pairs N --seed S --seconds T
 
-Pair i runs `perfbench/run.py --workload W --seed S+i --seconds T
---trace 0` once in each checkout, each with that checkout's own
-perfbench, and alternates which side goes first so that a drift of the
-host's speed falls on both sides alike. Each run's last line of standard
-output is its JSON result; the line before it gives the run's session
-count and the percentile that its `session_s.tail` reads. The table
-gives, per end-to-end metric, each side's median and quartiles, the
+`--workload` may repeat, and `--workload all` stands for every workload
+that CHANGE_DIR/BENCHMARK.json names; a name it does not list is a usage
+error before any run. The workloads run one after another, each with its
+own pairs and its own table.
+
+Pair i of a workload W runs `perfbench/run.py --workload W --seed S+i
+--seconds T --trace 0` once in each checkout, each with that checkout's
+own perfbench, and alternates which side goes first so that a drift of
+the host's speed falls on both sides alike. Each run's last line of
+standard output is its JSON result; the line before it gives the run's
+session count and the percentile that its `session_s.tail` reads. The
+table gives, per end-to-end metric, each side's median and quartiles, the
 pairs the change won, the median gap, and the parent's interquartile
-range; then each side's session counts and failed operations. The
+range; then each side's session counts and failed operations, and
+each metric's value in every run, in pair order. The
 `session_s.tail` row is marked when a run had too few sessions for its
 tail to lie above the median.
 A metric's better direction comes from CHANGE_DIR/BENCHMARK.json
@@ -71,13 +77,51 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def directions(checkout: Path) -> dict[str, str]:
+def load_spec(checkout: Path) -> dict:
+    """The checkout's BENCHMARK.json; empty when it is missing or bad."""
     try:
-        spec = json.loads((checkout / "BENCHMARK.json").read_text())
+        return json.loads((checkout / "BENCHMARK.json").read_text())
     except (OSError, ValueError):
         return {}
+
+
+def directions(spec: dict) -> dict[str, str]:
     return {m["name"]: m.get("better", "lower")
             for m in spec.get("end_to_end", [])}
+
+
+def select_workloads(asked: list[str], spec: dict) -> list[str]:
+    """The workloads to run, in the order asked and each once, with `all`
+    standing for every workload of `spec`. Raises ValueError naming a
+    workload that `spec` does not list."""
+    known = [w["name"] for w in spec.get("workloads", [])]
+    chosen: list[str] = []
+    for name in asked:
+        if name != "all" and name not in known:
+            raise ValueError(f"unknown workload {name!r}; BENCHMARK.json "
+                             f"lists {', '.join(known) or 'none'}")
+        chosen += known if name == "all" else [name]
+    return list(dict.fromkeys(chosen))
+
+
+def run_pairs(sides: dict[str, Path], workload: str, pairs: int, seed: int,
+              seconds: float) -> dict[str, list[dict]]:
+    """Run `pairs` alternating pairs of one workload; each side's results
+    in pair order."""
+    results: dict[str, list[dict]] = {"parent": [], "change": []}
+    for i in range(pairs):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        for side in order:
+            results[side].append(run_once(sides[side], workload, seed + i,
+                                          seconds))
+        line = "  ".join(
+            f"{side} {results[side][-1]['metrics']['session_s.p50']['value']:.4g}"
+            for side in ("parent", "change")
+            if "session_s.p50" in results[side][-1]["metrics"])
+        print(f"{workload} pair {i + 1}/{pairs} seed {seed + i} "
+              f"({order[0]} first): session_s.p50 {line}",
+              file=sys.stderr, flush=True)
+    return results
 
 
 def report(results: dict[str, list[dict]], better: dict[str, str]) -> str:
@@ -113,6 +157,10 @@ def report(results: dict[str, list[dict]], better: dict[str, str]) -> str:
         out.append(f"failed ({side}): {sum(r['failed'] for r in runs)} of "
                    f"{sum(r['attempted'] for r in runs)} operations; "
                    f"{sum(not r['correct'] for r in runs)} incorrect runs")
+    for name in names:
+        out.append(f"runs {name} (parent | change): " + " | ".join(
+            " ".join(f"{r['metrics'][name]['value']:.4g}" for r in runs)
+            for runs in (parent, change)))
     return "\n".join(out)
 
 
@@ -120,7 +168,9 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("parent", type=Path, help="checkout of the parent commit")
     p.add_argument("change", type=Path, help="checkout of the change")
-    p.add_argument("--workload", required=True)
+    p.add_argument("--workload", action="append", required=True,
+                   help="a workload of CHANGE/BENCHMARK.json, or all; "
+                        "may repeat")
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--seconds", type=float, default=8)
@@ -131,25 +181,22 @@ def main(argv=None) -> int:
     for path in sides.values():
         if not (path / "perfbench" / "run.py").is_file():
             p.error(f"{path} holds no perfbench/run.py")
+    spec = load_spec(sides["change"])
+    try:
+        workloads = select_workloads(args.workload, spec)
+    except ValueError as exc:
+        p.error(str(exc))
+    for path in sides.values():
         compileall.compile_dir(path / "src", quiet=1)
         compileall.compile_dir(path / "perfbench", quiet=1)
-    results: dict[str, list[dict]] = {"parent": [], "change": []}
-    for i in range(args.pairs):
-        seed = args.seed + i
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-        for side in order:
-            results[side].append(run_once(sides[side], args.workload, seed,
-                                          args.seconds))
-        line = "  ".join(
-            f"{side} {results[side][-1]['metrics']['session_s.p50']['value']:.4g}"
-            for side in ("parent", "change")
-            if "session_s.p50" in results[side][-1]["metrics"])
-        print(f"pair {i + 1}/{args.pairs} seed {seed} ({order[0]} first): "
-              f"session_s.p50 {line}", file=sys.stderr, flush=True)
-    print(f"workload {args.workload}: {args.pairs} pairs, seeds {args.seed}-"
-          f"{args.seed + args.pairs - 1}, {args.seconds:g} s per run; "
-          "gap is the change's median against the parent's")
-    print(report(results, directions(sides["change"])))
+    for n, workload in enumerate(workloads):
+        results = run_pairs(sides, workload, args.pairs, args.seed,
+                            args.seconds)
+        print(("\n" if n else "")
+              + f"workload {workload}: {args.pairs} pairs, seeds {args.seed}-"
+              f"{args.seed + args.pairs - 1}, {args.seconds:g} s per run; "
+              "gap is the change's median against the parent's")
+        print(report(results, directions(spec)), flush=True)
     return 0
 
 
