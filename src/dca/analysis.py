@@ -47,13 +47,15 @@ class RunSummary:
     unseen: int = 0
 
 
-def aggregate(records: Iterable[MigrationRecord]) -> dict[str, AntigenVerdict]:
-    """Count presentations per label across all records (multiplicity counts)."""
+def tally(presentations: Iterable[tuple[bool, Iterable[str]]]
+          ) -> dict[str, AntigenVerdict]:
+    """Count presentations per label from `(mature, labels)` pairs, one
+    per migration: every label copy counts once under that context
+    (multiplicity counts)."""
     verdicts: dict[str, AntigenVerdict] = {}
     get = verdicts.get
-    for rec in records:
-        mature = rec.context is Context.MATURE
-        for label in rec.antigens:
+    for mature, labels in presentations:
+        for label in labels:
             v = get(label)
             if v is None:
                 v = verdicts[label] = AntigenVerdict(label)
@@ -62,6 +64,11 @@ def aggregate(records: Iterable[MigrationRecord]) -> dict[str, AntigenVerdict]:
             else:
                 v.presented_semi += 1
     return verdicts
+
+
+def aggregate(records: Iterable[MigrationRecord]) -> dict[str, AntigenVerdict]:
+    """Count presentations per label across all records (multiplicity counts)."""
+    return tally((r.context is Context.MATURE, r.antigens) for r in records)
 
 
 def classify(verdicts: Mapping[str, AntigenVerdict], threshold: float) -> None:

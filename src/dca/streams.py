@@ -22,11 +22,12 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, replace
+from itertools import pairwise
 from typing import (BinaryIO, Callable, Iterable, Iterator, NamedTuple,
                     Optional, Sequence, TextIO, Union)
 
-from .analysis import (PairedTTestResult, aggregate, mean_and_std,
-                       paired_t_test, process_mag)
+from .analysis import (PairedTTestResult, mean_and_std, paired_t_test,
+                       process_mag, tally)
 from .core import SignalVector, WeightMatrix
 from .tissue import MigrationRecord, PopulationConfig, Tissue, log_lines
 
@@ -442,12 +443,18 @@ def replay(events: Sequence[Event], rate, sink,
     1/rate; rate "max" never waits. `sink` is anything with apply().
 
     Logical time comes from event timestamps either way, so rate only
-    affects wall-clock duration, never outcomes.
+    affects wall-clock duration, never outcomes. A rate that needs a wait
+    over `threading.TIMEOUT_MAX`, sleep's limit, fails before any delivery.
     """
     if rate != "max":
         rate = float(rate)
         if rate <= 0:
             raise ValueError("replay rate must be positive or 'max'")
+        longest = max((b.timestamp - a.timestamp
+                       for a, b in pairwise(events)), default=0.0) / rate
+        if longest > threading.TIMEOUT_MAX:
+            raise ValueError(f"replay rate {rate:g} makes a wait of "
+                             f"{longest:.3g} s, longer than sleep allows")
     prev_ts: Optional[float] = None
     for i, e in enumerate(events):
         if rate != "max" and prev_ts is not None and e.timestamp > prev_ts:
@@ -779,14 +786,13 @@ def run_portscan_experiment(scenario: ScenarioConfig, experiment: int,
         runner = EventDrivenRunner(Tissue(cfg), mask=exp.mask)
         runner.run(events)
         runner.drain()
-        presenting = runner.tissue.records_with_antigen()
-        verdicts = aggregate(presenting)
+        verdicts = tally(runner.tissue.presentations())
         groups = scenario_process_groups(events)
         for name, mag in process_mag(verdicts, groups).items():
             per_process.setdefault(name, []).append(mag)
             per_process_counts.setdefault(name, []).append(
                 sum(verdicts[l].total for l in groups[name] if l in verdicts))
-        presented = sum(len(rec.antigens) for rec in presenting)
+        presented = sum(v.total for v in verdicts.values())
         migrations = runner.tissue.migrations
         antigen_per_cell_runs.append(presented / migrations if migrations else 0.0)
 

@@ -235,15 +235,17 @@ class Tissue:
         """The number of migrations so far; builds no record."""
         return self._migrations
 
-    def records_with_antigen(self) -> list[MigrationRecord]:
-        """The records of the migrated cells that held antigen, in log
-        order. Only antigen reaches a verdict, so this is all `aggregate`
-        needs. Each tick's log indexes its antigen rows, and only those are
-        gathered: a migration without antigen is neither built nor
-        scanned, except among records already built by a read of
-        `records`."""
-        return ([r for r in self._records if r.antigens]
-                + _build_records(self._pending, antigen_only=True))
+    def presentations(self) -> Iterator[tuple[bool, Sequence[str]]]:
+        """`(mature, labels)` for each migration whose cell held antigen, in
+        log order, as `analysis.tally` counts them: the records already
+        built, then the pending tick logs, read without building a record."""
+        for r in self._records:
+            if r.antigens:
+                yield r.context is Context.MATURE, r.antigens
+        for m in self._pending:
+            for mature, labels in zip(_matured(m.cytokines), m.labels):
+                if labels:
+                    yield mature, labels
 
     def tick(self) -> Sequence[MigrationRecord]:
         """Run one cell cycle; returns the migrations it produced, as a
@@ -303,17 +305,13 @@ class Tissue:
         in the pool, so the log never shares a list with a live cell."""
         labels = self._labels
         logged_labels: list[Sequence[str]] = []
-        rows: list[int] = []
-        for row, cell in enumerate(cells.tolist()):
+        for cell in cells.tolist():
             held = labels[cell]
             if held:
                 labels[cell] = []
-                rows.append(row)
-            else:
-                held = ()
-            logged_labels.append(held)
+            logged_labels.append(held or ())
         logged = _TickLog(tick, self._id[cells], self._cytokines[cells],
-                          logged_labels, rows)
+                          logged_labels)
         count = cells.size
         self._id[cells] = np.arange(self._next_id, self._next_id + count)
         self._next_id += count
@@ -330,19 +328,17 @@ TissueCompartment = Tissue
 class _TickLog(Sequence):
     """The migrations of one tick, in tick order: the cells' ids, their
     cytokine rows (csm, semi, mat) and their labels (`()` for a cell that
-    held none), plus `rows`, the positions of the migrations whose cell
-    held antigen. As a sequence it holds the tick's records, built on
-    first access."""
+    held none). As a sequence it holds the tick's records, built on first
+    access."""
 
-    __slots__ = ("tick", "ids", "cytokines", "labels", "rows", "_records")
+    __slots__ = ("tick", "ids", "cytokines", "labels", "_records")
 
     def __init__(self, tick: int, ids: np.ndarray, cytokines: np.ndarray,
-                 labels: list[Sequence[str]], rows: list[int]):
+                 labels: list[Sequence[str]]):
         self.tick = tick
         self.ids = ids
         self.cytokines = cytokines
         self.labels = labels
-        self.rows = rows
         self._records: Optional[list[MigrationRecord]] = None
 
     def __len__(self) -> int:
@@ -354,36 +350,26 @@ class _TickLog(Sequence):
         return self._records[i]
 
 
-_CONTEXTS = (Context.SEMI_MATURE, Context.MATURE)  # indexed by mat > semi
+def _matured(cytokines: np.ndarray) -> list[bool]:
+    """The context rule, per (csm, semi, mat) row: mature when mat > semi."""
+    return (cytokines[:, 2] > cytokines[:, 1]).tolist()
 
 
-def _build_records(logged: Sequence[_TickLog],
-                   antigen_only: bool = False) -> list[MigrationRecord]:
-    """The records of the logged ticks, in log order, built one column at
-    a time; with `antigen_only`, only those of the rows each tick indexed
-    as holding antigen, which are gathered without touching the rest."""
-    if antigen_only:
-        logged = [m for m in logged if m.rows]
-    if not logged:
-        return []
-    if antigen_only:
-        counts = [len(m.rows) for m in logged]
-        ids = np.concatenate([m.ids[m.rows] for m in logged])
-        cytokines = np.concatenate([m.cytokines[m.rows] for m in logged])
-        labels = chain.from_iterable(
-            map(m.labels.__getitem__, m.rows) for m in logged)
-    else:
-        counts = [len(m.labels) for m in logged]
-        ids = np.concatenate([m.ids for m in logged])
-        cytokines = np.concatenate([m.cytokines for m in logged])
-        labels = chain.from_iterable(m.labels for m in logged)
+_CONTEXTS = (Context.SEMI_MATURE, Context.MATURE)  # indexed by `_matured`
+
+
+def _build_records(logged: Sequence[_TickLog]) -> list[MigrationRecord]:
+    """The records of the logged ticks, in log order, built by columns."""
+    counts = [len(m.labels) for m in logged]
+    ids = np.concatenate([m.ids for m in logged])
+    cytokines = np.concatenate([m.cytokines for m in logged])
     # the records of one tick share its tick number object
     ticks = chain.from_iterable(map(repeat, [m.tick for m in logged], counts))
     csm, semi, mat = cytokines.T.tolist()
-    contexts = map(_CONTEXTS.__getitem__,
-                   (cytokines[:, 2] > cytokines[:, 1]).tolist())
+    contexts = map(_CONTEXTS.__getitem__, _matured(cytokines))
+    labels = map(tuple, chain.from_iterable(m.labels for m in logged))
     return list(map(tuple.__new__, repeat(MigrationRecord), zip(
-        ticks, ids.tolist(), contexts, map(tuple, labels), csm, semi, mat)))
+        ticks, ids.tolist(), contexts, labels, csm, semi, mat)))
 
 
 class Cytokines(NamedTuple):

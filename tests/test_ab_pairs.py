@@ -1,6 +1,6 @@
 """`tools/ab_pairs.py`: reading each benchmark run's session note,
-flagging a `session_s.tail` that is not a tail, and choosing and running
-the workloads of one call."""
+flagging a `session_s.tail` that is not a tail, judging each metric
+against its bound, and choosing and running the workloads of one call."""
 
 import importlib.util
 import json
@@ -43,7 +43,7 @@ def result(sessions, pct, tail=0.3):
                                         (80.0, False)])
 def test_a_tail_at_or_below_the_median_is_marked(ab_pairs, pct, marked):
     table = ab_pairs.report({"parent": [result(55, 80.0)],
-                             "change": [result(15, pct)]}, {})
+                             "change": [result(15, pct)]}, {}, {})
     rows = {line.split()[0]: line for line in table.splitlines()}
     assert ("session_s.tail*" in rows) == marked
     assert "session_s.p50" in rows
@@ -55,8 +55,67 @@ def test_every_run_is_listed_in_pair_order(ab_pairs):
     table = ab_pairs.report(
         {"parent": [result(55, 80.0, tail=0.3), result(55, 80.0, tail=0.5)],
          "change": [result(55, 80.0, tail=0.2), result(55, 80.0, tail=0.4)]},
-        {})
+        {}, {})
     assert "runs session_s.tail (parent | change): 0.3 0.5 | 0.2 0.4" in table
+
+
+def sides(parent, change, name="session_s.p50"):
+    """One run per value on each side, holding the one metric `name`."""
+    def runs(values):
+        return [{"metrics": {name: {"value": v}}, "sessions": (55, 80.0),
+                 "failed": 0, "attempted": 3, "correct": True}
+                for v in values]
+    return {"parent": runs(parent), "change": runs(change)}
+
+
+def bound_cell(table, name):
+    row = next(line for line in table.splitlines()
+               if line.startswith(name + " "))
+    return row.split()[-2]
+
+
+STEADY = [1.0, 1.0, 1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("better,change,verdict", [
+    ("lower", [1.25] * 5, "worse"),     # +25% against a 20% bound
+    ("lower", [1.15] * 5, "ok"),
+    ("lower", [0.5] * 5, "ok"),         # better by any amount
+    ("higher", [0.75] * 5, "worse"),
+    ("higher", [1.25] * 5, "ok"),
+])
+def test_the_change_median_is_judged_against_the_bound(
+        ab_pairs, better, change, verdict):
+    table = ab_pairs.report(sides(STEADY, change), {"session_s.p50": better},
+                            {"session_s.p50": 0.2})
+    assert bound_cell(table, "session_s.p50") == verdict
+
+
+def test_a_parent_spread_wider_than_the_bound_is_unresolved(ab_pairs):
+    # IQR 0.5 on a median of 1.0: wider than a 25% bound, narrower than 60%
+    parent = [0.5, 0.75, 1.0, 1.25, 1.5]
+    for bound, verdict in ((0.25, "unresolved"), (0.6, "ok")):
+        table = ab_pairs.report(sides(parent, parent), {},
+                                {"session_s.p50": bound})
+        assert bound_cell(table, "session_s.p50") == verdict
+    # a change past the bound is worse however widely the parent spreads
+    table = ab_pairs.report(sides(parent, [2.0] * 5), {},
+                            {"session_s.p50": 0.25})
+    assert bound_cell(table, "session_s.p50") == "worse"
+
+
+def test_a_zero_parent_median_is_only_ok_when_equal(ab_pairs):
+    for change, verdict in (([0.0] * 5, "ok"), ([0.1] * 5, "unresolved")):
+        table = ab_pairs.report(sides([0.0] * 5, change), {},
+                                {"session_s.p50": 0.2})
+        assert bound_cell(table, "session_s.p50") == verdict
+
+
+def test_a_metric_without_a_bound_reads_a_dash(ab_pairs):
+    table = ab_pairs.report(sides(STEADY, [9.0] * 5), {}, {})
+    row = next(line for line in table.splitlines()
+               if line.startswith("session_s.p50 "))
+    assert row.split()[-1] == "-"
 
 
 WORKLOADS = ["bc-orders", "portscan-series", "wire-replay"]
@@ -66,17 +125,18 @@ WORKLOADS = ["bc-orders", "portscan-series", "wire-replay"]
 def checkouts(tmp_path):
     """Two checkouts that hold a perfbench/run.py, and a BENCHMARK.json in
     the change's."""
-    sides = []
+    roots = []
     for side in ("parent", "change"):
         root = tmp_path / side
         (root / "perfbench").mkdir(parents=True)
         (root / "perfbench" / "run.py").write_text("")
         (root / "src").mkdir()
-        sides.append(root)
-    (sides[1] / "BENCHMARK.json").write_text(json.dumps({
+        roots.append(root)
+    (roots[1] / "BENCHMARK.json").write_text(json.dumps({
         "workloads": [{"name": w} for w in WORKLOADS],
-        "end_to_end": [{"name": "session_s.p50", "better": "lower"}]}))
-    return sides
+        "end_to_end": [{"name": "session_s.p50", "better": "lower",
+                        "bound": 0.2}]}))
+    return roots
 
 
 @pytest.fixture
@@ -140,3 +200,24 @@ def test_workloads_come_from_the_change_checkout(ab_pairs, checkouts, runs):
     with pytest.raises(SystemExit):
         ab_pairs.main([str(parent), str(change), "--workload", "bc-orders"])
     assert runs == []
+
+
+def test_bounds_come_from_the_change_checkout(ab_pairs, checkouts, monkeypatch,
+                                             capsys):
+    parent, change = checkouts
+    values = {"parent": 1.0, "change": 1.3}
+
+    def run_once(checkout, workload, seed, seconds):
+        run = result(55, 80.0)
+        run["metrics"]["session_s.p50"]["value"] = values[checkout.name]
+        return run
+
+    monkeypatch.setattr(ab_pairs, "run_once", run_once)
+    ab_pairs.main([str(parent), str(change), "--workload", "bc-orders",
+                   "--pairs", "3"])
+    table = capsys.readouterr().out
+    assert bound_cell(table, "session_s.p50") == "worse"
+    # session_s.tail has no bound in that BENCHMARK.json
+    row = next(line for line in table.splitlines()
+               if line.startswith("session_s.tail "))
+    assert row.split()[-1] == "-"

@@ -434,6 +434,16 @@ class TestPipeline:
         assert code == 1
         assert captured.err == "error: label 'a' missing from ground truth\n"
 
+    def test_replay_too_slow_to_sleep_exits_one(self, tmp_path, capsys):
+        log = tmp_path / "scenario.log"
+        assert run(["--out", tmp_path / "g", "generate", "--log", log]) == 0
+        code, captured = run(["--out", tmp_path / "r", "replay", "--log", log,
+                              "--rate", "1e-12"], capsys)
+        assert code == 1
+        assert captured.err.startswith("error: replay rate 1e-12 makes a wait")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "r" / "migration.log").exists()
+
     def test_replay_malformed_log_exits_one(self, tmp_path, capsys):
         bad = tmp_path / "bad.log"
         bad.write_text("garbage\n")

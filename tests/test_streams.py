@@ -390,6 +390,35 @@ class TestReplay:
         with pytest.raises(ValueError):
             replay([], 0.0, None)
 
+    @pytest.mark.parametrize("rate", [1e-12, "1e-300"])
+    def test_a_wait_longer_than_sleep_accepts_is_rejected_first(self, rate):
+        # the longest gap is what counts, wherever it falls in the log
+        events = scenario_events()[:10]
+        gap = events[-1].timestamp - events[-2].timestamp
+        assert gap / float(rate) > threading.TIMEOUT_MAX
+
+        class RecordingSink:
+            def __init__(self):
+                self.delivered = []
+
+            def apply(self, event):
+                self.delivered.append(event)
+
+        sleeps, sink = [], RecordingSink()
+        with pytest.raises(ValueError, match="longer than sleep allows"):
+            replay(events, rate, sink, sleep=sleeps.append)
+        assert sleeps == [] and sink.delivered == []
+
+    def test_a_slow_rate_within_the_limit_is_paced(self):
+        events = scenario_events()[:10]
+        longest = max(b.timestamp - a.timestamp
+                      for a, b in zip(events, events[1:]))
+        rate = longest / threading.TIMEOUT_MAX * 2
+        sleeps = []
+        replay(events, rate, EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))), sleep=sleeps.append)
+        assert sleeps and max(sleeps) <= threading.TIMEOUT_MAX
+
     def test_sink_disconnection_reports_undelivered(self):
         class FlakySink:
             def __init__(self):

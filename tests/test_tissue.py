@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dca.analysis import aggregate
+from dca.analysis import aggregate, tally
 from dca.core import Context, SignalVector
 from dca.streams import EventDrivenRunner, ScenarioConfig, generate_scenario
 from dca.tissue import (MigrationRecord, PopulationConfig, Tissue,
@@ -302,15 +302,17 @@ class TestLazyLog:
         assert tissue.migrations == len(tissue.records) > 0
 
     @pytest.mark.parametrize("read_midway", [False, True])
-    def test_records_with_antigen_filters_records(self, read_midway):
+    def test_presentations_are_the_records_that_hold_antigen(self, read_midway):
         # the overwriting shape and the breast-cancer shape
         for tissue, steps in (_driven_tissue(9), _bc_driven_tissue(9)):
             for i, (labels, signals) in enumerate(steps):
                 _step(tissue, labels, signals)
                 if read_midway and i == len(steps) // 2:
                     tissue.records  # builds the first half; the rest pends
-            held = tissue.records_with_antigen()
-            assert held == [r for r in tissue.records if r.antigens]
+            shown = [(mature, tuple(labels))
+                     for mature, labels in tissue.presentations()]
+            assert shown == [(r.context is Context.MATURE, r.antigens)
+                             for r in tissue.records if r.antigens]
             # some ticks log migrations both with and without antigen
             by_tick: dict[int, set[bool]] = {}
             for r in tissue.records:
@@ -330,8 +332,9 @@ class TestLazyLog:
         tissue.set_signals(SignalVector())
         assert len(tissue.tick()) == 0
         assert tissue.pool[0].antigen_store == ["a"]
+        assert list(tissue.presentations()) == []
         assert [r.antigens for r in tissue.records] == [()]
-        assert tissue.records_with_antigen() == []
+        assert list(tissue.presentations()) == []
 
     def test_tick_returns_the_records_it_appended(self):
         tissue, steps = _driven_tissue(13)
@@ -344,15 +347,34 @@ class TestLazyLog:
             sizes.add(len(returned))
         assert 0 in sizes and max(sizes) > 1
 
-    def test_antigen_records_give_the_same_verdicts_on_the_portscan_shape(self):
+    def test_presentations_give_the_same_verdicts_on_the_portscan_shape(self):
         events = generate_scenario(ScenarioConfig(noise_seed=3))
         runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=3)))
         runner.run(events)
         runner.drain()
         tissue = runner.tissue
-        held = tissue.records_with_antigen()
-        assert 0 < len(held) < tissue.migrations
-        assert aggregate(held) == aggregate(tissue.records)
+        shown = list(tissue.presentations())
+        assert 0 < len(shown) < tissue.migrations
+        assert tally(shown) == aggregate(tissue.records)
+
+    @given(st.integers(0, 2**32), st.booleans(),
+           st.lists(st.tuples(st.integers(0, 3), st.floats(0, 6),
+                              st.floats(0, 6), st.floats(0, 6)),
+                    min_size=1, max_size=40),
+           st.integers(0, 40))
+    @settings(max_examples=60, deadline=None)
+    def test_tally_of_presentations_equals_aggregate_of_records(
+            self, seed, overwrite, raw_steps, read_at):
+        # reading `records` at a drawn tick leaves the ticks before it
+        # built and those after it pending, so both parts are read
+        tissue = Tissue(small_config(seed, antigen_overwrite=overwrite))
+        for t, (n, pamp, danger, safe) in enumerate(raw_steps):
+            if t == read_at:
+                tissue.records
+            _step(tissue, [f"p-{t}-{k}" for k in range(n)],
+                  SignalVector(pamp=pamp, danger=danger, safe=safe))
+        verdicts = tally(tissue.presentations())
+        assert verdicts == aggregate(tissue.records)
 
 
 record_strategy = st.builds(

@@ -16,13 +16,19 @@ the host's speed falls on both sides alike. Each run's last line of
 standard output is its JSON result; the line before it gives the run's
 session count and the percentile that its `session_s.tail` reads. The
 table gives, per end-to-end metric, each side's median and quartiles, the
-pairs the change won, the median gap, and the parent's interquartile
-range; then each side's session counts and failed operations, and
-each metric's value in every run, in pair order. The
-`session_s.tail` row is marked when a run had too few sessions for its
-tail to lie above the median.
-A metric's better direction comes from CHANGE_DIR/BENCHMARK.json
-(lower is better when it is not listed).
+pairs the change won, the median gap, the parent's interquartile range,
+and the metric against its bound; then each side's session counts and
+failed operations, and each metric's value in every run, in pair order.
+The `session_s.tail` row is marked when a run had too few sessions for
+its tail to lie above the median.
+
+A metric's better direction and its bound come from
+CHANGE_DIR/BENCHMARK.json (lower is better when it is not listed). A
+bound is relative to the parent's median. The bound column reads `worse`
+when the change's median is past the bound in the worse direction,
+`unresolved` when the parent's interquartile range is more than the bound
+times its median (the runs spread too widely to tell), `ok` otherwise,
+and `-` for a metric with no bound.
 
 Both checkouts' sources are compiled to bytecode before the first pair,
 so that neither side pays for it inside a run. The script imports
@@ -90,6 +96,27 @@ def directions(spec: dict) -> dict[str, str]:
             for m in spec.get("end_to_end", [])}
 
 
+def bounds(spec: dict) -> dict[str, float]:
+    return {m["name"]: float(m["bound"])
+            for m in spec.get("end_to_end", []) if "bound" in m}
+
+
+def judge(parent: tuple[float, float, float], change_median: float,
+          bound: float, better: str) -> str:
+    """`worse`, `unresolved` or `ok`: the change's median and the parent's
+    spread, each relative to the parent's median, against `bound`. A
+    parent median of 0 gives no scale, so only an equal median is ok."""
+    q1, median, q3 = parent
+    if not median:
+        return "ok" if change_median == median else "unresolved"
+    gap = (change_median - median) / abs(median)
+    if (gap if better == "lower" else -gap) > bound:
+        return "worse"
+    if (q3 - q1) / abs(median) > bound:
+        return "unresolved"
+    return "ok"
+
+
 def select_workloads(asked: list[str], spec: dict) -> list[str]:
     """The workloads to run, in the order asked and each once, with `all`
     standing for every workload of `spec`. Raises ValueError naming a
@@ -124,12 +151,13 @@ def run_pairs(sides: dict[str, Path], workload: str, pairs: int, seed: int,
     return results
 
 
-def report(results: dict[str, list[dict]], better: dict[str, str]) -> str:
+def report(results: dict[str, list[dict]], better: dict[str, str],
+           bound: dict[str, float]) -> str:
     parent, change = results["parent"], results["change"]
     names = [n for n in parent[0]["metrics"] if n in change[0]["metrics"]]
     head = (f"{'metric':<22} {'parent median [q1, q3]':>30} "
             f"{'change median [q1, q3]':>30} {'wins':>6} {'gap':>8} "
-            f"{'parent IQR':>11}")
+            f"{'parent IQR':>11} {'bound':>16}")
     out = [head, "-" * len(head)]
     low_tail = any(r["sessions"] and r["sessions"][1] <= LOW_TAIL_PCT
                    for r in parent + change)
@@ -141,10 +169,14 @@ def report(results: dict[str, list[dict]], better: dict[str, str]) -> str:
         (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
         gap = (b2 - a2) / a2 if a2 else float("nan")
         mark = "*" if name == "session_s.tail" and low_tail else ""
+        verdict = ("-" if name not in bound else judge(
+            (a1, a2, a3), b2, bound[name], better.get(name, "lower"))
+            + f" ({bound[name]:.0%})")
         out.append(
             f"{name + mark:<22} {f'{a2:.4g} [{a1:.4g}, {a3:.4g}]':>30} "
             f"{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':>30} "
-            f"{f'{wins}/{len(a)}':>6} {gap:>+8.1%} {a3 - a1:>11.4g}")
+            f"{f'{wins}/{len(a)}':>6} {gap:>+8.1%} {a3 - a1:>11.4g} "
+            f"{verdict:>16}")
     if low_tail:
         out.append(f"* some run read session_s.tail at or below "
                    f"p{LOW_TAIL_PCT:g}: too few sessions for a tail")
@@ -196,7 +228,7 @@ def main(argv=None) -> int:
               + f"workload {workload}: {args.pairs} pairs, seeds {args.seed}-"
               f"{args.seed + args.pairs - 1}, {args.seconds:g} s per run; "
               "gap is the change's median against the parent's")
-        print(report(results, directions(spec)), flush=True)
+        print(report(results, directions(spec), bounds(spec)), flush=True)
     return 0
 
 
