@@ -378,11 +378,19 @@ def cmd_replay(args: argparse.Namespace, out: Path, events) -> int:
 
     runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=args.seed)))
     replay(events, args.rate, runner)
-    runner.drain()
+    drained = runner.drain()
     records = runner.tissue.records
     _write_tissue_outputs(records, out)
-    print(f"replayed {len(events)} events; {len(records)} migrations")
+    print(f"replayed {len(events)} events; {len(records)} migrations; "
+          f"{_drain_outcome(drained, runner.tissue)}")
     return 0
+
+
+def _drain_outcome(ticks: int, tissue: Tissue) -> str:
+    """How the drain after the last event ended, for a closing line."""
+    if tissue.settled:
+        return f"settled after {ticks} drain ticks"
+    return f"unsettled after the {ticks}-tick drain cap"
 
 
 def cmd_serve(args: argparse.Namespace, out: Path) -> int:
@@ -404,7 +412,8 @@ def cmd_serve(args: argparse.Namespace, out: Path) -> int:
         raise CliError(f"{len(server.dropped)} of {args.expect_clients} "
                        f"client(s) dropped, no migration log written: {drops}")
     _write_tissue_outputs(records, out)
-    print(f"served {args.expect_clients} client(s); {len(records)} migrations")
+    print(f"served {args.expect_clients} client(s); {len(records)} migrations; "
+          f"{_drain_outcome(server.drain_ticks, runner.tissue)}")
     return 0
 
 

@@ -42,6 +42,9 @@ MAX_FRAME = 4096
 RECV_BUFFER = 65536  # server read size; must exceed one whole frame
 
 DRAIN_TICKS = 300  # safety cap on ticks run after the stream ends
+# the most ticks one event may make the runner run: a day of logical
+# seconds, a few seconds of ticks on a small pool
+MAX_TICK_JUMP = 86_400
 # a server builds its tissue's records once this many migrations are unbuilt
 FOLD_RECORDS = 256
 
@@ -401,7 +404,11 @@ class EventDrivenRunner:
     of logical time; each event is applied before the tick covering its
     second runs, and `drain` runs the tick covering the last event's
     second. Wall-clock pacing never affects the outcome. This is the only
-    caller of `Tissue.tick`, for both experiment families."""
+    caller of `Tissue.tick`, for both experiment families.
+
+    An event whose whole second lies more than `MAX_TICK_JUMP` past the
+    clock is rejected before any tick runs, so one far-future timestamp
+    cannot tie the runner up for hours; nothing changes on rejection."""
 
     def __init__(self, tissue: Tissue, mask: SignalMask = SignalMask()):
         self.tissue = tissue
@@ -412,6 +419,10 @@ class EventDrivenRunner:
         if event.timestamp < self._last_ts:
             raise StreamFormatError(
                 f"event timestamp {event.timestamp!r} decreases")
+        if int(event.timestamp) - self.tissue.clock > MAX_TICK_JUMP:
+            raise StreamFormatError(
+                f"event timestamp {event.timestamp!r} lies more than "
+                f"{MAX_TICK_JUMP} ticks past the clock ({self.tissue.clock})")
         self._last_ts = event.timestamp
         while self.tissue.clock < int(event.timestamp):
             self.tissue.tick()
@@ -424,17 +435,20 @@ class EventDrivenRunner:
         for e in events:
             self.apply(e)
 
-    def drain(self, max_ticks: int = DRAIN_TICKS) -> None:
+    def drain(self, max_ticks: int = DRAIN_TICKS) -> int:
         """End the stream: run the tick covering the last event's second,
         then keep ticking under the final signals until the tissue has
         settled (`Tissue.settled`) or `max_ticks` more ticks have run.
-        Every delivery path ends with this call."""
+        Returns the ticks run after the last event's second; the tissue's
+        `settled` then tells whether it settled or hit the cap. Every
+        delivery path ends with this call."""
         while self.tissue.clock <= self._last_ts:
             self.tissue.tick()
-        for _ in range(max_ticks):
+        for ticks in range(max_ticks):
             if self.tissue.settled:
-                return
+                return ticks
             self.tissue.tick()
+        return max_ticks
 
 
 def replay(events: Sequence[Event], rate, sink,
@@ -559,13 +573,16 @@ class TissueServer:
     events are bounded by the clients' timestamp skew plus one read per
     client.
 
-    A client that violates the frame protocol, sends a malformed event
-    or a decreasing timestamp, or resets its connection is dropped
-    without disturbing the others, and recorded in `dropped` as its
-    index and the reason. Its events not yet applied are discarded; those
-    applied before the drop stay in the run. A finished or dropped client
-    no longer holds the watermark back. An error the tissue raises while
-    applying events is not a drop: it is raised from `wait()`.
+    A client that violates the frame protocol, sends a malformed event,
+    a decreasing timestamp or one whose whole second lies more than
+    `MAX_TICK_JUMP` past its previous one's (or past 0, for its first),
+    or resets its connection is dropped without disturbing the others,
+    and recorded in `dropped` as its index and the reason. Its events not
+    yet applied are discarded; those applied before the drop stay in the
+    run. A finished or dropped client no longer holds the watermark back.
+    An error the tissue raises while applying events is not a drop: it is
+    raised from `wait()`. After `wait()`, `drain_ticks` holds the ticks
+    its drain ran.
 
     The listening socket opens here and closes once the expected
     clients have connected, or on `close()`; use the server as a
@@ -580,6 +597,7 @@ class TissueServer:
         self.expected_clients = expected_clients
         self._listener = socket.create_server((host, port))
         self.dropped: list[tuple[int, str]] = []
+        self.drain_ticks: Optional[int] = None
         # guarded by the lock: the events of each connected client not yet
         # applied, the latest timestamp of each client still streaming,
         # an error the tissue raised, and the records built so far
@@ -637,7 +655,9 @@ class TissueServer:
         self._listener.close()
 
     def _serve_client(self, conn: socket.socket, index: int) -> None:
-        last = -math.inf
+        # timestamps are non-negative, and a first one is a jump from 0:
+        # with every client's jumps bounded, the merged stream's are too
+        last = 0.0
         lineno = 0
         try:
             with conn:
@@ -650,6 +670,11 @@ class TissueServer:
                             raise StreamFormatError(
                                 f"line {lineno}: timestamp {e.timestamp!r} "
                                 f"decreases (previous {last!r})")
+                        if int(e.timestamp) - int(last) > MAX_TICK_JUMP:
+                            raise StreamFormatError(
+                                f"line {lineno}: timestamp {e.timestamp!r} "
+                                f"jumps more than {MAX_TICK_JUMP} s past "
+                                f"the previous ({last!r})")
                         last = e.timestamp
                         events.append(e)
                     self._receive(index, events)
@@ -719,7 +744,7 @@ class TissueServer:
             self._merge(math.inf)
         if self._failure is not None:
             raise self._failure
-        self.runner.drain()
+        self.drain_ticks = self.runner.drain()
         return self.runner.tissue.records
 
 

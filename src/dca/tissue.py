@@ -4,9 +4,9 @@ The tissue holds a fixed-capacity antigen slot array, the current signal
 levels and the clock. A pool of dendritic cells samples the store once
 per tick; migrated cells are logged and replaced so the pool size stays
 constant. The pool is held as arrays with one entry per cell, so a tick
-updates every cell's cytokines in one step. All randomness flows from one
-seeded numpy generator, so equal seeds over equal input streams give
-bit-identical migration logs.
+updates every cell's cytokines in one step. All randomness flows from four
+child generators of one seeded `numpy.random.SeedSequence`, so equal seeds
+over equal input streams give bit-identical migration logs.
 """
 
 from __future__ import annotations
@@ -25,6 +25,13 @@ from .core import (Context, SignalVector, WeightMatrix, finite_numbers,
 
 # the number of bounds each threshold mode takes
 _THRESHOLD_BOUNDS = {"fixed": 1, "uniform": 2}
+
+# A tick reads its order, coins and slots from blocks drawn once per
+# BLOCK_TICKS ticks, and a block holds at most BLOCK_CELL_TICKS cell-ticks
+# (never fewer than one tick), so a large pool draws shorter blocks. The
+# draws do not depend on the block size, so neither does any output.
+BLOCK_TICKS = 64
+BLOCK_CELL_TICKS = 6400
 
 
 @dataclass(frozen=True)
@@ -120,11 +127,20 @@ class Tissue:
     fresh immature ones. Initial pool cells start with a random csm phase in
     [0, threshold) so that fixed-threshold pools do not migrate in
     lockstep cohorts.
+
+    Randomness comes from the four children of
+    `SeedSequence(cfg.seed).spawn(4)`, one per purpose: the tick order,
+    the sampling coins, the store slots, and `rng` for the draws made by
+    events (the initial pool, fresh-cell thresholds and overwrite slots).
+    The first three never depend on the tissue's state, so `tick` draws
+    them many ticks at a time.
     """
 
     def __init__(self, cfg: PopulationConfig):
         self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed)
+        (self._order_rng, self._coin_rng, self._slot_rng,
+         self.rng) = map(np.random.default_rng,
+                         np.random.SeedSequence(cfg.seed).spawn(4))
         # read on every deposit, so kept here rather than looked up in cfg
         self.capacity = cfg.tissue_antigen_capacity
         self.multiplicity = cfg.antigen_sample_multiplicity
@@ -145,7 +161,8 @@ class Tissue:
         self._cytokines = np.zeros((n, 3))
         self._cytokines[:, 0] = self.rng.uniform(0.0, self._threshold)
         self._labels: list[list[str]] = [[] for _ in range(n)]
-        self._one_slot = np.zeros(n, dtype=np.int64)
+        self._block = max(1, min(BLOCK_TICKS, BLOCK_CELL_TICKS // n))
+        self._row = self._block  # the next tick draws a block
 
     def _draw_thresholds(self, m: int) -> np.ndarray:
         mode = self.cfg.threshold_mode
@@ -181,7 +198,7 @@ class Tissue:
         Returns the slot's label and decrements its counter, clearing the
         slot at zero; returns None for an empty slot.
         """
-        left = self._slot_left[slot]
+        left = self._slot_left.item(slot)
         if left == 0:
             return None
         label = self._slot_labels[slot]
@@ -251,21 +268,23 @@ class Tissue:
         """Run one cell cycle; returns the migrations it produced, as a
         sequence whose records are built when first read.
 
-        The tick draws its randomness in fixed blocks, in this order: the
-        tick order (a permutation of the pool), then for each position in
-        that order a sampling coin and a store slot, then one threshold
-        per fresh cell in tick order (uniform mode only). Sampling runs
-        sequentially in tick order, since each sample can change the
-        store; cytokines and migration are computed for the whole pool.
+        Each tick takes a tick order (a permutation of the pool) and, for
+        each position in that order, a sampling coin and a store slot,
+        each from its own child generator. They are read from blocks drawn
+        every few ticks (`_draw_block`); one block call gives exactly what
+        the same number of per-tick calls would, so outputs do not depend
+        on the block size. Sampling runs sequentially in tick order, since
+        each sample can change the store; cytokines and migration are
+        computed for the whole pool. Fresh cells' thresholds come from
+        `rng`, in tick order (uniform mode only).
         """
         cfg = self.cfg
-        n = cfg.num_cells
-        order = self.rng.permutation(n)
-        coins = self.rng.random(n)
-        # numpy draws nothing for a one-slot range, so a one-slot store
-        # skips the call without changing the stream
-        slots = (self.rng.integers(self.capacity, size=n)
-                 if self.capacity > 1 else self._one_slot)
+        r = self._row
+        if r == self._block:
+            self._draw_block()
+            r = 0
+        self._row = r + 1
+        order = self._orders[r]
         d_csm, d_semi, d_mat = fuse_signals(self.signals, cfg.weights)
         self._refill()
         # Visiting only draws of occupied slots is exact: a non-empty feed
@@ -273,11 +292,17 @@ class Tissue:
         # cannot fill a slot mid-tick, so every skipped draw finds nothing.
         # A full cell is skipped before it draws on the store. Only a cell's
         # own sample grows its list, and it comes once in the order.
-        tries = ((coins < cfg.antigen_sampling_probability)
-                 & (self._slot_left[slots] > 0))
+        if self.capacity == 1:
+            cells = self._winners[r] if self.occupied else ()
+            slots = repeat(0)
+        else:
+            row = self._slots[r]
+            tries = self._wins[r] & (self._slot_left[row] > 0)
+            cells = order[tries].tolist()
+            slots = row[tries].tolist()
         labels = self._labels
         cell_capacity = cfg.cell_antigen_capacity
-        for cell, slot in zip(order[tries].tolist(), slots[tries].tolist()):
+        for cell, slot in zip(cells, slots):
             held = labels[cell]
             if len(held) >= cell_capacity:
                 continue
@@ -296,6 +321,23 @@ class Tissue:
         self._pending.append(logged)
         self._migrations += migrated.size
         return logged
+
+    def _draw_block(self) -> None:
+        """Draw the next block of ticks' orders, coins and slots, one row
+        per tick. A one-slot store keeps no slots, and turns the coin
+        winners into one list of cells per tick, in tick order."""
+        b, n = self._block, self.cfg.num_cells
+        orders = np.tile(np.arange(n), (b, 1))
+        self._orders = self._order_rng.permuted(orders, axis=1, out=orders)
+        wins = (self._coin_rng.random((b, n))
+                < self.cfg.antigen_sampling_probability)
+        if self.capacity == 1:
+            cells = orders[wins].tolist()
+            ends = np.count_nonzero(wins, axis=1).cumsum().tolist()
+            self._winners = [cells[i:j] for i, j in zip([0] + ends, ends)]
+        else:
+            self._wins = wins
+            self._slots = self._slot_rng.integers(self.capacity, size=(b, n))
 
     def _replace(self, tick: int, cells: np.ndarray) -> _TickLog:
         """Log the migrated cells, in tick order, and put fresh immature

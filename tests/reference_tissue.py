@@ -1,12 +1,16 @@
 """Sequential reference for `dca.tissue.Tissue`: one `DendriticCell` object
 per cell, visited one at a time in tick order.
 
-It makes the same block draws from its own `numpy.random.default_rng`
-as the array tick: the tick order, one sampling coin and one store slot
-per position in that order, then one threshold per fresh cell in tick
-order. Every cell in turn samples the store when its coin comes up and
-its own store has room, then takes the tick's cytokine increments.
-Equal seeds and inputs must give equal records and pool snapshots.
+It spawns the same four child generators from
+`numpy.random.SeedSequence(seed)` as the array tick, and draws from them
+tick by tick where the array tick reads blocks: each tick a permutation
+of the pool from the order child, a sampling coin per position in that
+order from the coin child and a store slot per position from the slot
+child. The event child draws the initial pool, one threshold per fresh
+cell in tick order, and the slot of each overwriting deposit. Every cell
+in turn samples the store when its coin comes up and its own store has
+room, then takes the tick's cytokine increments. Equal seeds and inputs
+must give equal records and pool snapshots.
 
 `DendriticCell` is the oracle's own per-cell model of the algorithm:
 `update` accumulates fused signals and migrates the cell at its
@@ -123,7 +127,9 @@ class DendriticCell:
 class ReferenceTissue:
     def __init__(self, cfg):
         self.cfg = cfg
-        self.rng = np.random.default_rng(cfg.seed)
+        (self.order_rng, self.coin_rng, self.slot_rng,
+         self.rng) = map(np.random.default_rng,
+                         np.random.SeedSequence(cfg.seed).spawn(4))
         self.slots = [None] * cfg.tissue_antigen_capacity  # [label, left]
         self.feed = deque()
         self.signals = SignalVector()
@@ -177,9 +183,9 @@ class ReferenceTissue:
 
     def tick(self):
         n = len(self.pool)
-        order = self.rng.permutation(n)
-        coins = self.rng.random(n)
-        slots = self.rng.integers(len(self.slots), size=n)
+        order = self.order_rng.permuted(np.arange(n))
+        coins = self.coin_rng.random(n)
+        slots = self.slot_rng.integers(len(self.slots), size=n)
         deltas = fuse_signals(self.signals, self.cfg.weights)
         self._refill()
         new_records, migrated = [], []

@@ -16,6 +16,7 @@ import dca
 from dca import cli
 from dca.cli import main
 from dca.datasets import load_items, load_uci, synthetic_items, write_items
+from dca.streams import DRAIN_TICKS, MAX_TICK_JUMP
 
 
 def run(argv, capsys=None):
@@ -452,6 +453,35 @@ class TestPipeline:
         assert code == 1
         assert "malformed log" in captured.err
 
+    def test_replay_of_a_timestamp_jump_exits_one(self, tmp_path, capsys):
+        log = tmp_path / "jump.log"
+        log.write_text("0.0\tS\t1\t1\t1\t1\n1e9\tA\tx\tp\n")
+        code, captured = run(["--out", tmp_path / "r", "replay",
+                              "--log", log], capsys)
+        assert code == 1
+        assert captured.err == (
+            "error: event timestamp 1000000000.0 lies more than "
+            f"{MAX_TICK_JUMP} ticks past the clock (0)\n")
+        assert not (tmp_path / "r" / "migration.log").exists()
+
+    def test_replay_reports_how_the_drain_ended(self, tmp_path, capsys):
+        # no signals: the cell that samples the antigen never migrates
+        log = tmp_path / "one.log"
+        log.write_text("0.0\tA\tx\tp\n")
+        code, captured = run(["--out", tmp_path / "r", "replay",
+                              "--log", log], capsys)
+        assert code == 0
+        assert captured.out == (
+            "replayed 1 events; 0 migrations; "
+            f"unsettled after the {DRAIN_TICKS}-tick drain cap\n")
+        # strong danger: cells migrate within a few ticks, presenting it
+        log.write_text("0.0\tS\t0\t100\t0\t0\n0.0\tA\tx\tp\n")
+        code, captured = run(["--out", tmp_path / "s", "replay",
+                              "--log", log], capsys)
+        assert code == 0
+        assert re.fullmatch(r"replayed 2 events; \d+ migrations; "
+                            r"settled after \d drain ticks\n", captured.out)
+
     def test_report_rejects_an_empty_antigen_label(self, tmp_path, capsys):
         log = tmp_path / "migration.log"
         log.write_text("3\t7\tmature\ta,,b\t1.0\t2.0\t3.0\n")
@@ -492,7 +522,7 @@ class TestServe:
     @staticmethod
     def serve(out, work):
         """Run `dca serve` for one client while `work(port)` runs; return
-        its exit code and stderr."""
+        its exit code, stderr and the stdout after its listening line."""
         src = str(Path(dca.__file__).resolve().parents[1])
         proc = subprocess.Popen(
             [sys.executable, "-m", "dca.cli", "--seed", "2", "--out", str(out),
@@ -503,11 +533,11 @@ class TestServe:
             listening = proc.stdout.readline()
             assert listening.startswith("listening on 127.0.0.1:"), listening
             work(int(listening.rsplit(":", 1)[1]))
-            _, err = proc.communicate(timeout=60)
+            out, err = proc.communicate(timeout=60)
         finally:
             proc.kill()
             proc.wait()
-        return proc.returncode, err
+        return proc.returncode, err, out
 
     def test_served_outputs_equal_in_process_replay(self, tmp_path):
         log = tmp_path / "scenario.log"
@@ -515,10 +545,12 @@ class TestServe:
                     "generate", "--log", log]) == 0
         local, served = tmp_path / "local", tmp_path / "served"
         assert run(["--seed", "2", "--out", local, "replay", "--log", log]) == 0
-        code, _ = self.serve(served, lambda port: run(
+        code, _, out = self.serve(served, lambda port: run(
             ["--out", tmp_path / "c", "replay", "--log", log,
              "--endpoint", f"127.0.0.1:{port}"]))
         assert code == 0
+        assert re.fullmatch(r"served 1 client\(s\); \d+ migrations; "
+                            r"settled after \d+ drain ticks\n", out), out
         for name in ("migration.log", "verdicts.txt", "verdicts.tsv"):
             assert (served / name).read_bytes() == (local / name).read_bytes()
 
@@ -527,7 +559,7 @@ class TestServe:
             with socket.create_connection(("127.0.0.1", port)) as sock:
                 sock.sendall(b"\x00\x00\x00\x02\xff\xfe")
 
-        code, err = self.serve(tmp_path, send_undecodable)
+        code, err, _ = self.serve(tmp_path, send_undecodable)
         assert code == 1
         errors = [line for line in err.splitlines()
                   if line.startswith("error: ")]
@@ -544,7 +576,7 @@ class TestServe:
             with socket.create_connection(("127.0.0.1", port)) as sock:
                 sock.sendall(b"\x00\x00\x00\x02\xff\xfe")
 
-        code, err = self.serve(tmp_path, send_undecodable)
+        code, err, _ = self.serve(tmp_path, send_undecodable)
         assert code == 1
         assert err.count("\n") == 1
         assert err.startswith("error: 1 of 1 client(s) dropped")

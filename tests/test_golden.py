@@ -3,9 +3,11 @@
 These pin byte-level determinism across builds, not just between two
 runs of the same build. A change that alters the random stream or an
 output format on purpose must update the digests and say why. The tissue
-draws from numpy's PCG64 generator, so the digests hold for the numpy
-release they were computed on (2.4.6); numpy does not promise the same
-streams across releases.
+draws from four PCG64 children of one `numpy.random.SeedSequence` (tick
+order, sampling coins, store slots and per-event draws), so the digests
+hold for the numpy release they were computed on (2.4.6); numpy does not
+promise the same streams across releases. They do not depend on how many
+ticks of draws the tissue takes at once (`tissue.BLOCK_TICKS`).
 """
 
 import hashlib
@@ -21,18 +23,18 @@ from dca.tissue import PopulationConfig, Tissue, write_migration_log
 
 BC_SEED_11 = {
     "migration.log":
-        "aa941e0b675e75d010bd99130a9ea3a9a33288b8c2c548a9340ae6d2ece7b01e",
+        "e2df7304ca7cfb77eee9de0f84bab547866771a9c6964949497d15e6f0ede75f",
     "verdicts.tsv":
-        "0d76b1b6bfbccafba1d67d989c20e022c20ac3d1b2fdf873738652a11f0b479e",
+        "9dcfc9973d59284fd34b7cea3cca18f30836c78dd2a931cef7653c33c21b7da6",
     "summary.txt":
-        "c1178fa8714111d0c442a69f863e482fa3b1f7b9a969153bfb8ff8c6665b8f44",
+        "249211134a82f52efa9eb7574cb1c8a6940128573d93365c786052a47762942a",
 }
 PORTSCAN_SCENARIO_6 = (
-    "a1cc152b8b3fe5e1b291af251cc0653eb209878112483bcd6a7b604f26aa0d4e")
+    "e10d96f2030a3a3a0ca8fd59150245f6215977d4d378d16e02f01789eda52ac5")
 SCENARIO_6_EVENT_LOG = (
     "512967b06bcb5808ed27cc488ef07479900b40e3791134afa25c1e021cd316a6")
 EXPERIMENT_2_TABLE = (
-    "ba31d9e1eae4458c9b1dbdab19fda3e158c7b1ae32c10320ec793c8f2e3b7b71")
+    "7ffabeb7a10dcf99605349e300075cbeb864919073367e61e7dd50eb203e3226")
 
 
 def sha(data: bytes) -> str:

@@ -14,8 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dca.core import SignalVector
-from dca.streams import (ANTIGEN, BASELINE_PPS, FOLD_RECORDS, K_DANGER,
-                         K_SAFE, MAX_FRAME, SAFE_MAX, SIGNAL_SET, Event,
+from dca.streams import (ANTIGEN, BASELINE_PPS, DRAIN_TICKS, FOLD_RECORDS,
+                         K_DANGER, K_SAFE, MAX_FRAME, MAX_TICK_JUMP, SAFE_MAX,
+                         SIGNAL_SET, Event,
                          EventDrivenRunner,
                          ProtocolError, ScenarioConfig, SignalMask,
                          SinkDisconnected, StreamClient, StreamFormatError,
@@ -447,6 +448,35 @@ class TestRunner:
         with pytest.raises(StreamFormatError):
             runner.apply(Event.antigen(4.0, "y", "shell"))
 
+    def test_a_jump_past_the_bound_is_rejected_before_any_tick(
+            self, monkeypatch):
+        monkeypatch.setattr("dca.streams.MAX_TICK_JUMP", 5)
+        runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(
+            seed=1, num_cells=20)))
+        runner.apply(Event.signal_set(0.0, SignalVector(1, 1, 1, 1)))
+        runner.apply(Event.antigen(5.5, "x", "shell"))  # just at the bound
+        assert runner.tissue.clock == 5
+        with pytest.raises(StreamFormatError, match=r"^event timestamp 11\.0 "
+                           r"lies more than 5 ticks past the clock \(5\)$"):
+            runner.apply(Event.antigen(11.0, "y", "shell"))
+        assert runner.tissue.clock == 5
+        assert runner.tissue.slots.count(None) == 499
+        # the rejected event left no trace: the last timestamp is unchanged
+        runner.apply(Event.antigen(5.5, "z", "shell"))
+
+    def test_drain_returns_its_ticks(self):
+        runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=1)))
+        runner.apply(Event.signal_set(0.0, SignalVector(pamp=50)))
+        runner.apply(Event.signal_set(3.0, SignalVector(pamp=50)))
+        assert runner.drain() == 0
+        assert runner.tissue.clock == 4
+        # a held antigen that no cell ever presents: the drain hits its cap
+        quiet = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=1)))
+        quiet.apply(Event.antigen(0.0, "x", "shell"))
+        assert quiet.drain() == DRAIN_TICKS
+        assert not quiet.tissue.settled
+        assert quiet.drain(max_ticks=5) == 5
+
     def test_events_apply_before_their_second_ticks(self):
         runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=1)))
         runner.apply(Event.signal_set(0.0, SignalVector(pamp=50)))
@@ -705,6 +735,37 @@ class TestWireTransport:
         assert wait_for(server) == expected
         assert server.dropped == [
             (0, "line 2: timestamp 999.0 decreases (previous 1000.0)")]
+
+    def test_timestamp_jump_drops_that_client(self):
+        events = scenario_events()
+        expected = run_in_process(events)
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))), expected_clients=2)
+        server.start()
+        # past the other stream's end, so neither event can be applied
+        # before the second one drops the client
+        far = 1000.0 + MAX_TICK_JUMP + 1
+        rogue = socket.create_connection(server.address)
+        rogue.sendall(frame(b"1000.0\tA\tx\tshell")
+                      + frame(f"{far!r}\tA\ty\tshell".encode()))
+        rogue.close()
+        with StreamClient(*server.address) as client:
+            replay(events, "max", client)
+        assert wait_for(server) == expected
+        assert server.dropped == [
+            (0, f"line 2: timestamp {far!r} jumps more than {MAX_TICK_JUMP} "
+                "s past the previous (1000.0)")]
+
+    def test_a_first_timestamp_past_the_bound_drops_that_client(self):
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9, num_cells=20))))
+        server.start()
+        with socket.create_connection(server.address) as sock:
+            sock.sendall(frame(f"{MAX_TICK_JUMP + 1.0!r}\tA\tx\tshell"
+                               .encode()))
+        assert wait_for(server) == []
+        assert server.runner.tissue.clock == 0
+        assert [index for index, _ in server.dropped] == [0]
 
     def test_merges_while_the_stream_runs_and_keeps_them_after_a_drop(self):
         events = scenario_events()

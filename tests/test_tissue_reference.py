@@ -1,15 +1,18 @@
-"""The array tick against the sequential reference tick, draw for draw.
+"""The array tick against the sequential reference tick, draw for draw,
+and against itself drawing its tick randomness in blocks of other sizes.
 
 Both tissues get the same configuration, signals and antigen; after every
 tick their records, pool snapshots, feed and store must be equal.
 """
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+import dca.tissue
 from dca.core import SignalVector
 from dca.tissue import PopulationConfig, Tissue
 from reference_tissue import ReferenceTissue
@@ -141,3 +144,46 @@ def test_reference_property(seed, raw_steps, overwrite, probability):
               [f"h-{t}-{k}" for k in range(n)])
              for t, (p, d, s, ic, n) in enumerate(raw_steps)]
     run_both(cfg, steps)
+
+
+def tissue_state(t):
+    return (t.records, pool_state(t.pool), list(t._feed), t.slots, t.clock)
+
+
+def blocked(cfg, block_ticks):
+    """A tissue that draws `block_ticks` ticks of orders, coins and slots
+    at a time (the block is sized when the tissue is built)."""
+    with mock.patch.object(dca.tissue, "BLOCK_TICKS", block_ticks):
+        return Tissue(cfg)
+
+
+# Drawing one tick at a time and 7 at a time (so a block ends where the
+# default's does not) must give what the default block gives, on both
+# store policies. A per-tick draw moved onto a stream that another draw
+# shares would shift with the block size and fail this.
+@given(st.integers(0, 2**32), signal_steps, st.booleans(),
+       st.sampled_from([1, 3]), st.sampled_from([0.3, 1.0]))
+@settings(max_examples=40, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+def test_outputs_do_not_depend_on_the_block_size(
+        seed, raw_steps, overwrite, capacity, probability):
+    cfg = small(seed, antigen_overwrite=overwrite,
+                tissue_antigen_capacity=capacity,
+                antigen_sampling_probability=probability,
+                cell_antigen_capacity=3)
+    tissues = [Tissue(cfg), blocked(cfg, 1), blocked(cfg, 7)]
+    assert [t._block for t in tissues] == [dca.tissue.BLOCK_TICKS, 1, 7]
+    steps = [(SignalVector(pamp=p, danger=d, safe=s, inflammation=ic),
+              [f"b-{t}-{k}" for k in range(n)])
+             for t, (p, d, s, ic, n) in enumerate(raw_steps)]
+    # quiet ticks that let the pools migrate and the stores empty
+    steps += [(SignalVector(pamp=1.0, danger=1.0), [])] * 40
+    for signals, labels in steps:
+        for t in tissues:
+            t.set_signals(signals)
+            for label in labels:
+                t.enqueue_antigen(label)
+            t.tick()
+        first = tissue_state(tissues[0])
+        assert tissue_state(tissues[1]) == first
+        assert tissue_state(tissues[2]) == first
