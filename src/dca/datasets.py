@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .analysis import AntigenVerdict, RunSummary, aggregate, classify, count_errors
-from .core import SignalVector, fuse_signals
+from .core import SignalVector
 from .streams import ANTIGEN, DRAIN_TICKS, SIGNAL_SET, Event, EventDrivenRunner
 from .tissue import MigrationRecord, PopulationConfig, Tissue, log_lines
 
@@ -79,9 +79,9 @@ def select_attributes(items: Sequence[LabelledItem]) -> SignalMapping:
     if len(items) < 2:
         raise ValueError("need at least two items")
     n = len(items)
+    columns = list(zip(*(it.attributes for it in items)))
     stds = []
-    for a in range(9):
-        vals = [it.attributes[a] for it in items]
+    for vals in columns:
         mean = sum(vals) / n
         stds.append(math.sqrt(sum((v - mean) ** 2 for v in vals) / (n - 1)))
     if all(s == 0.0 for s in stds):
@@ -90,16 +90,30 @@ def select_attributes(items: Sequence[LabelledItem]) -> SignalMapping:
     top = ranked[0]
     danger = tuple(ranked[1:1 + DANGER_ATTRIBUTE_COUNT])
 
-    by_class = ([it.attributes[top] for it in items if it.true_class == 0],
-                [it.attributes[top] for it in items if it.true_class == 1])
+    xs = columns[top]
+    by_class = ([x for x, it in zip(xs, items) if it.true_class == 0],
+                [x for x, it in zip(xs, items) if it.true_class == 1])
     if not by_class[0] or not by_class[1]:
         raise ValueError("both classes must be present")
     mu0 = sum(by_class[0]) / len(by_class[0])
     mu1 = sum(by_class[1]) / len(by_class[1])
 
     unscaled = SignalMapping(danger, top, (mu0, mu1), scale=1.0)
-    csm_rate = sum(fuse_signals(item_to_signals(it, unscaled), _DEFAULT_WEIGHTS)[0]
-                   for it in items) / n
+    # each item's csm increment at scale 1, term by term as
+    # `item_to_signals` then `fuse_signals` compute it (inflammation 0)
+    pamps = [abs(x - mu0) for x in xs]
+    safes = [abs(x - mu1) for x in xs]
+    dangers = [sum(vals) / DANGER_ATTRIBUTE_COUNT
+               for vals in zip(*(columns[a] for a in danger))]
+    if not (min(dangers) >= 0
+            and max(max(pamps), max(safes), max(dangers)) < math.inf):
+        raise ValueError("pamp, danger and safe must be finite and "
+                         "non-negative")  # as `SignalVector` would
+    wp, wd, ws = _DEFAULT_WEIGHTS.csm
+    den = abs(wp) + abs(ws) + abs(wd)
+    ic_factor = (1.0 + 0.0) / 2.0
+    csm_rate = sum([(wp * p + ws * s + wd * d) / den * ic_factor
+                    for p, s, d in zip(pamps, safes, dangers)]) / n
     if csm_rate <= 0:
         raise ValueError("dataset produces no csm signal; cannot calibrate")
     return replace(unscaled, scale=TARGET_CSM_RATE / csm_rate)
@@ -156,6 +170,8 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
         raise ValueError("repeats must be at least 1")
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
+    if drain_ticks < 0:
+        raise ValueError(f"drain_ticks must be non-negative, got {drain_ticks}")
     if mapping is None:
         mapping = select_attributes(items)
     truth = {it.id: it.true_class for it in items}

@@ -391,6 +391,11 @@ class SignalMask:
     use_inflammation: bool = True
 
     def apply(self, s: SignalVector) -> SignalVector:
+        """`s` with the masked channels zeroed; `s` itself when every
+        channel is kept."""
+        if (self.use_pamp and self.use_danger and self.use_safe
+                and self.use_inflammation):
+            return s
         return SignalVector(
             pamp=s.pamp if self.use_pamp else 0.0,
             danger=s.danger if self.use_danger else 0.0,
@@ -406,9 +411,21 @@ class EventDrivenRunner:
     second. Wall-clock pacing never affects the outcome. This is the only
     caller of `Tissue.tick`, for both experiment families.
 
-    An event whose whole second lies more than `MAX_TICK_JUMP` past the
-    clock is rejected before any tick runs, so one far-future timestamp
-    cannot tie the runner up for hours; nothing changes on rejection."""
+    `run` walks the stream one whole second at a time. Until the tick
+    covering a second runs, only the second's last signal set and the
+    order of its antigen labels matter, so once the second is over the
+    runner ticks up to it and hands the tissue just those
+    (`Tissue.receive`), in one call per second. `apply(e)` is
+    `run((e,))`, so the run, the server's merges and a replay into a
+    runner share one loop, and a second split over several calls gives
+    what one call would.
+
+    An event whose timestamp decreases, or whose whole second lies more
+    than `MAX_TICK_JUMP` past the clock, is rejected with a
+    `StreamFormatError`, so one far-future timestamp cannot tie the
+    runner up for hours. Every event before it, its own second's too, has
+    then been applied, and nothing after it is; the rejected event leaves
+    no trace."""
 
     def __init__(self, tissue: Tissue, mask: SignalMask = SignalMask()):
         self.tissue = tissue
@@ -416,24 +433,52 @@ class EventDrivenRunner:
         self._last_ts = -math.inf
 
     def apply(self, event: Event) -> None:
-        if event.timestamp < self._last_ts:
-            raise StreamFormatError(
-                f"event timestamp {event.timestamp!r} decreases")
-        if int(event.timestamp) - self.tissue.clock > MAX_TICK_JUMP:
-            raise StreamFormatError(
-                f"event timestamp {event.timestamp!r} lies more than "
-                f"{MAX_TICK_JUMP} ticks past the clock ({self.tissue.clock})")
-        self._last_ts = event.timestamp
-        while self.tissue.clock < int(event.timestamp):
-            self.tissue.tick()
-        if event.kind == SIGNAL_SET:
-            self.tissue.set_signals(self.mask.apply(event.signals))
-        else:
-            self.tissue.enqueue_antigen(event.label)
+        self.run((event,))
 
     def run(self, events: Iterable[Event]) -> None:
-        for e in events:
-            self.apply(e)
+        tissue = self.tissue
+        last = self._last_ts
+        gathered = False  # whether events of `second` await the tissue
+        second = end = -math.inf  # the second being gathered, and its end
+        signals: Optional[SignalVector] = None
+        labels: list[str] = []
+        try:
+            for e in events:
+                ts = e.timestamp
+                if ts < last:
+                    raise StreamFormatError(
+                        f"event timestamp {ts!r} decreases")
+                if ts >= end:  # the first event of a later second
+                    if gathered:
+                        gathered = False  # so a tissue error hands none twice
+                        self._hand_over(second, signals, labels)
+                        signals, labels = None, []
+                    second = int(ts)
+                    if second - tissue.clock > MAX_TICK_JUMP:
+                        raise StreamFormatError(
+                            f"event timestamp {ts!r} lies more than "
+                            f"{MAX_TICK_JUMP} ticks past the clock "
+                            f"({tissue.clock})")
+                    end = second + 1
+                    gathered = True
+                last = ts
+                if e.kind == SIGNAL_SET:
+                    signals = e.signals
+                else:
+                    labels.append(e.label)
+        finally:
+            self._last_ts = last
+            if gathered:
+                self._hand_over(second, signals, labels)
+
+    def _hand_over(self, second: int, signals: Optional[SignalVector],
+                   labels: list[str]) -> None:
+        """Tick up to `second`, then give the tissue its input."""
+        tissue = self.tissue
+        while tissue.clock < second:
+            tissue.tick()
+        tissue.receive(None if signals is None else self.mask.apply(signals),
+                       labels)
 
     def drain(self, max_ticks: int = DRAIN_TICKS) -> int:
         """End the stream: run the tick covering the last event's second,
@@ -441,7 +486,10 @@ class EventDrivenRunner:
         settled (`Tissue.settled`) or `max_ticks` more ticks have run.
         Returns the ticks run after the last event's second; the tissue's
         `settled` then tells whether it settled or hit the cap. Every
-        delivery path ends with this call."""
+        delivery path ends with this call. A negative cap is rejected
+        before any tick."""
+        if max_ticks < 0:
+            raise ValueError(f"max_ticks must be non-negative, got {max_ticks}")
         while self.tissue.clock <= self._last_ts:
             self.tissue.tick()
         for ticks in range(max_ticks):

@@ -4,7 +4,7 @@ The tissue holds a fixed-capacity antigen slot array, the current signal
 levels and the clock. A pool of dendritic cells samples the store once
 per tick; migrated cells are logged and replaced so the pool size stays
 constant. The pool is held as arrays with one entry per cell, so a tick
-updates every cell's cytokines in one step. All randomness flows from four
+updates every cell's cytokines in one step. All randomness flows from five
 child generators of one seeded `numpy.random.SeedSequence`, so equal seeds
 over equal input streams give bit-identical migration logs.
 """
@@ -32,6 +32,10 @@ _THRESHOLD_BOUNDS = {"fixed": 1, "uniform": 2}
 # draws do not depend on the block size, so neither does any output.
 BLOCK_TICKS = 64
 BLOCK_CELL_TICKS = 6400
+# Fresh cells take their thresholds, in tick order, from a block of this
+# many uniform draws, drawn again once read; in pieces or in one call the
+# draws are the same, so no output depends on this size either.
+THRESHOLD_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -128,19 +132,25 @@ class Tissue:
     [0, threshold) so that fixed-threshold pools do not migrate in
     lockstep cohorts.
 
-    Randomness comes from the four children of
-    `SeedSequence(cfg.seed).spawn(4)`, one per purpose: the tick order,
-    the sampling coins, the store slots, and `rng` for the draws made by
-    events (the initial pool, fresh-cell thresholds and overwrite slots).
-    The first three never depend on the tissue's state, so `tick` draws
-    them many ticks at a time.
+    Input arrives one second at a time through `receive`: the second's
+    last signal set and all of its antigen labels, in order, in one call
+    (`set_signals` and `enqueue_antigen` take one of each).
+
+    Randomness comes from the five children of
+    `SeedSequence(cfg.seed).spawn(5)`, one per purpose: the tick order,
+    the sampling coins, the store slots, `rng` for the initial pool and
+    fresh-cell thresholds, and a fifth child for the slots of deposits
+    that overwrite a full store. The first three never depend on the
+    tissue's state, so `tick` draws them many ticks at a time; fresh
+    thresholds are read in tick order from blocks of `THRESHOLD_BLOCK`
+    draws.
     """
 
     def __init__(self, cfg: PopulationConfig):
         self.cfg = cfg
-        (self._order_rng, self._coin_rng, self._slot_rng,
-         self.rng) = map(np.random.default_rng,
-                         np.random.SeedSequence(cfg.seed).spawn(4))
+        (self._order_rng, self._coin_rng, self._slot_rng, self.rng,
+         self._overwrite_rng) = map(np.random.default_rng,
+                                    np.random.SeedSequence(cfg.seed).spawn(5))
         # read on every deposit, so kept here rather than looked up in cfg
         self.capacity = cfg.tissue_antigen_capacity
         self.multiplicity = cfg.antigen_sample_multiplicity
@@ -156,19 +166,34 @@ class Tissue:
         n = cfg.num_cells
         self._id = np.arange(n)
         self._next_id = n
-        self._threshold = self._draw_thresholds(n)
+        mode = cfg.threshold_mode
+        self._threshold = (np.full(n, float(mode[1])) if mode[0] == "fixed"
+                           else self.rng.uniform(mode[1], mode[2], n))
         # one row per cell: csm, semi, mat
         self._cytokines = np.zeros((n, 3))
         self._cytokines[:, 0] = self.rng.uniform(0.0, self._threshold)
         self._labels: list[list[str]] = [[] for _ in range(n)]
         self._block = max(1, min(BLOCK_TICKS, BLOCK_CELL_TICKS // n))
         self._row = self._block  # the next tick draws a block
+        self._fresh_block = THRESHOLD_BLOCK
+        self._fresh = np.empty(0)  # fresh thresholds drawn, not yet read
+        self._fresh_read = 0
 
-    def _draw_thresholds(self, m: int) -> np.ndarray:
+    def _fresh_thresholds(self, m: int) -> Union[float, np.ndarray]:
+        """The next `m` fresh-cell thresholds: under uniform mode, read
+        from the drawn block, to which one more block (or the shortfall, if
+        larger) is drawn when it holds fewer than `m` unread."""
         mode = self.cfg.threshold_mode
         if mode[0] == "fixed":
-            return np.full(m, float(mode[1]))
-        return self.rng.uniform(mode[1], mode[2], m)
+            return float(mode[1])
+        i = self._fresh_read
+        short = i + m - self._fresh.size
+        if short > 0:
+            self._fresh = np.concatenate((self._fresh[i:], self.rng.uniform(
+                mode[1], mode[2], max(self._fresh_block, short))))
+            i = 0
+        self._fresh_read = i + m
+        return self._fresh[i:i + m]
 
     @property
     def pool(self) -> "_PoolView":
@@ -188,7 +213,7 @@ class Tissue:
             idx = int(self._slot_left.argmin())  # the first free slot
             self.occupied += 1
         else:
-            idx = int(self.rng.integers(self.capacity))
+            idx = int(self._overwrite_rng.integers(self.capacity))
         self._slot_labels[idx] = label
         self._slot_left[idx] = self.multiplicity
 
@@ -219,6 +244,35 @@ class Tissue:
             self.deposit(label)
         else:
             self._feed.append(label)
+
+    def receive(self, signals: Optional[SignalVector],
+                labels: Sequence[str]) -> None:
+        """Take one second of input: its last signal set (None keeps the
+        current one) and its antigen labels, in order. The same as
+        `set_signals` then one `enqueue_antigen` per label, in one call:
+        under flow control the labels extend the feed; under
+        `antigen_overwrite` they fill the first free slots, found at once,
+        and the labels beyond those draw their slots from the overwrite
+        child, as successive deposits would. An empty label is rejected
+        before anything changes."""
+        if not all(labels):
+            raise ValueError("antigen label must be non-empty")
+        if signals is not None:
+            self.signals = signals
+        if not labels:
+            return
+        if not self.cfg.antigen_overwrite:
+            self._feed.extend(labels)
+            return
+        slots = np.flatnonzero(self._slot_left == 0)[:len(labels)].tolist()
+        self.occupied += len(slots)
+        if len(labels) > len(slots):
+            slots += self._overwrite_rng.integers(
+                self.capacity, size=len(labels) - len(slots)).tolist()
+        store = self._slot_labels
+        for slot, label in zip(slots, labels):
+            store[slot] = label
+        self._slot_left[slots] = self.multiplicity
 
     @property
     def feed_pending(self) -> int:
@@ -275,8 +329,10 @@ class Tissue:
         the same number of per-tick calls would, so outputs do not depend
         on the block size. Sampling runs sequentially in tick order, since
         each sample can change the store; cytokines and migration are
-        computed for the whole pool. Fresh cells' thresholds come from
-        `rng`, in tick order (uniform mode only).
+        computed for the whole pool. Fresh cells' thresholds are read in
+        tick order from blocks of `THRESHOLD_BLOCK` draws of `rng`
+        (uniform mode only); like the tick blocks, they give what one
+        draw per tick would.
         """
         cfg = self.cfg
         r = self._row
@@ -357,7 +413,7 @@ class Tissue:
         count = cells.size
         self._id[cells] = np.arange(self._next_id, self._next_id + count)
         self._next_id += count
-        self._threshold[cells] = self._draw_thresholds(count)
+        self._threshold[cells] = self._fresh_thresholds(count)
         self._cytokines[cells] = 0.0
         return logged
 

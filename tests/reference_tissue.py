@@ -1,13 +1,14 @@
 """Sequential reference for `dca.tissue.Tissue`: one `DendriticCell` object
 per cell, visited one at a time in tick order.
 
-It spawns the same four child generators from
+It spawns the same five child generators from
 `numpy.random.SeedSequence(seed)` as the array tick, and draws from them
 tick by tick where the array tick reads blocks: each tick a permutation
 of the pool from the order child, a sampling coin per position in that
 order from the coin child and a store slot per position from the slot
-child. The event child draws the initial pool, one threshold per fresh
-cell in tick order, and the slot of each overwriting deposit. Every cell
+child. The event child draws the initial pool and, each tick, one
+threshold per fresh cell in tick order; the overwrite child draws the
+slot of each deposit that overwrites a full store. Every cell
 in turn samples the store when its coin comes up and its own store has
 room, then takes the tick's cytokine increments. Equal seeds and inputs
 must give equal records and pool snapshots.
@@ -127,9 +128,9 @@ class DendriticCell:
 class ReferenceTissue:
     def __init__(self, cfg):
         self.cfg = cfg
-        (self.order_rng, self.coin_rng, self.slot_rng,
-         self.rng) = map(np.random.default_rng,
-                         np.random.SeedSequence(cfg.seed).spawn(4))
+        (self.order_rng, self.coin_rng, self.slot_rng, self.rng,
+         self.overwrite_rng) = map(np.random.default_rng,
+                                   np.random.SeedSequence(cfg.seed).spawn(5))
         self.slots = [None] * cfg.tissue_antigen_capacity  # [label, left]
         self.feed = deque()
         self.signals = SignalVector()
@@ -156,7 +157,8 @@ class ReferenceTissue:
 
     def _deposit(self, label):
         free = [i for i, s in enumerate(self.slots) if s is None]
-        idx = free[0] if free else int(self.rng.integers(len(self.slots)))
+        idx = (free[0] if free
+               else int(self.overwrite_rng.integers(len(self.slots))))
         self.slots[idx] = [label, self.cfg.antigen_sample_multiplicity]
 
     def _sample(self, idx):

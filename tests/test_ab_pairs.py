@@ -118,6 +118,35 @@ def test_a_metric_without_a_bound_reads_a_dash(ab_pairs):
     assert row.split()[-1] == "-"
 
 
+def gain_cell(table, name):
+    """The gain column of a metric's row, in a table without bounds."""
+    row = next(line for line in table.splitlines()
+               if line.startswith(name + " "))
+    return row.split()[-2]
+
+
+# ten pairs: the parent's quartiles are 0.9925 and 1.0075 (IQR 0.015)
+PARENT = [0.98, 0.99, 0.99, 1.0, 1.0, 1.0, 1.0, 1.01, 1.01, 1.02]
+
+
+@pytest.mark.parametrize("better,change,expected", [
+    ("lower", [0.9] * 10, "yes"),               # 10/10, gap 0.1
+    ("lower", [0.9] * 9 + [1.1], "yes"),        # 9/10 is enough
+    ("lower", [0.9] * 8 + [1.1] * 2, "no"),     # 8/10 is not
+    ("lower", [0.975] * 10, "yes"),             # gap 0.025, past the IQR
+    # every pair won, by 0.005 each: a gap of 0.005, within the IQR
+    ("lower", [v - 0.005 for v in PARENT], "no"),
+    ("lower", [1.1] * 10, "no"),                # worse
+    ("higher", [1.1] * 10, "yes"),
+    ("higher", [0.9] * 10, "no"),
+])
+def test_the_gain_column_needs_nine_in_ten_and_a_gap_past_the_iqr(
+        ab_pairs, better, change, expected):
+    table = ab_pairs.report(sides(PARENT, change), {"session_s.p50": better},
+                            {})
+    assert gain_cell(table, "session_s.p50") == expected
+
+
 WORKLOADS = ["bc-orders", "portscan-series", "wire-replay"]
 
 

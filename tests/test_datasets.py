@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from dca import datasets
 from dca.core import fuse_signals
-from dca.datasets import (TARGET_CSM_RATE, LabelledItem, SignalMapping,
-                          item_to_signals, load_items, load_uci, order_stream,
+from dca.datasets import (DANGER_ATTRIBUTE_COUNT, TARGET_CSM_RATE,
+                          LabelledItem, SignalMapping, item_to_signals, load_items, load_uci, order_stream,
                           run_bc_experiment, select_attributes,
                           synthetic_items, write_items)
 from dca.streams import Event, EventDrivenRunner
@@ -56,7 +56,87 @@ class TestLabelledItem:
             make_item("x", [0.5] * 9, 2)
 
 
+def select_attributes_per_item(items):
+    """`select_attributes` as it was first written: one pass over the items
+    per attribute, and the calibration through one `item_to_signals` and
+    one `fuse_signals` call per item. The reference for the column form."""
+    if len(items) < 2:
+        raise ValueError("need at least two items")
+    n = len(items)
+    stds = []
+    for a in range(9):
+        vals = [it.attributes[a] for it in items]
+        mean = sum(vals) / n
+        stds.append(math.sqrt(sum((v - mean) ** 2 for v in vals) / (n - 1)))
+    if all(s == 0.0 for s in stds):
+        raise ValueError("constant dataset: no attribute varies")
+    ranked = sorted(range(9), key=lambda a: (-stds[a], a))
+    top = ranked[0]
+    danger = tuple(ranked[1:1 + DANGER_ATTRIBUTE_COUNT])
+    by_class = ([it.attributes[top] for it in items if it.true_class == 0],
+                [it.attributes[top] for it in items if it.true_class == 1])
+    if not by_class[0] or not by_class[1]:
+        raise ValueError("both classes must be present")
+    mu0 = sum(by_class[0]) / len(by_class[0])
+    mu1 = sum(by_class[1]) / len(by_class[1])
+    unscaled = SignalMapping(danger, top, (mu0, mu1), scale=1.0)
+    weights = PopulationConfig().weights
+    csm_rate = sum(fuse_signals(item_to_signals(it, unscaled), weights)[0]
+                   for it in items) / n
+    if csm_rate <= 0:
+        raise ValueError("dataset produces no csm signal; cannot calibrate")
+    return SignalMapping(danger, top, (mu0, mu1),
+                         scale=TARGET_CSM_RATE / csm_rate)
+
+
+def outcome(fn, items):
+    """`repr` of what `fn(items)` returns, or the type and message of the
+    error it raises."""
+    try:
+        return repr(fn(items))
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+# attributes on the tenths grid, off it and negative, so that ties,
+# rounding, the constant check, an uncalibratable set and a negative
+# danger signal are all drawn; and now and then one huge attribute, whose
+# signals overflow or whose spread does
+attribute = st.one_of(st.integers(0, 10).map(lambda v: v / 10),
+                      st.floats(0.0, 1.0), st.floats(-0.3, 1.0))
+
+
+def build_items(rows, huge):
+    items = [make_item(f"i{k}", attrs, cls)
+             for k, (attrs, cls) in enumerate(rows)]
+    if huge is not None:
+        first = items[0]
+        items[0] = make_item(first.id, (huge,) + first.attributes[1:],
+                             first.true_class)
+    return items
+
+
+item_lists = st.builds(
+    build_items,
+    st.lists(st.tuples(st.lists(attribute, min_size=9, max_size=9),
+                       st.integers(0, 1)), min_size=2, max_size=30),
+    st.sampled_from([None] * 6 + [1e308, -1e308, 1e200]))
+
+
 class TestSelectAttributes:
+    @pytest.mark.parametrize("seed", [97, 1, 2])
+    def test_equals_the_per_item_form_on_synthetic_sets(self, seed):
+        items = synthetic_items(seed=seed)
+        assert repr(select_attributes(items)) == \
+            repr(select_attributes_per_item(items))
+
+    @given(item_lists)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_item_form_on_drawn_sets(self, items):
+        assert outcome(select_attributes, items) == \
+            outcome(select_attributes_per_item, items)
+
+
     def test_single_varying_attribute_tops_ranking(self):
         mapping = select_attributes(toy_items())
         assert mapping.pamp_safe_attribute == 4
@@ -172,6 +252,17 @@ class TestOrderStream:
 
 
 class TestRunBcExperiment:
+    def test_a_negative_drain_cap_is_rejected_before_any_tick(
+            self, items, monkeypatch):
+        def no_tissue(cfg):
+            raise AssertionError("a tissue was built")
+
+        monkeypatch.setattr(datasets, "Tissue", no_tissue)
+        with pytest.raises(ValueError, match="drain_ticks"):
+            run_bc_experiment(items, "one-step",
+                              PopulationConfig.breast_cancer(seed=2),
+                              repeats=1, drain_ticks=-5)
+
     @pytest.mark.parametrize("order", ["one-step", "two-step", "random"])
     def test_events_pass_the_full_checks(self, items, order, monkeypatch):
         fed = []

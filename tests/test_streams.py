@@ -8,15 +8,17 @@ import sys
 import threading
 import time
 from dataclasses import replace
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
+from dca import streams
 from dca.core import SignalVector
 from dca.streams import (ANTIGEN, BASELINE_PPS, DRAIN_TICKS, FOLD_RECORDS,
-                         K_DANGER, K_SAFE, MAX_FRAME, MAX_TICK_JUMP, SAFE_MAX,
-                         SIGNAL_SET, Event,
+                         K_DANGER, K_SAFE, MAX_FRAME, MAX_TICK_JUMP,
+                         PORTSCAN_EXPERIMENTS, SAFE_MAX, SIGNAL_SET, Event,
                          EventDrivenRunner,
                          ProtocolError, ScenarioConfig, SignalMask,
                          SinkDisconnected, StreamClient, StreamFormatError,
@@ -436,11 +438,144 @@ class TestReplay:
         assert exc.value.undelivered == 7
 
 
+def apply_each(runner, events):
+    """The runner's loop as it was before it walked whole seconds: every
+    event checked, ticked up to and applied on its own. The reference for
+    `EventDrivenRunner.run`."""
+    tissue = runner.tissue
+    for event in events:
+        if event.timestamp < runner._last_ts:
+            raise StreamFormatError(
+                f"event timestamp {event.timestamp!r} decreases")
+        if int(event.timestamp) - tissue.clock > streams.MAX_TICK_JUMP:
+            raise StreamFormatError(
+                f"event timestamp {event.timestamp!r} lies more than "
+                f"{streams.MAX_TICK_JUMP} ticks past the clock "
+                f"({tissue.clock})")
+        runner._last_ts = event.timestamp
+        while tissue.clock < int(event.timestamp):
+            tissue.tick()
+        if event.kind == SIGNAL_SET:
+            tissue.set_signals(runner.mask.apply(event.signals))
+        else:
+            tissue.enqueue_antigen(event.label)
+
+
+def runner_state(runner):
+    t = runner.tissue
+    return (t.records, list(t.pool), list(t._feed), t.slots, t.signals,
+            t.clock, runner._last_ts)
+
+
+def outcome_of(fn):
+    try:
+        fn()
+    except StreamFormatError as exc:
+        return str(exc)
+    return None
+
+
+# the steps between timestamps: the same instant, within a second, to the
+# next seconds, a gap, a jump past the patched bound, and a step back (a
+# decrease, which may land in the same second)
+STEPS = [0.0, 0.0, 0.0, 0.25, 0.3, 1.0, 1.5, 2.0, 4.0, 9.0, -0.2]
+runner_steps = st.lists(st.tuples(
+    st.sampled_from(STEPS), st.booleans(), st.integers(0, 4),
+    st.sampled_from(["a", "b", "c", "d"])), max_size=60)
+
+
+def build_stream(steps):
+    events, ts = [], 0.0
+    for step, signal, level, label in steps:
+        ts = max(0.0, ts + step)
+        events.append(
+            Event.signal_set(ts, SignalVector(pamp=level, danger=1.0,
+                                              safe=4 - level,
+                                              inflammation=level / 2))
+            if signal else Event.antigen(ts, label, "shell"))
+    return events
+
+
+# No shrinking: see test_tissue_reference.py.
+@given(st.integers(0, 2**32), runner_steps, st.booleans(),
+       st.sampled_from([1, 2, 40]), st.sampled_from([SignalMask(),
+                                                     SignalMask(use_pamp=False)]),
+       st.lists(st.integers(0, 60), max_size=4))
+@settings(max_examples=150, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+def test_run_matches_the_per_event_loop(seed, steps, overwrite, capacity,
+                                        mask, cuts):
+    """Whole seconds handed over at once give what one event at a time
+    gave: the same records, pool, feed, store, signals, clock and last
+    timestamp, and the same rejection. The stream is cut into several
+    `run` calls, so seconds split across calls are compared too."""
+    cfg = PopulationConfig(seed=seed, num_cells=10,
+                           tissue_antigen_capacity=capacity,
+                           antigen_sample_multiplicity=2,
+                           antigen_sampling_probability=0.5,
+                           threshold_mode=("uniform", 2.0, 8.0),
+                           antigen_overwrite=overwrite)
+    events = build_stream(steps)
+    batched = EventDrivenRunner(Tissue(cfg), mask=mask)
+    each = EventDrivenRunner(Tissue(cfg), mask=mask)
+    bounds = [0, *sorted(cuts), len(events)]
+
+    def run_in_calls():
+        for i, j in zip(bounds, bounds[1:]):
+            batched.run(events[i:j])
+
+    with mock.patch.object(streams, "MAX_TICK_JUMP", 8):
+        assert outcome_of(run_in_calls) == \
+            outcome_of(lambda: apply_each(each, events))
+    assert runner_state(batched) == runner_state(each)
+    assert batched.drain() == each.drain()
+    assert runner_state(batched) == runner_state(each)
+
+
+def test_streams_reach_the_cases_they_name():
+    """The drawn streams above reach an overflowing overwrite store and a
+    rejection in the middle of a second; these fixed steps do both."""
+    steps = [(0.0, True, 1, "a"), (0.25, False, 0, "a"), (0.0, False, 0, "b"),
+             (0.0, False, 0, "c"), (0.25, True, 3, "a"), (-0.2, False, 0, "d")]
+    cfg = PopulationConfig(seed=1, num_cells=10, tissue_antigen_capacity=2,
+                           antigen_overwrite=True)
+    runner = EventDrivenRunner(Tissue(cfg))
+    with pytest.raises(StreamFormatError, match="decreases"):
+        runner.run(build_stream(steps))
+    # the three labels of second 0 went into a two-slot store, and its
+    # last signal set, not its first, is the tissue's
+    assert sorted(label for label, _ in runner.tissue.slots) in (
+        ["a", "c"], ["b", "c"])
+    assert runner.tissue.signals.pamp == 3
+
+
 class TestRunner:
     def test_signal_mask_zeroes_channels(self):
         mask = SignalMask(use_pamp=False, use_inflammation=False)
         masked = mask.apply(SignalVector(5, 6, 7, 1))
         assert masked == SignalVector(0, 6, 7, 0)
+
+    def test_a_mask_keeping_every_channel_returns_the_vector_itself(self):
+        s = SignalVector(5, 6, 7, 1)
+        assert SignalMask().apply(s) is s
+        assert PORTSCAN_EXPERIMENTS[4].mask.apply(s) is s
+
+    @pytest.mark.parametrize("number,zeroed", [
+        (1, ("pamp", "inflammation")), (2, ("inflammation",)),
+        (3, ("inflammation",))])
+    def test_experiments_zero_their_masked_channels(self, number, zeroed):
+        s = SignalVector(5, 6, 7, 1)
+        masked = PORTSCAN_EXPERIMENTS[number].mask.apply(s)
+        assert masked == s._replace(**dict.fromkeys(zeroed, 0.0))
+
+    def test_a_negative_drain_cap_is_rejected_before_any_tick(self):
+        runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=1)))
+        runner.apply(Event.antigen(3.0, "x", "shell"))
+        with pytest.raises(ValueError, match="max_ticks"):
+            runner.drain(max_ticks=-3)
+        assert runner.tissue.clock == 3
+        assert runner.drain(max_ticks=0) == 0
+        assert runner.tissue.clock == 4
 
     def test_out_of_order_event_rejected(self):
         runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=1)))
@@ -830,14 +965,14 @@ class TestWireTransport:
         assert wait_for(server) == expected
 
     def test_tissue_error_is_raised_from_wait_not_a_drop(self):
-        class FaultyRunner(EventDrivenRunner):
-            def apply(self, event):
-                if event.timestamp > 50:
+        class FaultyTissue(Tissue):
+            def tick(self):
+                if self.clock > 50:
                     raise ValueError("tissue fault")
-                super().apply(event)
+                return super().tick()
 
-        server = TissueServer(FaultyRunner(
-            Tissue(PopulationConfig.portscan(seed=9))))
+        server = TissueServer(EventDrivenRunner(
+            FaultyTissue(PopulationConfig.portscan(seed=9))))
         server.start()
         with StreamClient(*server.address) as client:
             replay(scenario_events(), "max", client)

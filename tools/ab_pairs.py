@@ -17,10 +17,15 @@ standard output is its JSON result; the line before it gives the run's
 session count and the percentile that its `session_s.tail` reads. The
 table gives, per end-to-end metric, each side's median and quartiles, the
 pairs the change won, the median gap, the parent's interquartile range,
-and the metric against its bound; then each side's session counts and
+whether the change shows a gain, and the metric against its bound; then each side's session counts and
 failed operations, and each metric's value in every run, in pair order.
 The `session_s.tail` row is marked when a run had too few sessions for
 its tail to lie above the median.
+
+The gain column reads `yes` when the change won at least 9 of every 10
+pairs and its median is better than the parent's by more than the
+parent's interquartile range, and `no` otherwise: a claimed gain needs
+both.
 
 A metric's better direction and its bound come from
 CHANGE_DIR/BENCHMARK.json (lower is better when it is not listed). A
@@ -49,6 +54,7 @@ from typing import Optional
 
 TAIL_NOTE = re.compile(r"(\d+) sessions; session_s\.tail is p([\d.]+) of")
 LOW_TAIL_PCT = 50.0  # a tail at or below this percentile is no tail
+GAIN_WIN_SHARE = 0.9  # the share of pairs a gain must win
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -117,6 +123,18 @@ def judge(parent: tuple[float, float, float], change_median: float,
     return "ok"
 
 
+def gain(wins: int, pairs: int, parent: tuple[float, float, float],
+         change_median: float, better: str) -> str:
+    """`yes` when the change won at least `GAIN_WIN_SHARE` of the pairs
+    and its median is better than the parent's by more than the parent's
+    interquartile range; `no` otherwise."""
+    q1, median, q3 = parent
+    ahead = median - change_median if better == "lower" else \
+        change_median - median
+    return "yes" if wins >= GAIN_WIN_SHARE * pairs and ahead > q3 - q1 \
+        else "no"
+
+
 def select_workloads(asked: list[str], spec: dict) -> list[str]:
     """The workloads to run, in the order asked and each once, with `all`
     standing for every workload of `spec`. Raises ValueError naming a
@@ -157,7 +175,7 @@ def report(results: dict[str, list[dict]], better: dict[str, str],
     names = [n for n in parent[0]["metrics"] if n in change[0]["metrics"]]
     head = (f"{'metric':<22} {'parent median [q1, q3]':>30} "
             f"{'change median [q1, q3]':>30} {'wins':>6} {'gap':>8} "
-            f"{'parent IQR':>11} {'bound':>16}")
+            f"{'parent IQR':>11} {'gain':>5} {'bound':>16}")
     out = [head, "-" * len(head)]
     low_tail = any(r["sessions"] and r["sessions"][1] <= LOW_TAIL_PCT
                    for r in parent + change)
@@ -169,6 +187,8 @@ def report(results: dict[str, list[dict]], better: dict[str, str],
         (a1, a2, a3), (b1, b2, b3) = quartiles(a), quartiles(b)
         gap = (b2 - a2) / a2 if a2 else float("nan")
         mark = "*" if name == "session_s.tail" and low_tail else ""
+        gained = gain(wins, len(a), (a1, a2, a3), b2,
+                      better.get(name, "lower"))
         verdict = ("-" if name not in bound else judge(
             (a1, a2, a3), b2, bound[name], better.get(name, "lower"))
             + f" ({bound[name]:.0%})")
@@ -176,7 +196,7 @@ def report(results: dict[str, list[dict]], better: dict[str, str],
             f"{name + mark:<22} {f'{a2:.4g} [{a1:.4g}, {a3:.4g}]':>30} "
             f"{f'{b2:.4g} [{b1:.4g}, {b3:.4g}]':>30} "
             f"{f'{wins}/{len(a)}':>6} {gap:>+8.1%} {a3 - a1:>11.4g} "
-            f"{verdict:>16}")
+            f"{gained:>5} {verdict:>16}")
     if low_tail:
         out.append(f"* some run read session_s.tail at or below "
                    f"p{LOW_TAIL_PCT:g}: too few sessions for a tail")
