@@ -377,7 +377,10 @@ def cmd_replay(args: argparse.Namespace, out: Path, events) -> int:
         return 0
 
     runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(seed=args.seed)))
-    replay(events, args.rate, runner)
+    if args.rate == "max":
+        runner.run(events)  # in one call, so it hands over whole seconds
+    else:
+        replay(events, args.rate, runner)
     drained = runner.drain()
     records = runner.tissue.records
     _write_tissue_outputs(records, out)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .analysis import AntigenVerdict, RunSummary, aggregate, classify, count_errors
-from .core import SignalVector
+from .core import SignalVector, fuse_signals
 from .streams import ANTIGEN, DRAIN_TICKS, SIGNAL_SET, Event, EventDrivenRunner
 from .tissue import MigrationRecord, PopulationConfig, Tissue, log_lines
 
@@ -99,21 +99,8 @@ def select_attributes(items: Sequence[LabelledItem]) -> SignalMapping:
     mu1 = sum(by_class[1]) / len(by_class[1])
 
     unscaled = SignalMapping(danger, top, (mu0, mu1), scale=1.0)
-    # each item's csm increment at scale 1, term by term as
-    # `item_to_signals` then `fuse_signals` compute it (inflammation 0)
-    pamps = [abs(x - mu0) for x in xs]
-    safes = [abs(x - mu1) for x in xs]
-    dangers = [sum(vals) / DANGER_ATTRIBUTE_COUNT
-               for vals in zip(*(columns[a] for a in danger))]
-    if not (min(dangers) >= 0
-            and max(max(pamps), max(safes), max(dangers)) < math.inf):
-        raise ValueError("pamp, danger and safe must be finite and "
-                         "non-negative")  # as `SignalVector` would
-    wp, wd, ws = _DEFAULT_WEIGHTS.csm
-    den = abs(wp) + abs(ws) + abs(wd)
-    ic_factor = (1.0 + 0.0) / 2.0
-    csm_rate = sum([(wp * p + ws * s + wd * d) / den * ic_factor
-                    for p, s, d in zip(pamps, safes, dangers)]) / n
+    csm_rate = sum(fuse_signals(item_to_signals(it, unscaled), _DEFAULT_WEIGHTS)[0]
+                   for it in items) / n
     if csm_rate <= 0:
         raise ValueError("dataset produces no csm signal; cannot calibrate")
     return replace(unscaled, scale=TARGET_CSM_RATE / csm_rate)

@@ -134,7 +134,7 @@ class Tissue:
 
     Input arrives one second at a time through `receive`: the second's
     last signal set and all of its antigen labels, in order, in one call
-    (`set_signals` and `enqueue_antigen` take one of each).
+    (`set_signals` and `enqueue_antigen` are that call with one of each).
 
     Randomness comes from the five children of
     `SeedSequence(cfg.seed).spawn(5)`, one per purpose: the tick order,
@@ -234,45 +234,26 @@ class Tissue:
         return label
 
     def enqueue_antigen(self, label: str) -> None:
-        """The one antigen entry. Under flow control antigen is queued until
-        a store slot is free, so no undersampled antigen is overwritten;
-        under `antigen_overwrite` it is deposited at once. An empty label is
-        rejected here under both, before it is queued."""
-        if not label:
-            raise ValueError("antigen label must be non-empty")
-        if self.cfg.antigen_overwrite:
-            self.deposit(label)
-        else:
-            self._feed.append(label)
+        """One antigen label: `receive` with no signal set."""
+        self.receive(None, (label,))
 
     def receive(self, signals: Optional[SignalVector],
                 labels: Sequence[str]) -> None:
-        """Take one second of input: its last signal set (None keeps the
-        current one) and its antigen labels, in order. The same as
-        `set_signals` then one `enqueue_antigen` per label, in one call:
-        under flow control the labels extend the feed; under
-        `antigen_overwrite` they fill the first free slots, found at once,
-        and the labels beyond those draw their slots from the overwrite
-        child, as successive deposits would. An empty label is rejected
-        before anything changes."""
+        """The one input entry: a second's last signal set (None keeps the
+        current one) and its antigen labels, in order. Under flow control
+        the labels are queued until a store slot is free, so no
+        undersampled antigen is overwritten; under `antigen_overwrite`
+        each is deposited at once. An empty label is rejected before
+        anything changes."""
         if not all(labels):
             raise ValueError("antigen label must be non-empty")
         if signals is not None:
             self.signals = signals
-        if not labels:
-            return
         if not self.cfg.antigen_overwrite:
             self._feed.extend(labels)
             return
-        slots = np.flatnonzero(self._slot_left == 0)[:len(labels)].tolist()
-        self.occupied += len(slots)
-        if len(labels) > len(slots):
-            slots += self._overwrite_rng.integers(
-                self.capacity, size=len(labels) - len(slots)).tolist()
-        store = self._slot_labels
-        for slot, label in zip(slots, labels):
-            store[slot] = label
-        self._slot_left[slots] = self.multiplicity
+        for label in labels:
+            self.deposit(label)
 
     @property
     def feed_pending(self) -> int:
@@ -288,8 +269,9 @@ class Tissue:
             self.deposit(self._feed.popleft())
 
     def set_signals(self, s: SignalVector) -> None:
-        """Replace the current signal levels (100% decay: no blending)."""
-        self.signals = s
+        """Replace the current signal levels (100% decay: no blending):
+        `receive` with no antigen."""
+        self.receive(s, ())
 
     @property
     def records(self) -> list[MigrationRecord]:

@@ -408,6 +408,22 @@ class TestPipeline:
         assert "records=" in captured.out
         assert (tmp_path / "p" / "verdicts.tsv").exists()
 
+    def test_replay_at_max_rate_writes_what_a_paced_replay_writes(
+            self, tmp_path, capsys):
+        log = tmp_path / "scenario.log"
+        assert run(["--seed", "3", "--out", tmp_path / "g",
+                    "generate", "--log", log]) == 0
+        capsys.readouterr()
+        outputs = []
+        for rate in ("max", "1e7"):
+            out = tmp_path / f"r-{rate}"
+            code, captured = run(["--seed", "3", "--out", out, "replay",
+                                  "--log", log, "--rate", rate], capsys)
+            assert code == 0
+            outputs.append((captured.out,
+                            (out / "migration.log").read_bytes()))
+        assert outputs[0] == outputs[1]
+
     def test_replay_missing_log_exits_one(self, tmp_path, capsys):
         code, captured = run(["--out", tmp_path, "replay",
                               "--log", tmp_path / "absent.log"], capsys)

@@ -148,28 +148,6 @@ class TestTissueCompartment:
         assert tissue.signals is before
         assert (tissue.feed_pending, tissue.occupied) == (0, 0)
 
-    @pytest.mark.parametrize("seed", range(20))
-    @pytest.mark.parametrize("overwrite", [False, True])
-    def test_a_batch_deposits_as_one_call_per_label(self, seed, overwrite):
-        """`receive` against `set_signals` and one `enqueue_antigen` per
-        label, on a store that overflows and frees slots between
-        batches."""
-        cfg = small_config(seed, tissue_antigen_capacity=4,
-                           antigen_overwrite=overwrite)
-        batched, each = Tissue(cfg), Tissue(cfg)
-        for t in range(30):
-            signals = SignalVector(pamp=t % 3, danger=1, safe=t % 2)
-            labels = [f"l{t}-{k}" for k in range(t % 7)]
-            batched.receive(signals, labels)
-            each.set_signals(signals)
-            for label in labels:
-                each.enqueue_antigen(label)
-            assert batched.slots == each.slots
-            assert list(batched._feed) == list(each._feed)
-            assert list(batched.tick()) == list(each.tick())
-        assert batched.records == each.records
-        assert list(batched.pool) == list(each.pool)
-
 
 class TestTick:
     def test_quiet_tissue_never_migrates(self):
