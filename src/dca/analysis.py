@@ -155,7 +155,13 @@ def paired_t_test(xs: Sequence[float], ys: Sequence[float]) -> PairedTTestResult
             raise ValueError(f"paired samples must be finite, got {v!r}")
     diffs = [x - y for x, y in zip(xs, ys)]
     mean_diff = sum(diffs) / n
-    var = sum((d - mean_diff) ** 2 for d in diffs)
+    try:
+        var = sum((d - mean_diff) ** 2 for d in diffs)
+    except OverflowError:
+        var = math.inf
+    if not (math.isfinite(mean_diff) and math.isfinite(var)):
+        raise ValueError("the mean or the spread of the paired differences "
+                         "overflows a float")
     if var == 0.0:
         if mean_diff == 0.0:
             return PairedTTestResult(0.0, 1.0, exact_tie=True)

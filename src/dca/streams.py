@@ -613,13 +613,15 @@ class TissueServer:
     at or below the latest timestamp of the slowest client still
     streaming. No client can still send an event below it, so the merge
     order is the one a merge of the finished streams would give:
-    timestamp, then signal sets before antigen, then client index, then
-    arrival. Once `FOLD_RECORDS` migrations have gone unbuilt, a merge
-    also builds the records of the ticks it finished, so records are built
-    as ticks finish. `wait()` applies the rest, drains the tissue and
-    returns its records, building only those of the last ticks. Pending
-    events are bounded by the clients' timestamp skew plus one read per
-    client.
+    timestamp, then client index, then arrival. The tissue sees only each
+    second's last signal set and its labels in order, and both follow
+    from that order however signal sets and antigen of equal timestamps
+    interleave. Once `FOLD_RECORDS` migrations have gone unbuilt, a merge
+    also builds the records of the ticks it finished, so records are
+    built as ticks finish. `wait()` applies the rest, drains the tissue
+    and returns its records, building only those of the last ticks.
+    Pending events are bounded by the clients' timestamp skew plus one
+    read per client.
 
     A client that violates the frame protocol, sends a malformed event,
     a decreasing timestamp or one whose whole second lies more than
@@ -764,8 +766,8 @@ class TissueServer:
             cut = bisect.bisect_left(events, watermark, key=_timestamp)
             ready += events[:cut]
             del events[:cut]
-        # stable: equal keys keep client index, then arrival, order
-        ready.sort(key=_merge_key)
+        # stable: equal timestamps keep client index, then arrival, order
+        ready.sort(key=_timestamp)
         try:
             self.runner.run(ready)
         except Exception as exc:
@@ -798,10 +800,6 @@ class TissueServer:
 
 def _timestamp(e: Event) -> float:
     return e.timestamp
-
-
-def _merge_key(e: Event) -> tuple[float, bool]:
-    return e.timestamp, e.kind != SIGNAL_SET
 
 
 # ---------------------------------------------------------------------------

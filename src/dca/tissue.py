@@ -28,14 +28,11 @@ _THRESHOLD_BOUNDS = {"fixed": 1, "uniform": 2}
 
 # A tick reads its order, coins and slots from blocks drawn once per
 # BLOCK_TICKS ticks, and a block holds at most BLOCK_CELL_TICKS cell-ticks
-# (never fewer than one tick), so a large pool draws shorter blocks. The
-# draws do not depend on the block size, so neither does any output.
+# (never fewer than one tick), so a large pool draws shorter blocks. Fresh
+# thresholds come in blocks of one tick block's cells. The draws do not
+# depend on the block sizes, so neither does any output.
 BLOCK_TICKS = 64
 BLOCK_CELL_TICKS = 6400
-# Fresh cells take their thresholds, in tick order, from a block of this
-# many uniform draws, drawn again once read; in pieces or in one call the
-# draws are the same, so no output depends on this size either.
-THRESHOLD_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -121,7 +118,8 @@ class Tissue:
     slot; a slot with none left is free. Deposits fill the first free
     slot when one exists; otherwise they overwrite a uniformly random
     slot (antigen overwriting). A deposit sets the slot's counter to the
-    configured multiplicity, and the slot is cleared once exhausted.
+    configured multiplicity; a slot whose counter is 0 is free, whatever
+    label it still holds.
 
     The pool is a set of arrays with one entry per cell (id, migration
     threshold and the three cytokine accumulators) plus one label list
@@ -142,8 +140,8 @@ class Tissue:
     fresh-cell thresholds, and a fifth child for the slots of deposits
     that overwrite a full store. The first three never depend on the
     tissue's state, so `tick` draws them many ticks at a time; fresh
-    thresholds are read in tick order from blocks of `THRESHOLD_BLOCK`
-    draws.
+    thresholds are read in tick order from blocks of one tick block's
+    cells, which hold at least one tick's worth.
     """
 
     def __init__(self, cfg: PopulationConfig):
@@ -175,22 +173,21 @@ class Tissue:
         self._labels: list[list[str]] = [[] for _ in range(n)]
         self._block = max(1, min(BLOCK_TICKS, BLOCK_CELL_TICKS // n))
         self._row = self._block  # the next tick draws a block
-        self._fresh_block = THRESHOLD_BLOCK
         self._fresh = np.empty(0)  # fresh thresholds drawn, not yet read
         self._fresh_read = 0
 
     def _fresh_thresholds(self, m: int) -> Union[float, np.ndarray]:
-        """The next `m` fresh-cell thresholds: under uniform mode, read
-        from the drawn block, to which one more block (or the shortfall, if
-        larger) is drawn when it holds fewer than `m` unread."""
+        """The next `m` (at most `num_cells`) fresh-cell thresholds: under
+        uniform mode, read from the drawn block, to which one more block of
+        `_block * num_cells` draws is added when it holds fewer than `m`
+        unread."""
         mode = self.cfg.threshold_mode
         if mode[0] == "fixed":
             return float(mode[1])
         i = self._fresh_read
-        short = i + m - self._fresh.size
-        if short > 0:
+        if i + m > self._fresh.size:
             self._fresh = np.concatenate((self._fresh[i:], self.rng.uniform(
-                mode[1], mode[2], max(self._fresh_block, short))))
+                mode[1], mode[2], self._block * self.cfg.num_cells)))
             i = 0
         self._fresh_read = i + m
         return self._fresh[i:i + m]
@@ -203,7 +200,7 @@ class Tissue:
     @property
     def slots(self) -> list[Optional[tuple[str, int]]]:
         """Snapshot of the store: (label, samples left) or None per slot."""
-        return [None if label is None else (label, int(left))
+        return [(label, int(left)) if left else None
                 for label, left in zip(self._slot_labels, self._slot_left)]
 
     def deposit(self, label: str) -> None:
@@ -220,18 +217,16 @@ class Tissue:
     def sample_slot(self, slot: int) -> Optional[str]:
         """Take one sample from a drawn slot.
 
-        Returns the slot's label and decrements its counter, clearing the
-        slot at zero; returns None for an empty slot.
+        Returns the slot's label and decrements its counter, which frees
+        the slot at zero; returns None for a free slot.
         """
         left = self._slot_left.item(slot)
         if left == 0:
             return None
-        label = self._slot_labels[slot]
         self._slot_left[slot] = left - 1
         if left == 1:
-            self._slot_labels[slot] = None
             self.occupied -= 1
-        return label
+        return self._slot_labels[slot]
 
     def enqueue_antigen(self, label: str) -> None:
         """One antigen label: `receive` with no signal set."""
@@ -300,9 +295,9 @@ class Tissue:
                 if labels:
                     yield mature, labels
 
-    def tick(self) -> Sequence[MigrationRecord]:
+    def tick(self) -> Union[tuple[()], _TickLog]:
         """Run one cell cycle; returns the migrations it produced, as a
-        sequence whose records are built when first read.
+        sized iterable whose records are built each time it is iterated.
 
         Each tick takes a tick order (a permutation of the pool) and, for
         each position in that order, a sampling coin and a store slot,
@@ -312,7 +307,7 @@ class Tissue:
         on the block size. Sampling runs sequentially in tick order, since
         each sample can change the store; cytokines and migration are
         computed for the whole pool. Fresh cells' thresholds are read in
-        tick order from blocks of `THRESHOLD_BLOCK` draws of `rng`
+        tick order from blocks of `_block * num_cells` draws of `rng`
         (uniform mode only); like the tick blocks, they give what one
         draw per tick would.
         """
@@ -405,13 +400,13 @@ class Tissue:
 TissueCompartment = Tissue
 
 
-class _TickLog(Sequence):
+class _TickLog:
     """The migrations of one tick, in tick order: the cells' ids, their
     cytokine rows (csm, semi, mat) and their labels (`()` for a cell that
-    held none). As a sequence it holds the tick's records, built on first
-    access."""
+    held none). Iterating it builds the tick's records anew each time;
+    `Tissue.records` is the one cache of built records."""
 
-    __slots__ = ("tick", "ids", "cytokines", "labels", "_records")
+    __slots__ = ("tick", "ids", "cytokines", "labels")
 
     def __init__(self, tick: int, ids: np.ndarray, cytokines: np.ndarray,
                  labels: list[Sequence[str]]):
@@ -419,15 +414,12 @@ class _TickLog(Sequence):
         self.ids = ids
         self.cytokines = cytokines
         self.labels = labels
-        self._records: Optional[list[MigrationRecord]] = None
 
     def __len__(self) -> int:
         return len(self.labels)
 
-    def __getitem__(self, i):
-        if self._records is None:
-            self._records = _build_records((self,))
-        return self._records[i]
+    def __iter__(self) -> Iterator[MigrationRecord]:
+        return iter(_build_records((self,)))
 
 
 def _matured(cytokines: np.ndarray) -> list[bool]:

@@ -199,6 +199,15 @@ class TestPairedTTest:
         with pytest.raises(ValueError, match=repr(bad)):
             paired_t_test([0.9, 0.7, 0.8], [0.4, 0.5, bad])
 
+    @pytest.mark.parametrize("xs,ys", [
+        ([1e308, -1e308], [-1e308, 1e308]),  # differences of inf and -inf
+        ([1e308, 1e308, 0.0], [-1e308, -1e308, 0.0]),  # mean of inf
+        ([1e200, 0.0], [0.0, 0.0]),  # finite mean, squares overflow
+    ], ids=["nan-mean", "inf-mean", "inf-spread"])
+    def test_overflowing_differences_rejected(self, xs, ys):
+        with pytest.raises(ValueError, match="overflows a float"):
+            paired_t_test(xs, ys)
+
     def test_matches_scipy_ttest_rel(self):
         stats = pytest.importorskip("scipy.stats")
         # the tail alone, over df 1-200 and |t| 1e-4-300

@@ -126,6 +126,19 @@ class TestBc:
         assert code == 1
         assert captured.err == f"error: malformed dataset {data}: {message}\n"
 
+    def test_dataset_whose_spread_overflows_fails_in_one_line(self, tmp_path,
+                                                               capsys):
+        data = tmp_path / "huge.csv"
+        lines = [f"i{k}," + ",".join([str(k % 3 / 2)] * 9) + f",{k % 2}"
+                 for k in range(4)]
+        lines[0] = "i0,1e200," + ",".join(["0.5"] * 8) + ",0"
+        data.write_text("\n".join(lines) + "\n")
+        code, captured = run(["--out", tmp_path / "out", "bc",
+                              "--repeats", "1", "--dataset", data], capsys)
+        assert code == 1
+        assert captured.err == ("error: the spread of attribute 0 overflows "
+                                "a float\n")
+
     def test_dataset_named_items_csv_in_out_is_not_overwritten(self, tmp_path):
         data = tmp_path / "items.csv"
         with open(data, "w") as fh:

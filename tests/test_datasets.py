@@ -67,7 +67,12 @@ def select_attributes_per_item(items):
     for a in range(9):
         vals = [it.attributes[a] for it in items]
         mean = sum(vals) / n
-        stds.append(math.sqrt(sum((v - mean) ** 2 for v in vals) / (n - 1)))
+        try:
+            stds.append(math.sqrt(sum((v - mean) ** 2 for v in vals)
+                                  / (n - 1)))
+        except OverflowError:
+            raise ValueError(f"the spread of attribute {a} overflows a "
+                             "float") from None
     if all(s == 0.0 for s in stds):
         raise ValueError("constant dataset: no attribute varies")
     ranked = sorted(range(9), key=lambda a: (-stds[a], a))

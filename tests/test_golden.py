@@ -3,11 +3,13 @@
 These pin byte-level determinism across builds, not just between two
 runs of the same build. A change that alters the random stream or an
 output format on purpose must update the digests and say why. The tissue
-draws from four PCG64 children of one `numpy.random.SeedSequence` (tick
-order, sampling coins, store slots and per-event draws), so the digests
-hold for the numpy release they were computed on (2.4.6); numpy does not
-promise the same streams across releases. They do not depend on how many
-ticks of draws the tissue takes at once (`tissue.BLOCK_TICKS`).
+draws from five PCG64 children of one `numpy.random.SeedSequence` (tick
+order, sampling coins, store slots, the pool and fresh thresholds, and
+overwrite slots), so the digests hold for the numpy release they were
+computed on (2.4.6); numpy does not promise the same streams across
+releases. They do not depend on how many ticks of draws the tissue takes
+at once (`tissue.BLOCK_TICKS`), which also sizes its blocks of fresh
+thresholds.
 """
 
 import hashlib

@@ -549,6 +549,86 @@ def test_streams_reach_the_cases_they_name():
     assert runner.tissue.signals.pamp == 3
 
 
+# events of one second: the gap in seconds from the previous event,
+# whether it is a signal set, a level or label, and a key that places it
+# when the second is re-stamped
+second_steps = st.lists(st.tuples(
+    st.sampled_from([0, 0, 0, 1, 3]), st.booleans(), st.integers(0, 4),
+    st.floats(0, 1)), max_size=50)
+
+
+def stamp_seconds(steps):
+    """The events of `steps`, each second's stamped in drawn order at even
+    offsets within it, and the same events with each second's signal sets
+    and antigen interleaved in key order, each kind keeping its own order.
+    The re-stamped copy puts every event of a second at its start when
+    `key` of the second's first event is below 0.5, so that signal sets
+    and antigen share a timestamp."""
+    seconds: dict[int, list] = {}
+    second = 0
+    for gap, signal, level, key in steps:
+        second += gap
+        seconds.setdefault(second, []).append((
+            Event.signal_set(0.0, SignalVector(
+                pamp=level, danger=1.0, safe=4 - level))
+            if signal else Event.antigen(0.0, f"ag-{level}", "shell"), key))
+    original, restamped = [], []
+    for second, group in seconds.items():
+        k = len(group) + 1
+        original += [e._replace(timestamp=second + (i + 1) / k)
+                     for i, (e, _) in enumerate(group)]
+        by_kind = {kind: iter([e for e, _ in group if e.kind == kind])
+                   for kind in (SIGNAL_SET, ANTIGEN)}
+        kinds = [e.kind for e, _ in sorted(group, key=lambda p: p[1])]
+        same_instant = group[0][1] < 0.5
+        restamped += [next(by_kind[kind])._replace(
+            timestamp=float(second) if same_instant else second + (i + 1) / k)
+            for i, kind in enumerate(kinds)]
+    return original, restamped
+
+
+@given(st.integers(0, 2**32), second_steps, st.sampled_from([1, 3]))
+@settings(max_examples=80, deadline=None,
+          phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
+def test_interleaving_within_a_second_changes_nothing(seed, steps, capacity):
+    """Within a second only its last signal set and the order of its
+    labels reach the tissue, so interleaving signal sets and antigen
+    differently, or stamping them at one instant, gives the same records,
+    pool, feed, store and clock, under both store policies. The server
+    merges equal timestamps by client alone on the strength of this."""
+    original, restamped = stamp_seconds(steps)
+    for overwrite in (False, True):
+        cfg = PopulationConfig(seed=seed, num_cells=10,
+                               tissue_antigen_capacity=capacity,
+                               antigen_sample_multiplicity=2,
+                               antigen_sampling_probability=0.5,
+                               threshold_mode=("uniform", 2.0, 8.0),
+                               antigen_overwrite=overwrite)
+        states = []
+        for events in (original, restamped):
+            runner = EventDrivenRunner(Tissue(cfg))
+            runner.run(events)
+            # all but the last timestamp, which the re-stamping moves
+            before_drain = runner_state(runner)[:-1]
+            runner.drain()
+            states.append((before_drain, runner_state(runner)[:-1]))
+        assert states[0] == states[1]
+
+
+def test_restamping_reaches_the_cases_it_names():
+    """Fixed steps whose re-stamped copy moves an antigen ahead of a signal
+    set at the same instant, and another second's behind one."""
+    steps = [(0, True, 1, 0.3), (0, False, 2, 0.1), (0, True, 3, 0.5),
+             (1, True, 0, 0.7), (0, False, 1, 0.2)]
+    original, restamped = stamp_seconds(steps)
+    assert [e.kind for e in original] == ["S", "A", "S", "S", "A"]
+    assert [(e.timestamp, e.kind) for e in restamped] == [
+        (0.0, "A"), (0.0, "S"), (0.0, "S"), (1 + 1 / 3, "A"),
+        (1 + 2 / 3, "S")]
+    assert [e.signals for e in restamped if e.kind == SIGNAL_SET] == \
+        [e.signals for e in original if e.kind == SIGNAL_SET]
+
+
 class TestRunner:
     def test_signal_mask_zeroes_channels(self):
         mask = SignalMask(use_pamp=False, use_inflammation=False)
@@ -748,6 +828,25 @@ class TestWireTransport:
             t.start()
         for t in threads:
             t.join()
+        assert wait_for(server) == expected
+
+    def test_antigen_ahead_of_a_signal_set_at_one_instant(self):
+        # every event of a second stamped at its start: the merge puts the
+        # antigen of client 0 ahead of the signal set of client 1 at each
+        # instant, where the in-process stream has the signal set first
+        events = [e._replace(timestamp=float(int(e.timestamp)))
+                  for e in scenario_events()]
+        expected = run_in_process(events)
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))), expected_clients=2)
+        server.start()
+        # connected in this order, so the antigen client is client 0
+        with StreamClient(*server.address) as antigen_client, \
+                StreamClient(*server.address) as signal_client:
+            replay([e for e in events if e.kind == ANTIGEN], "max",
+                   antigen_client)
+            replay([e for e in events if e.kind == SIGNAL_SET], "max",
+                   signal_client)
         assert wait_for(server) == expected
 
     def test_oversized_frame_drops_only_that_client(self):

@@ -152,17 +152,17 @@ def tissue_state(t):
 
 def blocked(cfg, size):
     """A tissue that draws `size` ticks of orders, coins and slots at a
-    time, and `size` fresh thresholds at a time (both blocks are sized
-    when the tissue is built)."""
-    with mock.patch.object(dca.tissue, "BLOCK_TICKS", size), \
-            mock.patch.object(dca.tissue, "THRESHOLD_BLOCK", size):
+    time, and so `size * num_cells` fresh thresholds at a time (both
+    blocks are sized when the tissue is built)."""
+    with mock.patch.object(dca.tissue, "BLOCK_TICKS", size):
         return Tissue(cfg)
 
 
-# Drawing one tick (and one fresh threshold) at a time and 7 at a time (so
-# a block ends where the default's does not) must give what the default
-# blocks give, on both store policies. A per-tick draw moved onto a stream
-# that another draw shares would shift with the block size and fail this.
+# Drawing one tick (and one pool's fresh thresholds) at a time and 7 at a
+# time (so a block ends where the default's does not) must give what the
+# default blocks give, on both store policies. A per-tick draw moved onto
+# a stream that another draw shares would shift with the block size and
+# fail this.
 @given(st.integers(0, 2**32), signal_steps, st.booleans(),
        st.sampled_from([1, 3]), st.sampled_from([0.3, 1.0]))
 @settings(max_examples=40, deadline=None,
@@ -175,8 +175,6 @@ def test_outputs_do_not_depend_on_the_block_size(
                 cell_antigen_capacity=3)
     tissues = [Tissue(cfg), blocked(cfg, 1), blocked(cfg, 7)]
     assert [t._block for t in tissues] == [dca.tissue.BLOCK_TICKS, 1, 7]
-    assert [t._fresh_block for t in tissues] == [
-        dca.tissue.THRESHOLD_BLOCK, 1, 7]
     steps = [(SignalVector(pamp=p, danger=d, safe=s, inflammation=ic),
               [f"b-{t}-{k}" for k in range(n)])
              for t, (p, d, s, ic, n) in enumerate(raw_steps)]
