@@ -21,7 +21,8 @@ from . import __version__
 from .analysis import (aggregate, classify, count_errors, write_process_table,
                        write_verdict_table)
 from .datasets import (DEFAULT_THRESHOLD, load_items, load_uci,
-                       run_bc_experiment, synthetic_items, write_items)
+                       run_bc_experiment, select_attributes, synthetic_items,
+                       write_items)
 from .streams import (EventDrivenRunner, PORTSCAN_EXPERIMENTS, ScenarioConfig,
                       SinkDisconnected, StreamClient, TissueServer,
                       generate_scenario, read_log, replay,
@@ -261,8 +262,10 @@ def _read_inputs(args: argparse.Namespace) -> dict[str, Any]:
     """The command's input files, read and parsed, as keyword arguments
     of the command, so that a malformed one fails before any output."""
     if args.command == "bc":
-        return {"items": synthetic_items() if args.dataset is None else _read(
-            args.dataset, "dataset", load_uci if args.uci else load_items)}
+        items = synthetic_items() if args.dataset is None else _read(
+            args.dataset, "dataset", load_uci if args.uci else load_items)
+        # a dataset that parses but cannot be mapped to signals raises here
+        return {"items": items, "mapping": select_attributes(items)}
     if args.command == "replay":
         return {"events": _read(args.log, "log", read_log)}
     if args.command == "report":
@@ -298,17 +301,18 @@ def _write_summary(lines: list[str], out: Path) -> None:
     print(text, end="")
 
 
-def _run_bc_once(items, args, threshold_mode) -> tuple[int, int, object]:
+def _run_bc_once(items, mapping, args,
+                 threshold_mode) -> tuple[int, int, object]:
     overrides = {"threshold_mode": threshold_mode}
     if args.single_sample:
         overrides["antigen_sample_multiplicity"] = 1
     cfg = PopulationConfig.breast_cancer(seed=args.seed, **overrides)
     result = run_bc_experiment(items, args.order, cfg, repeats=args.repeats,
-                               threshold=args.threshold)
+                               threshold=args.threshold, mapping=mapping)
     return result.summary.errors, result.summary.unseen, result
 
 
-def cmd_bc(args: argparse.Namespace, out: Path, items) -> int:
+def cmd_bc(args: argparse.Namespace, out: Path, items, mapping) -> int:
     sweep = _sweep_keys(args.sweep_migration)
     # the items this run used, in the native layout, so that the output
     # directory serves as `report --truth`; a --dataset that is this very
@@ -321,12 +325,13 @@ def cmd_bc(args: argparse.Namespace, out: Path, items) -> int:
     summary_lines = []
     if sweep:
         for key in sweep:
-            errors, unseen, _ = _run_bc_once(items, args, SWEEP_SETTINGS[key])
+            errors, unseen, _ = _run_bc_once(items, mapping, args,
+                                             SWEEP_SETTINGS[key])
             summary_lines.append(
                 f"migration-threshold {key}: errors={errors} unseen={unseen}")
     else:
         errors, unseen, result = _run_bc_once(
-            items, args, ("uniform", 5.0, 15.0))
+            items, mapping, args, ("uniform", 5.0, 15.0))
         summary_lines.append(
             f"order={args.order} repeats={args.repeats} "
             f"threshold={args.threshold}: errors={errors} unseen={unseen}")

@@ -22,7 +22,8 @@ from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .analysis import AntigenVerdict, RunSummary, aggregate, classify, count_errors
 from .core import SignalVector, fuse_signals
-from .streams import ANTIGEN, DRAIN_TICKS, SIGNAL_SET, Event, EventDrivenRunner
+from .streams import (ANTIGEN, DRAIN_TICKS, SIGNAL_SET, Event,
+                      EventDrivenRunner, run_repeats)
 from .tissue import MigrationRecord, PopulationConfig, Tissue, log_lines
 
 DANGER_ATTRIBUTE_COUNT = 3
@@ -157,6 +158,7 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
     Each repeat runs the items' events (one tick each), then drains so
     tail-of-stream items still present. Presentations are pooled across
     repeats before the mean context is thresholded and errors counted.
+    The repeats may run in forked workers (see `streams.run_repeats`).
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -169,9 +171,9 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
     truth = {it.id: it.true_class for it in items}
     # each item's signals, computed once and looked up by the item itself
     signals = {id(it): item_to_signals(it, mapping) for it in items}
-    all_records: list[list[MigrationRecord]] = []
-    orderings: list[list[str]] = []
-    for r in range(repeats):
+
+    def run_one(r: int) -> tuple[list[MigrationRecord], list[str]]:
+        """The records and the item ordering of repeat `r`."""
         stream = order_stream(items, order, seed=cfg.seed * 7919 + r)
         runner = EventDrivenRunner(
             Tissue(replace(cfg, seed=cfg.seed * 1_000_003 + r)))
@@ -184,8 +186,11 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
             tuple.__new__(Event, (float(k), ANTIGEN, None, it.id,
                                   "dataset"))))
         runner.drain(max_ticks=drain_ticks)
-        all_records.append(runner.tissue.records)
-        orderings.append([it.id for it in stream])
+        return runner.tissue.records, [it.id for it in stream]
+
+    runs = run_repeats(run_one, repeats)
+    all_records = [records for records, _ in runs]
+    orderings = [ordering for _, ordering in runs]
     verdicts = aggregate(rec for run in all_records for rec in run)
     classify(verdicts, threshold)
     errors, unseen = count_errors(verdicts, truth)

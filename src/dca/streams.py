@@ -15,8 +15,11 @@ from __future__ import annotations
 import bisect
 import logging
 import math
+import os
+import pickle
 import random
 import re
+import signal
 import socket
 import struct
 import threading
@@ -24,7 +27,7 @@ import time
 from dataclasses import dataclass, replace
 from itertools import pairwise
 from typing import (BinaryIO, Callable, Iterable, Iterator, NamedTuple,
-                    Optional, Sequence, TextIO, Union)
+                    NoReturn, Optional, Sequence, TextIO, TypeVar, Union)
 
 from .analysis import (PairedTTestResult, mean_and_std, paired_t_test,
                        process_mag, tally)
@@ -803,6 +806,100 @@ def _timestamp(e: Event) -> float:
 
 
 # ---------------------------------------------------------------------------
+# the repeats of an experiment
+
+T = TypeVar("T")
+
+
+def usable_cpus() -> int:
+    """The CPUs `run_repeats` spreads repeats over: those this process may
+    run on, or 1 where the platform cannot fork or cannot tell."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
+
+
+def run_repeats(run_one: Callable[[int], T], count: int) -> list[T]:
+    """`[run_one(r) for r in range(count)]`, with the repeats spread over
+    forked workers.
+
+    The repeat indices split into `min(count, usable_cpus())` (at least
+    one) fixed shares of consecutive repeats. The caller runs the first share and
+    one forked child runs each other share, sending its results back
+    pickled through a pipe. A repeat must therefore depend on its index
+    alone, and its result must pickle. Results come back in repeat
+    order, so the list is the same for any CPU count. A repeat's
+    exception is raised again in the caller, and that of the earliest
+    share wins, as it would inline; a child that ends without a result
+    raises a `RuntimeError` naming its repeats. Every child is killed
+    and reaped before this returns or raises.
+    """
+    workers = max(1, min(count, usable_cpus()))
+    shares = [range(k * count // workers, (k + 1) * count // workers)
+              for k in range(workers)]
+    pids: list[int] = []
+    read_ends: list[int] = []
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            read_ends.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(run_one, share, write_end)
+            finally:
+                os.close(write_end)
+            pids.append(pid)
+        results = [run_one(r) for r in shares[0]]
+        for share, read_end in zip(shares[1:], read_ends):
+            results += _share_results(share, read_end)
+        return results
+    finally:
+        for read_end in read_ends:
+            os.close(read_end)
+        for pid in pids:
+            # a child whose results were read has exited or is exiting
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _run_share(run_one: Callable[[int], T], share: range,
+               write_end: int) -> NoReturn:
+    """A forked child's whole life: run its share of the repeats, send
+    `(True, results)` or `(False, exception)`, and leave through
+    `os._exit`, so that no exit handler or stdio flush of the caller's
+    process runs twice."""
+    status = 1
+    try:
+        try:
+            reply = (True, [run_one(r) for r in share])
+        except Exception as exc:  # raised again by the caller
+            reply = (False, exc)
+        data = pickle.dumps(reply, pickle.HIGHEST_PROTOCOL)
+        with open(write_end, "wb") as fh:
+            fh.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _share_results(share: range, read_end: int) -> list:
+    """The results a child sent for its share, or the exception one of its
+    repeats raised."""
+    with open(read_end, "rb", closefd=False) as fh:
+        data = fh.read()
+    try:
+        ok, value = pickle.loads(data)
+    except (EOFError, pickle.UnpicklingError):
+        raise RuntimeError(
+            f"the worker running repeats {', '.join(map(str, share))} "
+            "ended without a result") from None
+    if not ok:
+        raise value
+    return value
+
+
+# ---------------------------------------------------------------------------
 # the scan-detection experiment series
 
 
@@ -837,7 +934,8 @@ def run_portscan_experiment(scenario: ScenarioConfig, experiment: int,
                             seed: int = 0, repeats: int = 10) -> PortscanResult:
     """Run one signal-combination experiment over fresh scenario noise
     per repeat, reporting per-process mature-presentation fractions,
-    the scanner-vs-transfer paired test, and antigen per migrated cell."""
+    the scanner-vs-transfer paired test, and antigen per migrated cell.
+    The repeats may run in forked workers (see `run_repeats`)."""
     if repeats < 2:
         raise ValueError("repeats must be at least 2 for the paired t-test")
     try:
@@ -846,10 +944,10 @@ def run_portscan_experiment(scenario: ScenarioConfig, experiment: int,
         raise ValueError(f"unknown experiment number {experiment}") from None
     weights = WeightMatrix().with_safe_mat_weight(exp.safe_mat_weight)
 
-    per_process: dict[str, list[Optional[float]]] = {}
-    per_process_counts: dict[str, list[float]] = {}
-    antigen_per_cell_runs: list[float] = []
-    for r in range(repeats):
+    def run_one(r: int) -> tuple[dict[str, tuple[Optional[float], int]],
+                                 float]:
+        """Each process's mature fraction and presentation count, and the
+        antigen per migrated cell, of repeat `r`."""
         events = generate_scenario(replace(
             scenario, noise_seed=scenario.noise_seed + 100003 * seed + r))
         cfg = PopulationConfig.portscan(seed=seed * 1000003 + r,
@@ -859,13 +957,21 @@ def run_portscan_experiment(scenario: ScenarioConfig, experiment: int,
         runner.drain()
         verdicts = tally(runner.tissue.presentations())
         groups = scenario_process_groups(events)
-        for name, mag in process_mag(verdicts, groups).items():
-            per_process.setdefault(name, []).append(mag)
-            per_process_counts.setdefault(name, []).append(
-                sum(verdicts[l].total for l in groups[name] if l in verdicts))
+        rows = {name: (mag, sum(verdicts[l].total for l in groups[name]
+                                if l in verdicts))
+                for name, mag in process_mag(verdicts, groups).items()}
         presented = sum(v.total for v in verdicts.values())
         migrations = runner.tissue.migrations
-        antigen_per_cell_runs.append(presented / migrations if migrations else 0.0)
+        return rows, presented / migrations if migrations else 0.0
+
+    per_process: dict[str, list[Optional[float]]] = {}
+    per_process_counts: dict[str, list[float]] = {}
+    antigen_per_cell_runs: list[float] = []
+    for rows, antigen_per_cell in run_repeats(run_one, repeats):
+        for name, (mag, count) in rows.items():
+            per_process.setdefault(name, []).append(mag)
+            per_process_counts.setdefault(name, []).append(count)
+        antigen_per_cell_runs.append(antigen_per_cell)
 
     table: dict[str, tuple[float, float, float]] = {}
     for name, runs in per_process.items():

@@ -198,6 +198,21 @@ def test_all_runs_every_workload_in_turn(ab_pairs, checkouts, runs, capsys):
         f"workload {w}" for w in WORKLOADS]
 
 
+@pytest.mark.parametrize("cpus,shown", [(1, "1 usable CPU;"),
+                                        (3, "3 usable CPUs;")])
+def test_each_table_header_gives_the_usable_cpus(ab_pairs, checkouts, runs,
+                                                 capsys, monkeypatch, cpus,
+                                                 shown):
+    monkeypatch.setattr(ab_pairs, "usable_cpus", lambda: cpus)
+    parent, change = checkouts
+    ab_pairs.main([str(parent), str(change), "--workload", "wire-replay",
+                   "--workload", "bc-orders", "--pairs", "1"])
+    headers = [line for line in capsys.readouterr().out.splitlines()
+               if line.startswith("workload ")]
+    assert len(headers) == 2
+    assert all(shown in line for line in headers)
+
+
 def test_workload_may_repeat(ab_pairs, checkouts, runs, capsys):
     parent, change = checkouts
     ab_pairs.main([str(parent), str(change), "--workload", "wire-replay",

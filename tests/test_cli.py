@@ -126,18 +126,25 @@ class TestBc:
         assert code == 1
         assert captured.err == f"error: malformed dataset {data}: {message}\n"
 
-    def test_dataset_whose_spread_overflows_fails_in_one_line(self, tmp_path,
-                                                               capsys):
-        data = tmp_path / "huge.csv"
-        lines = [f"i{k}," + ",".join([str(k % 3 / 2)] * 9) + f",{k % 2}"
-                 for k in range(4)]
-        lines[0] = "i0,1e200," + ",".join(["0.5"] * 8) + ",0"
-        data.write_text("\n".join(lines) + "\n")
-        code, captured = run(["--out", tmp_path / "out", "bc",
-                              "--repeats", "1", "--dataset", data], capsys)
+    @pytest.mark.parametrize("rows,message", [
+        ([("1e200",) + ("0.5",) * 8 + ("0",), ("0.1",) * 9 + ("1",)],
+         "the spread of attribute 0 overflows a float"),
+        ([("0.5",) * 9 + ("0",), ("0.5",) * 9 + ("1",)],
+         "constant dataset: no attribute varies"),
+        ([("0.1",) * 9 + ("1",), ("0.5",) * 9 + ("1",)],
+         "both classes must be present"),
+    ], ids=["overflow", "constant", "one-class"])
+    def test_dataset_that_cannot_be_mapped_fails_before_any_output(
+            self, tmp_path, capsys, rows, message):
+        data = tmp_path / "items.csv"
+        data.write_text("".join(f"i{k}," + ",".join(row) + "\n"
+                                for k, row in enumerate(rows)))
+        code, captured = run(["--out", tmp_path / "o", "bc",
+                              "--dataset", data], capsys)
         assert code == 1
-        assert captured.err == ("error: the spread of attribute 0 overflows "
-                                "a float\n")
+        assert captured.err == f"error: {message}\n"
+        assert not (tmp_path / "o" / "items.csv").exists()
+        assert not (tmp_path / "o" / "manifest.txt").exists()
 
     def test_dataset_named_items_csv_in_out_is_not_overwritten(self, tmp_path):
         data = tmp_path / "items.csv"

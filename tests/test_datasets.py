@@ -3,6 +3,7 @@ and the two file formats."""
 
 import io
 import math
+import os
 import re
 import statistics
 
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dca import datasets
+from dca import datasets, streams
 from dca.core import fuse_signals
 from dca.datasets import (DANGER_ATTRIBUTE_COUNT, TARGET_CSM_RATE,
                           LabelledItem, SignalMapping, item_to_signals, load_items, load_uci, order_stream,
@@ -270,6 +271,8 @@ class TestRunBcExperiment:
 
     @pytest.mark.parametrize("order", ["one-step", "two-step", "random"])
     def test_events_pass_the_full_checks(self, items, order, monkeypatch):
+        # the events are recorded in this process, so every repeat runs here
+        monkeypatch.setattr(streams, "usable_cpus", lambda: 1)
         fed = []
 
         class Recording(EventDrivenRunner):
@@ -289,6 +292,24 @@ class TestRunBcExperiment:
             assert events == [e for k, it in enumerate(stream) for e in (
                 Event.signal_set(float(k), item_to_signals(it, mapping)),
                 Event.antigen(float(k), it.id, "dataset"))]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("count", [2, 3, 5])
+    def test_results_do_not_depend_on_the_workers(self, items, monkeypatch,
+                                                  workers, count):
+        def run():
+            result = run_bc_experiment(items, "random",
+                                       PopulationConfig.breast_cancer(seed=5),
+                                       repeats=count)
+            return (result.records_per_repeat, result.orderings,
+                    result.summary)
+
+        monkeypatch.setattr(streams, "usable_cpus", lambda: 1)
+        inline = run()
+        monkeypatch.setattr(streams, "usable_cpus", lambda: workers)
+        assert run() == inline
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 class TestSyntheticItems:

@@ -2,6 +2,7 @@
 scenario, replay pacing, and the framed socket transport."""
 
 import io
+import os
 import socket
 import struct
 import sys
@@ -1163,3 +1164,87 @@ class TestPortscanExperiments:
             "ssh-daemon", "shell", "scanner", "forward-agent", "file-transfer"}
         assert result.scanner_vs_transfer.mean_difference > 0
         assert result.antigen_per_cell > 0
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestRunRepeats:
+    """`run_repeats` through its one seam, `streams.usable_cpus`."""
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("count", [1, 2, 3, 5])
+    def test_results_come_back_in_repeat_order(self, monkeypatch, workers,
+                                               count):
+        monkeypatch.setattr(streams, "usable_cpus", lambda: workers)
+        results = streams.run_repeats(lambda r: (r, os.getpid()), count)
+        assert [r for r, _ in results] == list(range(count))
+        pids = [pid for _, pid in results]
+        # the caller runs the first share, one child each other share
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == min(workers, count)
+        assert pids == sorted(pids, key=pids.index)  # shares are consecutive
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("count", [2, 3, 5])
+    def test_portscan_results_do_not_depend_on_the_workers(
+            self, monkeypatch, workers, count):
+        def run():
+            return run_portscan_experiment(ScenarioConfig(noise_seed=3), 3,
+                                           seed=4, repeats=count)
+
+        monkeypatch.setattr(streams, "usable_cpus", lambda: 1)
+        inline = run()
+        monkeypatch.setattr(streams, "usable_cpus", lambda: workers)
+        assert run() == inline
+        assert_no_child_left()
+
+    def test_a_childs_value_error_reaches_the_caller(self, monkeypatch):
+        def run_one(r):
+            if r == 2:
+                raise ValueError(f"repeat {r} is bad")
+            return r
+
+        monkeypatch.setattr(streams, "usable_cpus", lambda: 2)
+        with pytest.raises(ValueError, match="^repeat 2 is bad$"):
+            streams.run_repeats(run_one, 4)
+        assert_no_child_left()
+
+    def test_the_earliest_failing_share_wins(self, monkeypatch):
+        def run_one(r):
+            raise KeyError(r) if r >= 1 else LookupError(r)
+
+        monkeypatch.setattr(streams, "usable_cpus", lambda: 3)
+        with pytest.raises(LookupError) as info:
+            streams.run_repeats(run_one, 3)
+        assert type(info.value) is LookupError
+        assert_no_child_left()
+
+    def test_a_child_that_dies_is_named(self, monkeypatch):
+        def run_one(r):
+            if r == 3:
+                os._exit(7)
+            return r
+
+        monkeypatch.setattr(streams, "usable_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match="repeats 2, 3 ended without"):
+            streams.run_repeats(run_one, 4)
+        assert_no_child_left()
+
+    @pytest.mark.parametrize("error", [ValueError, KeyboardInterrupt])
+    def test_an_error_in_the_callers_share_stops_every_child(
+            self, monkeypatch, error):
+        def run_one(r):
+            if r == 0:
+                raise error("the caller's share")
+            time.sleep(60)
+
+        monkeypatch.setattr(streams, "usable_cpus", lambda: 3)
+        start = time.monotonic()
+        with pytest.raises(error):
+            streams.run_repeats(run_one, 3)
+        assert time.monotonic() - start < 30
+        assert_no_child_left()

@@ -7,7 +7,9 @@
 `--workload` may repeat, and `--workload all` stands for every workload
 that CHANGE_DIR/BENCHMARK.json names; a name it does not list is a usage
 error before any run. The workloads run one after another, each with its
-own pairs and its own table.
+own pairs and its own table. Each table's header gives the CPUs this
+process may use: the runs inherit them, and on one CPU the experiments
+run every repeat inline.
 
 Pair i of a workload W runs `perfbench/run.py --workload W --seed S+i
 --seconds T --trace 0` once in each checkout, each with that checkout's
@@ -45,6 +47,7 @@ from __future__ import annotations
 import argparse
 import compileall
 import json
+import os
 import re
 import statistics
 import subprocess
@@ -87,6 +90,17 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
         return values[0], values[0], values[0]
     q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return q1, q2, q3
+
+
+def usable_cpus() -> int:
+    """The CPUs the benchmark runs spread repeats over, by the rule of
+    `dca.streams.usable_cpus`: those this process may run on, which the
+    runs inherit, or 1 where the platform cannot fork or cannot tell. On
+    one CPU the experiments run every repeat inline, so a pair there
+    cannot show a change to how repeats are spread."""
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return 1
 
 
 def load_spec(checkout: Path) -> dict:
@@ -241,12 +255,14 @@ def main(argv=None) -> int:
     for path in sides.values():
         compileall.compile_dir(path / "src", quiet=1)
         compileall.compile_dir(path / "perfbench", quiet=1)
+    cpus = usable_cpus()
     for n, workload in enumerate(workloads):
         results = run_pairs(sides, workload, args.pairs, args.seed,
                             args.seconds)
         print(("\n" if n else "")
               + f"workload {workload}: {args.pairs} pairs, seeds {args.seed}-"
-              f"{args.seed + args.pairs - 1}, {args.seconds:g} s per run; "
+              f"{args.seed + args.pairs - 1}, {args.seconds:g} s per run, "
+              f"{cpus} usable CPU{'s' if cpus != 1 else ''}; "
               "gap is the change's median against the parent's")
         print(report(results, directions(spec), bounds(spec)), flush=True)
     return 0
