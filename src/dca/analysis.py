@@ -155,18 +155,26 @@ def paired_t_test(xs: Sequence[float], ys: Sequence[float]) -> PairedTTestResult
             raise ValueError(f"paired samples must be finite, got {v!r}")
     diffs = [x - y for x, y in zip(xs, ys)]
     mean_diff = sum(diffs) / n
+    deviations = [d - mean_diff for d in diffs]
+    # The deviations are scaled by a power of two near the largest before
+    # they are squared, so tiny ones do not underflow. Scaling by a power
+    # of two is exact and a product rounds correctly, so t is the same at
+    # any scale where the unscaled squares would stay normal.
+    _, exp = math.frexp(max(map(abs, deviations)))
+    scaled = [math.ldexp(d, -exp) for d in deviations]
+    spread = sum(d * d for d in scaled)
     try:
-        var = sum((d - mean_diff) ** 2 for d in diffs)
+        math.ldexp(spread, 2 * exp)  # the unscaled sum of squares
     except OverflowError:
-        var = math.inf
-    if not (math.isfinite(mean_diff) and math.isfinite(var)):
+        spread = math.inf
+    if not (math.isfinite(mean_diff) and math.isfinite(spread)):
         raise ValueError("the mean or the spread of the paired differences "
                          "overflows a float")
-    if var == 0.0:
+    if spread == 0.0:
         if mean_diff == 0.0:
             return PairedTTestResult(0.0, 1.0, exact_tie=True)
         return PairedTTestResult(mean_diff, 0.0, exact_tie=True)
-    t = mean_diff / math.sqrt(var / (n * (n - 1)))
+    t = math.ldexp(mean_diff, -exp) / math.sqrt(spread / (n * (n - 1)))
     return PairedTTestResult(mean_diff, _student_t_two_tailed(t, n - 1))
 
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
 from .analysis import AntigenVerdict, RunSummary, aggregate, classify, count_errors
@@ -159,6 +160,11 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
     tail-of-stream items still present. Presentations are pooled across
     repeats before the mean context is thresholded and errors counted.
     The repeats may run in forked workers (see `streams.run_repeats`).
+    A repeat sends its records back as seven columns, one tuple per
+    record field, and the caller builds the records again: a worker's
+    reply then pickles seven flat tuples, where a list of named tuples
+    pickles record by record, through a Python-level `__getnewargs__`
+    call each.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -172,8 +178,8 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
     # each item's signals, computed once and looked up by the item itself
     signals = {id(it): item_to_signals(it, mapping) for it in items}
 
-    def run_one(r: int) -> tuple[list[MigrationRecord], list[str]]:
-        """The records and the item ordering of repeat `r`."""
+    def run_one(r: int) -> tuple[tuple[tuple, ...], list[str]]:
+        """The records of repeat `r`, as columns, and its item ordering."""
         stream = order_stream(items, order, seed=cfg.seed * 7919 + r)
         runner = EventDrivenRunner(
             Tissue(replace(cfg, seed=cfg.seed * 1_000_003 + r)))
@@ -186,10 +192,12 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
             tuple.__new__(Event, (float(k), ANTIGEN, None, it.id,
                                   "dataset"))))
         runner.drain(max_ticks=drain_ticks)
-        return runner.tissue.records, [it.id for it in stream]
+        return (tuple(zip(*runner.tissue.records)),
+                [it.id for it in stream])
 
     runs = run_repeats(run_one, repeats)
-    all_records = [records for records, _ in runs]
+    all_records = [list(map(tuple.__new__, repeat(MigrationRecord),
+                            zip(*columns))) for columns, _ in runs]
     orderings = [ordering for _, ordering in runs]
     verdicts = aggregate(rec for run in all_records for rec in run)
     classify(verdicts, threshold)

@@ -215,7 +215,9 @@ class Tissue:
         self._slot_left[idx] = self.multiplicity
 
     def sample_slot(self, slot: int) -> Optional[str]:
-        """Take one sample from a drawn slot.
+        """Take one sample from a drawn slot: the step of a tick on a store
+        of more than one slot (a one-slot store is walked in
+        `_sample_one_slot` without it).
 
         Returns the slot's label and decrements its counter, which frees
         the slot at zero; returns None for a free slot.
@@ -305,11 +307,13 @@ class Tissue:
         every few ticks (`_draw_block`); one block call gives exactly what
         the same number of per-tick calls would, so outputs do not depend
         on the block size. Sampling runs sequentially in tick order, since
-        each sample can change the store; cytokines and migration are
-        computed for the whole pool. Fresh cells' thresholds are read in
-        tick order from blocks of `_block * num_cells` draws of `rng`
-        (uniform mode only); like the tick blocks, they give what one
-        draw per tick would.
+        each sample can change the store: a one-slot store is sampled in
+        one walk over the tick's coin winners (`_sample_one_slot`), and a
+        larger store one draw at a time through `sample_slot`. Cytokines
+        and migration are computed for the whole pool. Fresh cells'
+        thresholds are read in tick order from blocks of
+        `_block * num_cells` draws of `rng` (uniform mode only); like the
+        tick blocks, they give what one draw per tick would.
         """
         cfg = self.cfg
         r = self._row
@@ -319,31 +323,29 @@ class Tissue:
         self._row = r + 1
         order = self._orders[r]
         d_csm, d_semi, d_mat = fuse_signals(self.signals, cfg.weights)
-        self._refill()
-        # Visiting only draws of occupied slots is exact: a non-empty feed
-        # leaves every slot occupied after the refill, and an empty feed
-        # cannot fill a slot mid-tick, so every skipped draw finds nothing.
-        # A full cell is skipped before it draws on the store. Only a cell's
-        # own sample grows its list, and it comes once in the order.
         if self.capacity == 1:
-            cells = self._winners[r] if self.occupied else ()
-            slots = repeat(0)
+            self._sample_one_slot(self._winners[r])
         else:
+            self._refill()
+            # Visiting only draws of occupied slots is exact: a non-empty
+            # feed leaves every slot occupied after the refill, and an empty
+            # feed cannot fill a slot mid-tick, so every skipped draw finds
+            # nothing. A full cell is skipped before it draws on the store.
+            # Only a cell's own sample grows its list, and it comes once in
+            # the order.
             row = self._slots[r]
             tries = self._wins[r] & (self._slot_left[row] > 0)
-            cells = order[tries].tolist()
-            slots = row[tries].tolist()
-        labels = self._labels
-        cell_capacity = cfg.cell_antigen_capacity
-        for cell, slot in zip(cells, slots):
-            held = labels[cell]
-            if len(held) >= cell_capacity:
-                continue
-            label = self.sample_slot(slot)
-            if label is not None:
-                held.append(label)
-                if self._feed and self.occupied < self.capacity:
-                    self._refill()
+            labels = self._labels
+            cell_capacity = cfg.cell_antigen_capacity
+            for cell, slot in zip(order[tries].tolist(), row[tries].tolist()):
+                held = labels[cell]
+                if len(held) >= cell_capacity:
+                    continue
+                label = self.sample_slot(slot)
+                if label is not None:
+                    held.append(label)
+                    if self._feed and self.occupied < self.capacity:
+                        self._refill()
         self._cytokines += np.array((max(0.0, d_csm), d_semi, d_mat))
         migrated = order[(self._cytokines[:, 0] >= self._threshold)[order]]
         tick = self.clock
@@ -354,6 +356,43 @@ class Tissue:
         self._pending.append(logged)
         self._migrations += migrated.size
         return logged
+
+    def _sample_one_slot(self, winners: list[int]) -> None:
+        """One tick's sampling of a one-slot store, in one walk over the
+        tick's coin winners, in tick order, that holds the slot's label and
+        samples left as Python values. Each winner whose list is not full
+        takes the label; a slot spent with antigen in the feed takes the
+        next feed label at once, with a full count, as `_refill` would;
+        the walk stops when slot and feed are both empty. The slot and
+        `occupied` are written back once, at the end.
+
+        This gives what `sample_slot` and `_refill` give one sample at a
+        time. The walk pops the feed itself rather than refilling through
+        `deposit`: a bc run refills about once per item, and a `deposit`
+        call each time took back about a quarter of what the walk saves."""
+        left = self._slot_left.item(0)
+        label = self._slot_labels[0]
+        feed = self._feed
+        if not left:
+            if not feed:
+                return
+            label = feed.popleft()
+            left = self.multiplicity
+        labels = self._labels
+        cell_capacity = self.cfg.cell_antigen_capacity
+        for cell in winners:
+            held = labels[cell]
+            if len(held) < cell_capacity:
+                held.append(label)
+                left -= 1
+                if not left:
+                    if not feed:
+                        break
+                    label = feed.popleft()
+                    left = self.multiplicity
+        self._slot_labels[0] = label
+        self._slot_left[0] = left
+        self.occupied = 1 if left else 0
 
     def _draw_block(self) -> None:
         """Draw the next block of ticks' orders, coins and slots, one row

@@ -208,6 +208,21 @@ class TestPairedTTest:
         with pytest.raises(ValueError, match="overflows a float"):
             paired_t_test(xs, ys)
 
+    def test_the_same_samples_at_any_scale_give_the_same_p(self):
+        # at 1e-162 the unscaled squares underflowed: an exact tie, p 0
+        for k in range(-300, 151):
+            scale = 10.0 ** k
+            result = paired_t_test([2 * scale, 0.0], [0.0, 0.0])
+            assert result.mean_difference == scale
+            assert result.p_value == 0.5000000000000004, k
+            assert not result.exact_tie
+        # scaling three pairs by a power of two scales them exactly, so
+        # every such scale gives the p of scale 1, to the bit
+        p_values = {paired_t_test([3.0 * s, 1.5 * s, 0.5 * s],
+                                  [1.0 * s, 0.0, 0.25 * s]).p_value
+                    for s in (2.0 ** -1000, 2.0 ** -530, 1.0, 2.0 ** 400)}
+        assert len(p_values) == 1
+
     def test_matches_scipy_ttest_rel(self):
         stats = pytest.importorskip("scipy.stats")
         # the tail alone, over df 1-200 and |t| 1e-4-300

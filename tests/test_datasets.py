@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dca import datasets, streams
-from dca.core import fuse_signals
+from dca.core import Context, fuse_signals
 from dca.datasets import (DANGER_ATTRIBUTE_COUNT, TARGET_CSM_RATE,
                           LabelledItem, SignalMapping, item_to_signals, load_items, load_uci, order_stream,
                           run_bc_experiment, select_attributes,
                           synthetic_items, write_items)
 from dca.streams import Event, EventDrivenRunner
-from dca.tissue import PopulationConfig
+from dca.tissue import MigrationRecord, PopulationConfig
 
 
 # near-valid dataset lines: 11 fields from a vocabulary that reaches every
@@ -310,6 +310,33 @@ class TestRunBcExperiment:
         assert run() == inline
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+    # A repeat's records travel back as columns, and are built again in
+    # the caller: these are the column form's edges.
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_repeats_that_migrate_no_cell_give_empty_lists(
+            self, items, monkeypatch, workers):
+        monkeypatch.setattr(streams, "usable_cpus", lambda: workers)
+        cfg = PopulationConfig.breast_cancer(seed=3,
+                                             threshold_mode=("fixed", 1e9))
+        result = run_bc_experiment(items, "one-step", cfg, repeats=2,
+                                   drain_ticks=0)
+        assert result.records_per_repeat == [[], []]
+        assert result.summary.unseen == len(items)
+
+    def test_records_from_a_forked_repeat_are_migration_records(
+            self, items, monkeypatch):
+        monkeypatch.setattr(streams, "usable_cpus", lambda: 2)
+        result = run_bc_experiment(items, "one-step",
+                                   PopulationConfig.breast_cancer(seed=4),
+                                   repeats=2)
+        forked = result.records_per_repeat[1]
+        assert forked
+        for record in forked:
+            assert type(record) is MigrationRecord
+            assert (record.context is Context.MATURE
+                    or record.context is Context.SEMI_MATURE)
 
 
 class TestSyntheticItems:

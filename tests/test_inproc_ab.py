@@ -2,6 +2,7 @@
 of their timings, and its usage errors."""
 
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,33 @@ def test_this_tree_loads_twice_under_two_names(inproc_ab):
     assert first.tissue.__name__ == "dca_test_first.tissue"
     cfg = second.PopulationConfig.breast_cancer(seed=1, num_cells=5)
     assert second.Tissue(cfg).tick() == ()
+
+
+def test_bc_pair_is_the_call_a_bc_orders_session_times(inproc_ab,
+                                                      monkeypatch):
+    dca = inproc_ab.load(ROOT, "dca_test_pair")
+    calls = []
+    monkeypatch.setattr(dca, "run_bc_experiment",
+                        lambda *args, **kwargs: calls.append((args, kwargs)))
+    inproc_ab.SHAPES["bc-pair"](dca, 4)()
+    inproc_ab.SHAPES["bc"](dca, 4)()
+    (items, order, cfg), kwargs = calls[0]
+    assert items == dca.synthetic_items(seed=4)
+    assert order == "two-step"
+    assert cfg == dca.PopulationConfig.breast_cancer(seed=4)
+    assert kwargs == {"repeats": 2}
+    assert calls[1] == (calls[0][0], {"repeats": 1})
+
+
+def test_bc_pair_runs_and_names_the_usable_cpus(inproc_ab, capsys):
+    assert inproc_ab.main([str(ROOT), str(ROOT), "--shape", "bc-pair",
+                           "--passes", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert re.fullmatch(r"shape bc-pair: 1 passes, alternating which side "
+                        r"runs first, \d+ usable CPUs?; seconds per call",
+                        lines[0])
+    assert [line.split()[0] for line in lines[1:]] == [
+        "parent", "change", "gap"]
 
 
 def test_summary_of_canned_timings(inproc_ab):

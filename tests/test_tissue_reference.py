@@ -46,7 +46,17 @@ CONFIGS = {
         s, antigen_overwrite=True, tissue_antigen_capacity=3),
     "cell_capacity_2": lambda s: small(s, cell_antigen_capacity=2,
                                        antigen_sampling_probability=1.0),
+    # the one-slot store, which `Tissue.tick` samples in one walk
+    "one_slot_multiplicity_1": lambda s: small(
+        s, tissue_antigen_capacity=1, antigen_sample_multiplicity=1),
+    "one_slot_cell_capacity_2": lambda s: small(
+        s, tissue_antigen_capacity=1, cell_antigen_capacity=2,
+        antigen_sampling_probability=1.0),
+    "one_slot_overwrite": lambda s: small(
+        s, tissue_antigen_capacity=1, antigen_overwrite=True),
 }
+
+ONE_SLOT = sorted(name for name in CONFIGS if name.startswith("one_slot"))
 
 
 def scripted_steps(seed, ticks=60, max_antigen=4, quiet=20):
@@ -99,9 +109,27 @@ def test_array_tick_matches_reference(name, seed):
     assert tissue.records
 
 
+class DrawLog(ReferenceTissue):
+    """The reference tissue, logging each tick's samples of the store:
+    True for one that took a label, False for one that found it empty."""
+
+    def tick(self):
+        self.draws = []
+        return super().tick()
+
+    def _sample(self, idx):
+        label = super()._sample(idx)
+        self.draws.append(label is not None)
+        return label
+
+
 def test_configs_reach_the_paths_they_name():
     """The overwrite config overwrites a full store and the capacity-2
-    config fills cells, so both rare branches are compared above."""
+    config fills cells, so both rare branches are compared above. Each
+    one-slot config spends its slot mid-tick with the feed empty and a
+    winner with room still to come, so the one-slot walk's stop is
+    compared too, and the one-slot capacity-2 config holds full cells,
+    which win every coin at p = 1, so the walk must skip them."""
     steps = scripted_steps(0)
     tissue = Tissue(CONFIGS["overwrite_multiplicity_3"](0))
     full = 0
@@ -121,6 +149,19 @@ def test_configs_reach_the_paths_they_name():
         tissue.tick()
         filled += sum(len(c.antigen_store) == 2 for c in tissue.pool)
     assert filled > 0
+    for name in ONE_SLOT:
+        ref = DrawLog(CONFIGS[name](0))
+        spent = filled = 0
+        for signals, labels in steps:
+            ref.set_signals(signals)
+            for label in labels:
+                ref.enqueue_antigen(label)
+            ref.tick()
+            spent += (True, False) in zip(ref.draws, ref.draws[1:])
+            filled += sum(cell.store_full for cell in ref.pool)
+        assert spent > 0, name
+        if name == "one_slot_cell_capacity_2":
+            assert filled > 0
 
 
 signal_steps = st.lists(
@@ -133,13 +174,14 @@ signal_steps = st.lists(
 # through draw-for-draw replays of both tissues took minutes and over a
 # gigabyte, so a broken tick would tie the run up instead of failing it.
 @given(st.integers(0, 2**32), signal_steps, st.booleans(),
-       st.sampled_from([0.0, 0.3, 1.0]))
+       st.sampled_from([0.0, 0.3, 1.0]), st.sampled_from([1, 2]))
 @settings(max_examples=60, deadline=None,
           phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
-def test_reference_property(seed, raw_steps, overwrite, probability):
+def test_reference_property(seed, raw_steps, overwrite, probability,
+                            capacity):
     cfg = small(seed, antigen_overwrite=overwrite,
                 antigen_sampling_probability=probability,
-                cell_antigen_capacity=3)
+                tissue_antigen_capacity=capacity, cell_antigen_capacity=3)
     steps = [(SignalVector(pamp=p, danger=d, safe=s, inflammation=ic),
               [f"h-{t}-{k}" for k in range(n)])
              for t, (p, d, s, ic, n) in enumerate(raw_steps)]

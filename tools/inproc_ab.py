@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Time two checkouts' `dca` in one process, in alternating passes.
 
-    python3 tools/inproc_ab.py PARENT_DIR CHANGE_DIR --shape bc|portscan \\
-        [--passes N]
+    python3 tools/inproc_ab.py PARENT_DIR CHANGE_DIR \\
+        --shape bc|bc-pair|portscan [--passes N]
 
 Each checkout's `src/dca` is imported under its own package name
 (`dca_parent`, `dca_change`): every import inside the package is
@@ -14,10 +14,14 @@ host's speed falls on both alike:
 - `bc`: `run_bc_experiment` over the synthetic items, one repeat, the
   stream orders in turn, on the breast-cancer tissue (100 cells, a
   one-slot flow-controlled store);
+- `bc-pair`: the same at two repeats, the call a `bc-orders` session
+  times; with two usable CPUs the second repeat runs in a forked worker,
+  so this also sees what it costs to send a repeat's results back;
 - `portscan`: `run_portscan_experiment`, experiment 4, two repeats, on
   the portscan tissue (500 cells, a 500-slot overwriting store).
 
-It prints each side's median and quartiles in seconds, the gap of the
+It prints the CPUs that the change's `run_repeats` spreads repeats over,
+then each side's median and quartiles in seconds, the gap of the
 change's median against the parent's, and the passes the change won.
 Both sides run in one interpreter, so this sees tick-level differences
 that the noise between processes hides; a performance claim still needs
@@ -27,6 +31,7 @@ that the noise between processes hides; a performance claim still needs
 from __future__ import annotations
 
 import argparse
+import functools
 import gc
 import importlib.util
 import statistics
@@ -53,11 +58,12 @@ def load(checkout: Path, name: str) -> ModuleType:
     return module
 
 
-def bc_call(dca: ModuleType, seed: int) -> Callable[[], object]:
+def bc_call(dca: ModuleType, seed: int,
+            repeats: int = 1) -> Callable[[], object]:
     items = dca.synthetic_items(seed=seed)
     cfg = dca.PopulationConfig.breast_cancer(seed=seed)
     order = BC_ORDERS[seed % len(BC_ORDERS)]
-    return lambda: dca.run_bc_experiment(items, order, cfg, repeats=1)
+    return lambda: dca.run_bc_experiment(items, order, cfg, repeats=repeats)
 
 
 def portscan_call(dca: ModuleType, seed: int) -> Callable[[], object]:
@@ -66,7 +72,8 @@ def portscan_call(dca: ModuleType, seed: int) -> Callable[[], object]:
                                                repeats=2)
 
 
-SHAPES = {"bc": bc_call, "portscan": portscan_call}
+SHAPES = {"bc": bc_call, "bc-pair": functools.partial(bc_call, repeats=2),
+          "portscan": portscan_call}
 
 
 def run_passes(packages: dict[str, ModuleType], shape: str,
@@ -119,8 +126,10 @@ def main(argv=None) -> int:
     except FileNotFoundError as exc:
         p.error(str(exc))
     times = run_passes(packages, args.shape, args.passes)
+    cpus = packages["change"].streams.usable_cpus()
     print(f"shape {args.shape}: {args.passes} passes, alternating which "
-          "side runs first; seconds per call")
+          f"side runs first, {cpus} usable CPU{'s' if cpus != 1 else ''}; "
+          "seconds per call")
     print(summarize(times))
     return 0
 
