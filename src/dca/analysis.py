@@ -80,11 +80,13 @@ def classify(verdicts: Mapping[str, AntigenVerdict], threshold: float) -> None:
     if not 0.0 <= threshold <= 1.0:
         raise ValueError("threshold must lie in [0, 1]")
     for v in verdicts.values():
-        mc = v.mean_context
-        if mc is None:
+        # `mean_context`, from the two counts at once
+        mature = v.presented_mature
+        total = mature + v.presented_semi
+        if total == 0:
             v.decided_class = None
         else:
-            v.decided_class = 1 if mc > threshold else 0
+            v.decided_class = 1 if mature / total > threshold else 0
 
 
 def count_errors(verdicts: Mapping[str, AntigenVerdict],
@@ -254,13 +256,15 @@ def write_verdict_table(verdicts: Mapping[str, AntigenVerdict], fh: TextIO,
     if machine:
         fh.write("label\tpresentations\tmean_context\tclass\n")
         for v in rows:
-            mc = "" if v.mean_context is None else repr(v.mean_context)
+            mc = v.mean_context
+            mc = "" if mc is None else repr(mc)
             cls = "" if v.decided_class is None else str(v.decided_class)
             fh.write(f"{v.label}\t{v.total}\t{mc}\t{cls}\n")
         return
     fh.write(f"{'label':<24}{'presented':>10}{'mean_ctx':>10}{'class':>7}\n")
     for v in rows:
-        mc = "unseen" if v.mean_context is None else f"{v.mean_context:.3f}"
+        mc = v.mean_context
+        mc = "unseen" if mc is None else f"{mc:.3f}"
         cls = "-" if v.decided_class is None else str(v.decided_class)
         fh.write(f"{v.label:<24}{v.total:>10}{mc:>10}{cls:>7}\n")
 

@@ -18,11 +18,12 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from itertools import repeat
+from itertools import chain, repeat
+from operator import is_, itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
-from .analysis import AntigenVerdict, RunSummary, aggregate, classify, count_errors
-from .core import SignalVector, fuse_signals
+from .analysis import AntigenVerdict, RunSummary, classify, count_errors, tally
+from .core import Context, SignalVector
 from .streams import (ANTIGEN, DRAIN_TICKS, SIGNAL_SET, Event,
                       EventDrivenRunner, run_repeats)
 from .tissue import MigrationRecord, PopulationConfig, Tissue, log_lines
@@ -77,6 +78,15 @@ def select_attributes(items: Sequence[LabelledItem]) -> SignalMapping:
     The top attribute feeds PAMP/safe, the next three feed danger. The
     scale is calibrated so the mean per-tick csm increment over the
     dataset equals TARGET_CSM_RATE under default weights.
+
+    The calibration walks the top attribute's and the danger trio's
+    columns once. For each item it forms the unscaled signals as
+    `item_to_signals` does and the csm increment as `fuse_signals` does,
+    in the same order of operations, and it keeps `sum()` over those
+    increments, so the scale is bit for bit the one a call of both per
+    item gives (from Python 3.12 a float `sum` is compensated, which a
+    running `+=` would not match). An item whose signals `SignalVector`
+    rejects raises through `SignalVector`, with its error.
     """
     if len(items) < 2:
         raise ValueError("need at least two items")
@@ -105,24 +115,41 @@ def select_attributes(items: Sequence[LabelledItem]) -> SignalMapping:
     mu0 = sum(by_class[0]) / len(by_class[0])
     mu1 = sum(by_class[1]) / len(by_class[1])
 
-    unscaled = SignalMapping(danger, top, (mu0, mu1), scale=1.0)
-    csm_rate = sum(fuse_signals(item_to_signals(it, unscaled), _DEFAULT_WEIGHTS)[0]
-                   for it in items) / n
+    # the csm row of `fuse_signals` at unit scale and no inflammation
+    wp, wd, ws = _DEFAULT_WEIGHTS.csm
+    den = abs(wp) + abs(ws) + abs(wd)
+    ic_factor = (1.0 + 0.0) / 2.0
+    increments = []
+    for x, trio in zip(xs, zip(*(columns[a] for a in danger))):
+        pamp = abs(x - mu0)
+        danger_signal = sum(trio) / DANGER_ATTRIBUTE_COUNT
+        safe = abs(x - mu1)
+        if not (pamp < math.inf and 0 <= danger_signal < math.inf
+                and safe < math.inf):  # NaN fails too
+            SignalVector(pamp, danger_signal, safe)  # raises
+        increments.append((wp * pamp + ws * safe + wd * danger_signal)
+                          / den * ic_factor)
+    csm_rate = sum(increments) / n
     if csm_rate <= 0:
         raise ValueError("dataset produces no csm signal; cannot calibrate")
-    return replace(unscaled, scale=TARGET_CSM_RATE / csm_rate)
+    return SignalMapping(danger, top, (mu0, mu1),
+                         scale=TARGET_CSM_RATE / csm_rate)
 
 
 _DEFAULT_WEIGHTS = PopulationConfig().weights
 
 
 def item_to_signals(item: LabelledItem, m: SignalMapping) -> SignalVector:
-    """Map one item to signal concentrations (inflammation is unused)."""
-    danger = m.scale * sum(item.attributes[a] for a in m.danger_attributes) / len(m.danger_attributes)
-    x = item.attributes[m.pamp_safe_attribute]
+    """Map one item to signal concentrations (inflammation is unused).
+    The danger trio is summed as a tuple, which `sum` walks faster than a
+    generator, in the same order."""
+    attrs = item.attributes
+    trio = m.danger_attributes
+    danger = m.scale * sum(itemgetter(*trio)(attrs)) / len(trio)
+    x = attrs[m.pamp_safe_attribute]
     mu0, mu1 = m.class_means
-    return SignalVector(pamp=m.scale * abs(x - mu0), danger=danger,
-                        safe=m.scale * abs(x - mu1), inflammation=0.0)
+    return SignalVector(m.scale * abs(x - mu0), danger,
+                        m.scale * abs(x - mu1), 0.0)
 
 
 def order_stream(items: Sequence[LabelledItem], order: str,
@@ -160,11 +187,13 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
     tail-of-stream items still present. Presentations are pooled across
     repeats before the mean context is thresholded and errors counted.
     The repeats may run in forked workers (see `streams.run_repeats`).
-    A repeat sends its records back as seven columns, one tuple per
-    record field, and the caller builds the records again: a worker's
-    reply then pickles seven flat tuples, where a list of named tuples
-    pickles record by record, through a Python-level `__getnewargs__`
-    call each.
+    A repeat sends its records back as the seven columns that
+    `Tissue.record_columns` reads from the tick logs, one list per record
+    field, without building a record: a worker's reply then pickles seven
+    flat lists, where a list of named tuples pickles record by record,
+    through a Python-level `__getnewargs__` call each. The caller tallies
+    the verdicts from each repeat's context and label columns, and builds
+    the records of `records_per_repeat` once, from the columns.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -178,7 +207,7 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
     # each item's signals, computed once and looked up by the item itself
     signals = {id(it): item_to_signals(it, mapping) for it in items}
 
-    def run_one(r: int) -> tuple[tuple[tuple, ...], list[str]]:
+    def run_one(r: int) -> tuple[tuple[list, ...], list[str]]:
         """The records of repeat `r`, as columns, and its item ordering."""
         stream = order_stream(items, order, seed=cfg.seed * 7919 + r)
         runner = EventDrivenRunner(
@@ -192,16 +221,18 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
             tuple.__new__(Event, (float(k), ANTIGEN, None, it.id,
                                   "dataset"))))
         runner.drain(max_ticks=drain_ticks)
-        return (tuple(zip(*runner.tissue.records)),
-                [it.id for it in stream])
+        return runner.tissue.record_columns(), [it.id for it in stream]
 
     runs = run_repeats(run_one, repeats)
+    # each migration's context and antigens, as `aggregate` reads a record
+    verdicts = tally(chain.from_iterable(
+        zip(map(is_, contexts, repeat(Context.MATURE)), antigens)
+        for (_, _, contexts, antigens, *_), _ in runs))
+    classify(verdicts, threshold)
+    errors, unseen = count_errors(verdicts, truth)
     all_records = [list(map(tuple.__new__, repeat(MigrationRecord),
                             zip(*columns))) for columns, _ in runs]
     orderings = [ordering for _, ordering in runs]
-    verdicts = aggregate(rec for run in all_records for rec in run)
-    classify(verdicts, threshold)
-    errors, unseen = count_errors(verdicts, truth)
     return ExperimentResult(RunSummary(verdicts, errors=errors, unseen=unseen),
                             all_records, orderings)
 

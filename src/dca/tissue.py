@@ -273,12 +273,25 @@ class Tissue:
     @property
     def records(self) -> list[MigrationRecord]:
         """Every migration so far, in log order. The ticks logged since the
-        last read are built into records in one pass and cached, so a read
-        mid-run and a read at the end agree."""
+        last read are built into records in one pass, from the columns
+        that `record_columns` also reads, and cached, so a read mid-run and
+        a read at the end agree."""
         if self._pending:
             self._records.extend(_build_records(self._pending))
             self._pending = []
         return self._records
+
+    def record_columns(self) -> tuple[list, ...]:
+        """Every migration so far as seven columns, one list per
+        `MigrationRecord` field, in log order: field by field what
+        `tuple(zip(*self.records))` gives, but read from the tick logs
+        without building a record, and caching nothing. Records that a
+        read of `records` already built come first. With no migration,
+        seven empty lists."""
+        columns = _log_columns(self._pending)
+        if self._records:
+            columns = map(chain, zip(*self._records), columns)
+        return tuple(map(list, columns))
 
     @property
     def migrations(self) -> int:
@@ -469,8 +482,12 @@ def _matured(cytokines: np.ndarray) -> list[bool]:
 _CONTEXTS = (Context.SEMI_MATURE, Context.MATURE)  # indexed by `_matured`
 
 
-def _build_records(logged: Sequence[_TickLog]) -> list[MigrationRecord]:
-    """The records of the logged ticks, in log order, built by columns."""
+def _log_columns(logged: Sequence[_TickLog]) -> tuple[Iterable, ...]:
+    """The seven record fields of the logged ticks, in log order, one
+    iterable per `MigrationRecord` field: the one builder of records and
+    of record columns."""
+    if not logged:
+        return ((),) * 7
     counts = [len(m.labels) for m in logged]
     ids = np.concatenate([m.ids for m in logged])
     cytokines = np.concatenate([m.cytokines for m in logged])
@@ -479,8 +496,13 @@ def _build_records(logged: Sequence[_TickLog]) -> list[MigrationRecord]:
     csm, semi, mat = cytokines.T.tolist()
     contexts = map(_CONTEXTS.__getitem__, _matured(cytokines))
     labels = map(tuple, chain.from_iterable(m.labels for m in logged))
-    return list(map(tuple.__new__, repeat(MigrationRecord), zip(
-        ticks, ids.tolist(), contexts, labels, csm, semi, mat)))
+    return ticks, ids.tolist(), contexts, labels, csm, semi, mat
+
+
+def _build_records(logged: Sequence[_TickLog]) -> list[MigrationRecord]:
+    """The records of the logged ticks, in log order, built by columns."""
+    return list(map(tuple.__new__, repeat(MigrationRecord),
+                    zip(*_log_columns(logged))))
 
 
 class Cytokines(NamedTuple):

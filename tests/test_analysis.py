@@ -109,6 +109,20 @@ class TestClassify:
         with pytest.raises(ValueError):
             classify({}, 1.5)
 
+    @given(st.lists(st.tuples(st.integers(0, 10**6), st.integers(0, 10**6)),
+                    max_size=20),
+           st.one_of(st.floats(0.0, 1.0), st.sampled_from(
+               [0.0, 0.5, 0.65, 1.0, 1 / 3, 2 / 3])))
+    @settings(max_examples=300)
+    def test_decides_by_the_mean_context(self, counts, threshold):
+        verdicts = {str(k): AntigenVerdict(str(k), m, s)
+                    for k, (m, s) in enumerate(counts)}
+        classify(verdicts, threshold)
+        for v in verdicts.values():
+            mc = v.mean_context
+            assert v.decided_class == (None if mc is None
+                                       else 1 if mc > threshold else 0)
+
 
 class TestCountErrors:
     def test_perfect_agreement(self):
@@ -265,3 +279,18 @@ class TestHelpers:
         write_process_table(rows, machine, machine=True)
         assert "0.843" in human.getvalue()
         assert "proc\t10.0\t0.843\t0.069" in machine.getvalue()
+
+    @pytest.mark.parametrize("machine", [False, True])
+    def test_verdict_table_reads_each_mean_context_once(self, machine):
+        reads = []
+
+        class Counted(AntigenVerdict):
+            @property
+            def mean_context(self):
+                reads.append(self.label)
+                return super().mean_context
+
+        verdicts = {"a": Counted("a", 3, 1, decided_class=1),
+                    "b": Counted("b"), "c": Counted("c", 0, 2, 0)}
+        write_verdict_table(verdicts, io.StringIO(), machine=machine)
+        assert reads == ["a", "b", "c"]

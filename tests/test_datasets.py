@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dca import datasets, streams
-from dca.core import Context, fuse_signals
+from dca.analysis import aggregate, classify, count_errors
+from dca.core import Context, SignalVector, fuse_signals
 from dca.datasets import (DANGER_ATTRIBUTE_COUNT, TARGET_CSM_RATE,
                           LabelledItem, SignalMapping, item_to_signals, load_items, load_uci, order_stream,
                           run_bc_experiment, select_attributes,
@@ -55,6 +56,17 @@ class TestLabelledItem:
             make_item("x", [0.5] * 8 + [math.nan], 0)
         with pytest.raises(ValueError):
             make_item("x", [0.5] * 9, 2)
+
+
+def item_to_signals_per_item(item, m):
+    """`item_to_signals` as it was first written, with the danger trio
+    summed from a generator. The reference for the tuple form."""
+    danger = (m.scale * sum(item.attributes[a] for a in m.danger_attributes)
+              / len(m.danger_attributes))
+    x = item.attributes[m.pamp_safe_attribute]
+    mu0, mu1 = m.class_means
+    return SignalVector(pamp=m.scale * abs(x - mu0), danger=danger,
+                        safe=m.scale * abs(x - mu1), inflammation=0.0)
 
 
 def select_attributes_per_item(items):
@@ -127,6 +139,26 @@ item_lists = st.builds(
     st.lists(st.tuples(st.lists(attribute, min_size=9, max_size=9),
                        st.integers(0, 1)), min_size=2, max_size=30),
     st.sampled_from([None] * 6 + [1e308, -1e308, 1e200]))
+
+
+def build_mapping(order, repeat_first, means, scale):
+    """A mapping from a permutation of the attributes: the first feeds
+    pamp and safe, the next three danger. `repeat_first` adds the first
+    danger attribute once more, a four-entry trio that the mapping's
+    checks let through."""
+    danger = tuple(order[1:4]) + ((order[1],) if repeat_first else ())
+    return SignalMapping(danger, order[0], means, scale)
+
+
+# off the grid, negative and huge: negative danger, and signals that
+# overflow at a large scale, reach the finite and non-negative checks
+signal_attribute = st.one_of(attribute, st.sampled_from(
+    [1e308, -1e308, 1e200, -5.0, 5e-324]))
+mappings = st.builds(
+    build_mapping, st.permutations(range(9)), st.booleans(),
+    st.tuples(st.one_of(st.floats(-1.0, 2.0), st.just(1e300)),
+              st.floats(-1.0, 2.0)),
+    st.one_of(st.floats(1e-3, 1e3), st.sampled_from([1.0, 1e300, 5e-324])))
 
 
 class TestSelectAttributes:
@@ -208,6 +240,13 @@ class TestItemToSignals:
                                       mapping)
             assert signals.pamp == pytest.approx(100.0 * abs(x - 0.2))
             assert signals.safe == pytest.approx(100.0 * abs(x - 0.8))
+
+    @given(st.lists(signal_attribute, min_size=9, max_size=9), mappings)
+    @settings(max_examples=300)
+    def test_equals_the_per_item_form_on_drawn_items(self, attrs, mapping):
+        item = make_item("x", attrs, 0)
+        assert outcome(lambda m: item_to_signals(item, m), mapping) == \
+            outcome(lambda m: item_to_signals_per_item(item, m), mapping)
 
     def test_inflammation_stays_zero(self):
         assert item_to_signals(toy_items()[0],
@@ -324,6 +363,24 @@ class TestRunBcExperiment:
                                    drain_ticks=0)
         assert result.records_per_repeat == [[], []]
         assert result.summary.unseen == len(items)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_verdicts_are_those_of_the_records(self, items, monkeypatch,
+                                               workers):
+        # the verdicts are tallied from the columns; aggregating the
+        # records built from them must give the same summary
+        monkeypatch.setattr(streams, "usable_cpus", lambda: workers)
+        truth = {it.id: it.true_class for it in items}
+        result = run_bc_experiment(items, "two-step",
+                                   PopulationConfig.breast_cancer(seed=6),
+                                   repeats=3, threshold=0.5)
+        verdicts = aggregate(rec for run in result.records_per_repeat
+                             for rec in run)
+        classify(verdicts, 0.5)
+        errors, unseen = count_errors(verdicts, truth)
+        assert list(result.summary.verdicts.items()) == list(verdicts.items())
+        assert (result.summary.errors, result.summary.unseen) == (errors,
+                                                                  unseen)
 
     def test_records_from_a_forked_repeat_are_migration_records(
             self, items, monkeypatch):

@@ -1,8 +1,10 @@
 """`tools/inproc_ab.py`: loading two checkouts side by side, the summary
-of their timings, and its usage errors."""
+of their wall and CPU timings, and its usage errors."""
 
 import importlib.util
+import os
 import re
+import time
 from pathlib import Path
 
 import pytest
@@ -71,16 +73,45 @@ def test_bc_pair_runs_and_names_the_usable_cpus(inproc_ab, capsys):
                         lines[0])
     assert [line.split()[0] for line in lines[1:]] == [
         "parent", "change", "gap"]
+    for line in lines[1:3]:
+        assert re.fullmatch(r"\w+ +median \S+ s \[\S+, \S+\], cpu \S+ s",
+                            line)
 
 
 def test_summary_of_canned_timings(inproc_ab):
     times = {"parent": [1.0, 2.0, 3.0, 4.0, 5.0],
              "change": [0.5, 2.5, 1.5, 3.5, 4.5]}
-    assert inproc_ab.summarize(times).splitlines() == [
-        "parent  median 3 s [2, 4]",
-        "change  median 2.5 s [1.5, 3.5]",
+    cpu = {"parent": [2.0, 4.0, 6.0, 8.0, 10.0],
+           "change": [1.0, 1.5, 2.0, 9.0, 9.0]}
+    assert inproc_ab.summarize(times, cpu).splitlines() == [
+        "parent  median 3 s [2, 4], cpu 6 s",
+        "change  median 2.5 s [1.5, 3.5], cpu 2 s",
         "gap -16.7%; change faster in 4/5 passes",
     ]
+
+
+def test_cpu_seconds_count_the_reaped_workers(inproc_ab, monkeypatch):
+    """A call that waits for a forked worker's busy loop costs the caller
+    almost no CPU, but the worker's CPU seconds count once it is reaped."""
+    busy = 0.2
+
+    def forking_call(dca, seed):
+        def call():
+            pid = os.fork()
+            if pid == 0:
+                end = time.process_time() + busy
+                while time.process_time() < end:
+                    pass
+                os._exit(0)
+            os.waitpid(pid, 0)
+        return call
+
+    monkeypatch.setitem(inproc_ab.SHAPES, "forking", forking_call)
+    wall, cpu = inproc_ab.run_passes({"parent": None, "change": None},
+                                     "forking", 2)
+    for side in inproc_ab.SIDES:
+        assert len(cpu[side]) == len(wall[side]) == 2
+        assert all(seconds >= busy * 0.9 for seconds in cpu[side])
 
 
 @pytest.mark.parametrize("argv", [

@@ -2,10 +2,12 @@
 and against itself drawing its tick randomness in blocks of other sizes.
 
 Both tissues get the same configuration, signals and antigen; after every
-tick their records, pool snapshots, feed and store must be equal.
+tick their records, pool snapshots, feed and store must be equal. The
+record columns, read from the tick logs, must be the records by field.
 """
 
 import random
+from itertools import repeat
 from unittest import mock
 
 import pytest
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import dca.tissue
 from dca.core import SignalVector
-from dca.tissue import PopulationConfig, Tissue
+from dca.tissue import MigrationRecord, PopulationConfig, Tissue
 from reference_tissue import ReferenceTissue
 
 
@@ -162,6 +164,47 @@ def test_configs_reach_the_paths_they_name():
         assert spent > 0, name
         if name == "one_slot_cell_capacity_2":
             assert filled > 0
+
+
+# `record_columns` reads the tick logs without building records; field by
+# field it must give what unzipping the built records gives, also when a
+# read of `records` mid-run (as a server fold makes) has built some of them
+@pytest.mark.parametrize("read_mid_run", [False, True])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_record_columns_are_the_records_by_field(name, read_mid_run):
+    cfg = CONFIGS[name](1)
+    steps = scripted_steps(1, max_antigen=30 if name == "portscan" else 4)
+    tissue, twin = Tissue(cfg), Tissue(cfg)
+    for i, (signals, labels) in enumerate(steps):
+        for t in (tissue, twin):
+            t.receive(signals, labels)
+            t.tick()
+        if read_mid_run and i == len(steps) // 2:
+            tissue.records
+    built, pending = len(tissue._records), len(tissue._pending)
+    if read_mid_run:
+        assert built and pending
+    columns = tissue.record_columns()
+    expected = tuple(zip(*twin.records))
+    assert len(columns) == len(expected) == len(MigrationRecord._fields)
+    for field, column, want in zip(MigrationRecord._fields, columns,
+                                   expected):
+        assert type(column) is list
+        assert repr(column) == repr(list(want)), field
+    # nothing was built or cached
+    assert (len(tissue._records), len(tissue._pending)) == (built, pending)
+    assert tissue.records == twin.records
+
+
+def test_a_tissue_without_migrations_gives_seven_empty_columns():
+    tissue = Tissue(small(3, threshold_mode=("fixed", 1e9)))
+    for signals, labels in scripted_steps(3, ticks=10, quiet=5):
+        tissue.receive(signals, labels)
+        tissue.tick()
+    columns = tissue.record_columns()
+    assert columns == ([],) * 7
+    assert list(map(tuple.__new__, repeat(MigrationRecord),
+                    zip(*columns))) == [] == tissue.records
 
 
 signal_steps = st.lists(

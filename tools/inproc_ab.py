@@ -21,8 +21,12 @@ host's speed falls on both alike:
   the portscan tissue (500 cells, a 500-slot overwriting store).
 
 It prints the CPUs that the change's `run_repeats` spreads repeats over,
-then each side's median and quartiles in seconds, the gap of the
-change's median against the parent's, and the passes the change won.
+then each side's median and quartiles in seconds and its median CPU
+seconds per call, the gap of the change's median against the parent's,
+and the passes the change won. The CPU seconds are the user and system
+time of this process and of the workers it reaped during the call
+(`resource.getrusage`), so a call that forks its repeats shows the
+work the wall time hides.
 Both sides run in one interpreter, so this sees tick-level differences
 that the noise between processes hides; a performance claim still needs
 `tools/ab_pairs.py` on the benchmark.
@@ -34,6 +38,7 @@ import argparse
 import functools
 import gc
 import importlib.util
+import resource
 import statistics
 import sys
 import time
@@ -76,19 +81,29 @@ SHAPES = {"bc": bc_call, "bc-pair": functools.partial(bc_call, repeats=2),
           "portscan": portscan_call}
 
 
-def run_passes(packages: dict[str, ModuleType], shape: str,
-               passes: int) -> dict[str, list[float]]:
-    """Seconds per call of each side, in pass order."""
-    times: dict[str, list[float]] = {side: [] for side in SIDES}
+def cpu_seconds() -> float:
+    """User plus system seconds of this process and its reaped children."""
+    return sum(usage.ru_utime + usage.ru_stime for usage in (
+        resource.getrusage(resource.RUSAGE_SELF),
+        resource.getrusage(resource.RUSAGE_CHILDREN)))
+
+
+def run_passes(packages: dict[str, ModuleType], shape: str, passes: int
+               ) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
+    """Wall seconds and CPU seconds per call of each side, in pass order."""
+    wall: dict[str, list[float]] = {side: [] for side in SIDES}
+    cpu: dict[str, list[float]] = {side: [] for side in SIDES}
     for i in range(passes):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
             call = SHAPES[shape](packages[side], i)
             gc.collect()
+            cpu_start = cpu_seconds()
             start = time.perf_counter()
             call()
-            times[side].append(time.perf_counter() - start)
-    return times
+            wall[side].append(time.perf_counter() - start)
+            cpu[side].append(cpu_seconds() - cpu_start)
+    return wall, cpu
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -98,11 +113,13 @@ def quartiles(values: list[float]) -> tuple[float, float, float]:
     return q1, q2, q3
 
 
-def summarize(times: dict[str, list[float]]) -> str:
+def summarize(times: dict[str, list[float]],
+              cpu: dict[str, list[float]]) -> str:
     lines = []
     for side in SIDES:
         q1, median, q3 = quartiles(times[side])
-        lines.append(f"{side:<7} median {median:.4g} s [{q1:.4g}, {q3:.4g}]")
+        lines.append(f"{side:<7} median {median:.4g} s [{q1:.4g}, {q3:.4g}]"
+                     f", cpu {statistics.median(cpu[side]):.4g} s")
     parent, change = times["parent"], times["change"]
     gap = statistics.median(change) / statistics.median(parent) - 1
     wins = sum(c < p for p, c in zip(parent, change))
@@ -125,12 +142,12 @@ def main(argv=None) -> int:
                     for side in SIDES}
     except FileNotFoundError as exc:
         p.error(str(exc))
-    times = run_passes(packages, args.shape, args.passes)
+    times, cpu = run_passes(packages, args.shape, args.passes)
     cpus = packages["change"].streams.usable_cpus()
     print(f"shape {args.shape}: {args.passes} passes, alternating which "
           f"side runs first, {cpus} usable CPU{'s' if cpus != 1 else ''}; "
           "seconds per call")
-    print(summarize(times))
+    print(summarize(times, cpu))
     return 0
 
 
