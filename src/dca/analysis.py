@@ -11,6 +11,8 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
+from operator import attrgetter, is_
 from typing import Iterable, Mapping, Optional, Sequence, TextIO
 
 from .core import Context
@@ -67,8 +69,12 @@ def tally(presentations: Iterable[tuple[bool, Iterable[str]]]
 
 
 def aggregate(records: Iterable[MigrationRecord]) -> dict[str, AntigenVerdict]:
-    """Count presentations per label across all records (multiplicity counts)."""
-    return tally((r.context is Context.MATURE, r.antigens) for r in records)
+    """Count presentations per label across all records (multiplicity
+    counts), reading `tally`'s pairs from a list of them by C-level maps."""
+    records = list(records)
+    return tally(zip(map(is_, map(attrgetter("context"), records),
+                         repeat(Context.MATURE)),
+                     map(attrgetter("antigens"), records)))
 
 
 def classify(verdicts: Mapping[str, AntigenVerdict], threshold: float) -> None:

@@ -20,9 +20,9 @@ from typing import Any, BinaryIO, Callable, Optional, Sequence
 from . import __version__
 from .analysis import (aggregate, classify, count_errors, write_process_table,
                        write_verdict_table)
-from .datasets import (DEFAULT_THRESHOLD, load_items, load_uci,
-                       run_bc_experiment, select_attributes, synthetic_items,
-                       write_items)
+from .datasets import (DEFAULT_THRESHOLD, ExperimentResult, load_items,
+                       load_uci, run_bc_experiment, select_attributes,
+                       synthetic_items, write_items)
 from .streams import (EventDrivenRunner, PORTSCAN_EXPERIMENTS, ScenarioConfig,
                       SinkDisconnected, StreamClient, TissueServer,
                       generate_scenario, read_log, replay,
@@ -301,15 +301,13 @@ def _write_summary(lines: list[str], out: Path) -> None:
     print(text, end="")
 
 
-def _run_bc_once(items, mapping, args,
-                 threshold_mode) -> tuple[int, int, object]:
+def _run_bc_once(items, mapping, args, threshold_mode) -> ExperimentResult:
     overrides = {"threshold_mode": threshold_mode}
     if args.single_sample:
         overrides["antigen_sample_multiplicity"] = 1
     cfg = PopulationConfig.breast_cancer(seed=args.seed, **overrides)
-    result = run_bc_experiment(items, args.order, cfg, repeats=args.repeats,
-                               threshold=args.threshold, mapping=mapping)
-    return result.summary.errors, result.summary.unseen, result
+    return run_bc_experiment(items, args.order, cfg, repeats=args.repeats,
+                             threshold=args.threshold, mapping=mapping)
 
 
 def cmd_bc(args: argparse.Namespace, out: Path, items, mapping) -> int:
@@ -325,18 +323,19 @@ def cmd_bc(args: argparse.Namespace, out: Path, items, mapping) -> int:
     summary_lines = []
     if sweep:
         for key in sweep:
-            errors, unseen, _ = _run_bc_once(items, mapping, args,
-                                             SWEEP_SETTINGS[key])
+            summary = _run_bc_once(items, mapping, args,
+                                   SWEEP_SETTINGS[key]).summary
             summary_lines.append(
-                f"migration-threshold {key}: errors={errors} unseen={unseen}")
+                f"migration-threshold {key}: errors={summary.errors} "
+                f"unseen={summary.unseen}")
     else:
-        errors, unseen, result = _run_bc_once(
-            items, mapping, args, ("uniform", 5.0, 15.0))
+        result = _run_bc_once(items, mapping, args, ("uniform", 5.0, 15.0))
+        summary = result.summary
         summary_lines.append(
             f"order={args.order} repeats={args.repeats} "
-            f"threshold={args.threshold}: errors={errors} unseen={unseen}")
-        _write_table(write_verdict_table, result.summary.verdicts, out,
-                     "verdicts")
+            f"threshold={args.threshold}: errors={summary.errors} "
+            f"unseen={summary.unseen}")
+        _write_table(write_verdict_table, summary.verdicts, out, "verdicts")
         with open(out / "migration.log", "w") as fh:
             for records in result.records_per_repeat:
                 write_migration_log(records, fh)

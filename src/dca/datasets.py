@@ -18,15 +18,17 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field, replace
-from itertools import chain, repeat
-from operator import is_, itemgetter
+from itertools import chain
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
 
-from .analysis import AntigenVerdict, RunSummary, classify, count_errors, tally
-from .core import Context, SignalVector
+from .analysis import (AntigenVerdict, RunSummary, aggregate, classify,
+                       count_errors, mean_and_std)
+from .core import SignalVector
 from .streams import (ANTIGEN, DRAIN_TICKS, SIGNAL_SET, Event,
                       EventDrivenRunner, run_repeats)
-from .tissue import MigrationRecord, PopulationConfig, Tissue, log_lines
+from .tissue import (MigrationRecord, PopulationConfig, Tissue, log_lines,
+                     records_from_columns)
 
 DANGER_ATTRIBUTE_COUNT = 3
 DEFAULT_THRESHOLD = 0.65
@@ -94,10 +96,8 @@ def select_attributes(items: Sequence[LabelledItem]) -> SignalMapping:
     columns = list(zip(*(it.attributes for it in items)))
     stds = []
     for a, vals in enumerate(columns):
-        mean = sum(vals) / n
         try:
-            stds.append(math.sqrt(sum((v - mean) ** 2 for v in vals)
-                                  / (n - 1)))
+            stds.append(mean_and_std(vals)[1])
         except OverflowError:
             raise ValueError(f"the spread of attribute {a} overflows a "
                              "float") from None
@@ -191,9 +191,9 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
     `Tissue.record_columns` reads from the tick logs, one list per record
     field, without building a record: a worker's reply then pickles seven
     flat lists, where a list of named tuples pickles record by record,
-    through a Python-level `__getnewargs__` call each. The caller tallies
-    the verdicts from each repeat's context and label columns, and builds
-    the records of `records_per_repeat` once, from the columns.
+    through a Python-level `__getnewargs__` call each. The caller builds
+    each repeat's records once, with `tissue.records_from_columns`, and
+    takes the verdicts from `aggregate` over them.
     """
     if repeats < 1:
         raise ValueError("repeats must be at least 1")
@@ -224,14 +224,10 @@ def run_bc_experiment(items: Sequence[LabelledItem], order: str,
         return runner.tissue.record_columns(), [it.id for it in stream]
 
     runs = run_repeats(run_one, repeats)
-    # each migration's context and antigens, as `aggregate` reads a record
-    verdicts = tally(chain.from_iterable(
-        zip(map(is_, contexts, repeat(Context.MATURE)), antigens)
-        for (_, _, contexts, antigens, *_), _ in runs))
+    all_records = [records_from_columns(columns) for columns, _ in runs]
+    verdicts = aggregate(chain.from_iterable(all_records))
     classify(verdicts, threshold)
     errors, unseen = count_errors(verdicts, truth)
-    all_records = [list(map(tuple.__new__, repeat(MigrationRecord),
-                            zip(*columns))) for columns, _ in runs]
     orderings = [ordering for _, ordering in runs]
     return ExperimentResult(RunSummary(verdicts, errors=errors, unseen=unseen),
                             all_records, orderings)

@@ -32,7 +32,8 @@ from typing import (BinaryIO, Callable, Iterable, Iterator, NamedTuple,
 from .analysis import (PairedTTestResult, mean_and_std, paired_t_test,
                        process_mag, tally)
 from .core import SignalVector, WeightMatrix
-from .tissue import MigrationRecord, PopulationConfig, Tissue, log_lines
+from .tissue import (_BAD_LABEL, MigrationRecord, PopulationConfig, Tissue,
+                     log_lines)
 
 log = logging.getLogger(__name__)
 
@@ -51,9 +52,8 @@ MAX_TICK_JUMP = 86_400
 # a server builds its tissue's records once this many migrations are unbuilt
 FOLD_RECORDS = 256
 
-# characters that would split a field of the event log (tab, newline) or
-# of the migration log, which joins a record's labels with commas
-_BAD_LABEL = re.compile("[,\t\n\r]")
+# characters that would split a field of the event log (tab, newline); a
+# label is checked against `tissue._BAD_LABEL`, which adds the comma
 _BAD_PROCESS = re.compile("[\t\n\r]")
 
 
@@ -509,11 +509,12 @@ def replay(events: Sequence[Event], rate, sink,
 
     Logical time comes from event timestamps either way, so rate only
     affects wall-clock duration, never outcomes. A rate that needs a wait
-    over `threading.TIMEOUT_MAX`, sleep's limit, fails before any delivery.
+    over `threading.TIMEOUT_MAX`, sleep's limit, fails before any delivery,
+    as does a rate that is not a positive number (NaN included).
     """
     if rate != "max":
         rate = float(rate)
-        if rate <= 0:
+        if not rate > 0:  # NaN fails too
             raise ValueError("replay rate must be positive or 'max'")
         longest = max((b.timestamp - a.timestamp
                        for a, b in pairwise(events)), default=0.0) / rate
@@ -908,16 +909,15 @@ class PortscanExperiment:
     """One row of the experiment series: which signals are active and
     the safe-to-mature weight override."""
 
-    number: int
     mask: SignalMask
     safe_mat_weight: float
 
 
 PORTSCAN_EXPERIMENTS: dict[int, PortscanExperiment] = {
-    1: PortscanExperiment(1, SignalMask(use_pamp=False, use_inflammation=False), -1.0),
-    2: PortscanExperiment(2, SignalMask(use_inflammation=False), -1.0),
-    3: PortscanExperiment(3, SignalMask(use_inflammation=False), -2.0),
-    4: PortscanExperiment(4, SignalMask(), -2.0),
+    1: PortscanExperiment(SignalMask(use_pamp=False, use_inflammation=False), -1.0),
+    2: PortscanExperiment(SignalMask(use_inflammation=False), -1.0),
+    3: PortscanExperiment(SignalMask(use_inflammation=False), -2.0),
+    4: PortscanExperiment(SignalMask(), -2.0),
 }
 
 

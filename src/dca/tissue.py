@@ -11,6 +11,7 @@ over equal input streams give bit-identical migration logs.
 
 from __future__ import annotations
 
+import re
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -33,6 +34,10 @@ _THRESHOLD_BOUNDS = {"fixed": 1, "uniform": 2}
 # depend on the block sizes, so neither does any output.
 BLOCK_TICKS = 64
 BLOCK_CELL_TICKS = 6400
+
+# characters that would split a field of the migration log, which joins a
+# record's labels with commas, or of the event log (tab, line breaks)
+_BAD_LABEL = re.compile("[,\t\n\r]")
 
 
 @dataclass(frozen=True)
@@ -204,8 +209,8 @@ class Tissue:
                 for label, left in zip(self._slot_labels, self._slot_left)]
 
     def deposit(self, label: str) -> None:
-        if not label:
-            raise ValueError("antigen label must be non-empty")
+        if not label or _BAD_LABEL.search(label):
+            raise _label_error((label,))
         if self.occupied < self.capacity:
             idx = int(self._slot_left.argmin())  # the first free slot
             self.occupied += 1
@@ -240,10 +245,10 @@ class Tissue:
         current one) and its antigen labels, in order. Under flow control
         the labels are queued until a store slot is free, so no
         undersampled antigen is overwritten; under `antigen_overwrite`
-        each is deposited at once. An empty label is rejected before
-        anything changes."""
-        if not all(labels):
-            raise ValueError("antigen label must be non-empty")
+        each is deposited at once. An empty label, or one that the
+        migration log cannot hold, is rejected before anything changes."""
+        if not all(labels) or _BAD_LABEL.search("".join(labels)):
+            raise _label_error(labels)
         if signals is not None:
             self.signals = signals
         if not self.cfg.antigen_overwrite:
@@ -277,7 +282,7 @@ class Tissue:
         that `record_columns` also reads, and cached, so a read mid-run and
         a read at the end agree."""
         if self._pending:
-            self._records.extend(_build_records(self._pending))
+            self._records += records_from_columns(_log_columns(self._pending))
             self._pending = []
         return self._records
 
@@ -447,6 +452,16 @@ class Tissue:
         return logged
 
 
+def _label_error(labels: Sequence[str]) -> ValueError:
+    """The error for the first empty label, or else the first with a
+    `_BAD_LABEL` character (`Event`'s message)."""
+    if not all(labels):
+        return ValueError("antigen label must be non-empty")
+    bad = next(filter(_BAD_LABEL.search, labels))
+    return ValueError(f"antigen label {bad!r} contains a comma, tab or "
+                      "line break")
+
+
 # the old name of the store's class: perfbench/tracer.py looks up
 # `deposit` and `sample_slot` through it when imported
 TissueCompartment = Tissue
@@ -471,7 +486,7 @@ class _TickLog:
         return len(self.labels)
 
     def __iter__(self) -> Iterator[MigrationRecord]:
-        return iter(_build_records((self,)))
+        return iter(records_from_columns(_log_columns((self,))))
 
 
 def _matured(cytokines: np.ndarray) -> list[bool]:
@@ -484,8 +499,8 @@ _CONTEXTS = (Context.SEMI_MATURE, Context.MATURE)  # indexed by `_matured`
 
 def _log_columns(logged: Sequence[_TickLog]) -> tuple[Iterable, ...]:
     """The seven record fields of the logged ticks, in log order, one
-    iterable per `MigrationRecord` field: the one builder of records and
-    of record columns."""
+    iterable per `MigrationRecord` field: the one reader of the tick logs
+    for records and for record columns."""
     if not logged:
         return ((),) * 7
     counts = [len(m.labels) for m in logged]
@@ -499,10 +514,10 @@ def _log_columns(logged: Sequence[_TickLog]) -> tuple[Iterable, ...]:
     return ticks, ids.tolist(), contexts, labels, csm, semi, mat
 
 
-def _build_records(logged: Sequence[_TickLog]) -> list[MigrationRecord]:
-    """The records of the logged ticks, in log order, built by columns."""
-    return list(map(tuple.__new__, repeat(MigrationRecord),
-                    zip(*_log_columns(logged))))
+def records_from_columns(columns: Iterable) -> list[MigrationRecord]:
+    """The one builder of records from columns: seven of them, in
+    `MigrationRecord` field order, as `Tissue.record_columns` gives them."""
+    return list(map(tuple.__new__, repeat(MigrationRecord), zip(*columns)))
 
 
 class Cytokines(NamedTuple):

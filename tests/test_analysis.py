@@ -11,10 +11,11 @@ from hypothesis import strategies as st
 
 from dca.analysis import (AntigenVerdict, TruthMismatch, _student_t_two_tailed,
                           aggregate, classify, count_errors, mean_and_std,
-                          paired_t_test, process_mag, write_process_table,
-                          write_verdict_table)
+                          paired_t_test, process_mag, tally,
+                          write_process_table, write_verdict_table)
 from dca.core import Context
 from dca.tissue import MigrationRecord
+from test_tissue import record_strategy
 
 
 def record(context, antigens, tick=0):
@@ -23,7 +24,30 @@ def record(context, antigens, tick=0):
                            mat=0.0)
 
 
+def aggregate_per_record(records):
+    """`aggregate` as one Python step per record: the oracle that the
+    C-level maps of `aggregate` must match."""
+    return tally((r.context is Context.MATURE, r.antigens) for r in records)
+
+
+# records without antigens, and labels repeated within and across records
+records_with_repeats = st.lists(st.one_of(
+    record_strategy,
+    st.builds(lambda r, labels: r._replace(antigens=tuple(labels)),
+              record_strategy,
+              st.lists(st.sampled_from(["a", "b"]), max_size=4))),
+    max_size=30)
+
+
 class TestAggregate:
+    @given(records_with_repeats, st.booleans())
+    @settings(max_examples=200)
+    def test_equals_the_per_record_form(self, records, as_generator):
+        expected = aggregate_per_record(records)
+        given_records = (r for r in records) if as_generator else records
+        verdicts = aggregate(given_records)
+        assert list(verdicts.items()) == list(expected.items())
+
     def test_multiset_counting(self):
         verdicts = aggregate([record(Context.MATURE, ["a", "a", "b"])])
         assert verdicts["a"].presented_mature == 2

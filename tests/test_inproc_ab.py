@@ -64,6 +64,33 @@ def test_bc_pair_is_the_call_a_bc_orders_session_times(inproc_ab,
     assert calls[1] == (calls[0][0], {"repeats": 1})
 
 
+def test_bc_session_reports_on_the_log_of_the_bc_pair_call(inproc_ab,
+                                                          monkeypatch):
+    dca = inproc_ab.load(ROOT, "dca_test_session")
+    runs, aggregated = [], []
+    run_bc_experiment, aggregate = dca.run_bc_experiment, dca.aggregate
+
+    def recording_run(*args, **kwargs):
+        runs.append((args, kwargs, run_bc_experiment(*args, **kwargs)))
+        return runs[-1][2]
+
+    def recording_aggregate(records):
+        aggregated.append(records)
+        return aggregate(records)
+
+    monkeypatch.setattr(dca, "run_bc_experiment", recording_run)
+    monkeypatch.setattr(dca, "aggregate", recording_aggregate)
+    errors, unseen = inproc_ab.SHAPES["bc-session"](dca, 4)()
+    [((items, order, cfg), kwargs, result)] = runs
+    assert (items, order, cfg) == (dca.synthetic_items(seed=4), "two-step",
+                                   dca.PopulationConfig.breast_cancer(seed=4))
+    assert kwargs == {"repeats": 2}
+    # the report half reads back every record of both repeats
+    [records] = aggregated
+    assert records == [r for run in result.records_per_repeat for r in run]
+    assert (errors, unseen) == (result.summary.errors, result.summary.unseen)
+
+
 def test_bc_pair_runs_and_names_the_usable_cpus(inproc_ab, capsys):
     assert inproc_ab.main([str(ROOT), str(ROOT), "--shape", "bc-pair",
                            "--passes", "1"]) == 0

@@ -413,6 +413,20 @@ class TestReplay:
             replay(events, rate, sink, sleep=sleeps.append)
         assert sleeps == [] and sink.delivered == []
 
+    @pytest.mark.parametrize("rate", [float("nan"), "nan", "-inf"])
+    def test_a_rate_that_is_not_a_positive_number_delivers_nothing(
+            self, rate):
+        delivered = []
+
+        class Sink:
+            def apply(self, event):
+                delivered.append(event)
+
+        with pytest.raises(ValueError, match="positive or 'max'"):
+            replay(scenario_events()[:10], rate, Sink(),
+                   sleep=lambda seconds: None)
+        assert delivered == []
+
     def test_a_slow_rate_within_the_limit_is_paced(self):
         events = scenario_events()[:10]
         longest = max(b.timestamp - a.timestamp

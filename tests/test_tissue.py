@@ -148,6 +148,28 @@ class TestTissueCompartment:
         assert tissue.signals is before
         assert (tissue.feed_pending, tissue.occupied) == (0, 0)
 
+    # a label the migration log could not hold, since it joins a record's
+    # labels with commas and ends its fields with tabs and line breaks
+    @pytest.mark.parametrize("label", ["a,b", "a\tb", "a\nb", "a\rb"])
+    @pytest.mark.parametrize("entry", [
+        lambda t, label: t.deposit(label),
+        lambda t, label: t.enqueue_antigen(label),
+        lambda t, label: t.receive(SignalVector(pamp=3), ["a", label, "b"]),
+    ], ids=["deposit", "enqueue_antigen", "receive"])
+    @pytest.mark.parametrize("overwrite", [False, True])
+    def test_a_label_the_log_cannot_hold_changes_nothing(self, overwrite,
+                                                         entry, label):
+        tissue = Tissue(PopulationConfig.portscan(
+            seed=1, antigen_overwrite=overwrite))
+        before = tissue.signals
+        with pytest.raises(ValueError, match="contains a comma, tab or line "
+                                             "break") as exc:
+            entry(tissue, label)
+        assert repr(label) in str(exc.value)
+        assert tissue.signals is before
+        assert (tissue.feed_pending, tissue.occupied) == (0, 0)
+        assert tissue.slots == [None] * tissue.capacity
+
 
 class TestTick:
     def test_quiet_tissue_never_migrates(self):

@@ -2,7 +2,7 @@
 """Time two checkouts' `dca` in one process, in alternating passes.
 
     python3 tools/inproc_ab.py PARENT_DIR CHANGE_DIR \\
-        --shape bc|bc-pair|portscan [--passes N]
+        --shape bc|bc-pair|bc-session|portscan [--passes N]
 
 Each checkout's `src/dca` is imported under its own package name
 (`dca_parent`, `dca_change`): every import inside the package is
@@ -17,6 +17,11 @@ host's speed falls on both alike:
 - `bc-pair`: the same at two repeats, the call a `bc-orders` session
   times; with two usable CPUs the second repeat runs in a forked worker,
   so this also sees what it costs to send a repeat's results back;
+- `bc-session`: the whole of a `bc-orders` session, in memory: the
+  `bc-pair` call, then its verdict table and each repeat's migration log
+  written, the log read back, and `aggregate`, `classify` and
+  `count_errors` on it, so that a change which moves time between the
+  verdict and the report half is timed whole;
 - `portscan`: `run_portscan_experiment`, experiment 4, two repeats, on
   the portscan tissue (500 cells, a 500-slot overwriting store).
 
@@ -38,6 +43,7 @@ import argparse
 import functools
 import gc
 import importlib.util
+import io
 import resource
 import statistics
 import sys
@@ -71,6 +77,24 @@ def bc_call(dca: ModuleType, seed: int,
     return lambda: dca.run_bc_experiment(items, order, cfg, repeats=repeats)
 
 
+def bc_session_call(dca: ModuleType, seed: int) -> Callable[[], object]:
+    run = bc_call(dca, seed, repeats=2)
+    truth = {it.id: it.true_class for it in dca.synthetic_items(seed=seed)}
+
+    def call():
+        result = run()
+        dca.analysis.write_verdict_table(result.summary.verdicts,
+                                         io.StringIO(), machine=True)
+        log = io.StringIO()
+        for records in result.records_per_repeat:
+            dca.write_migration_log(records, log)
+        log.seek(0)
+        verdicts = dca.aggregate(dca.read_migration_log(log))
+        dca.classify(verdicts, dca.datasets.DEFAULT_THRESHOLD)
+        return dca.count_errors(verdicts, truth)
+    return call
+
+
 def portscan_call(dca: ModuleType, seed: int) -> Callable[[], object]:
     scenario = dca.ScenarioConfig(noise_seed=seed)
     return lambda: dca.run_portscan_experiment(scenario, 4, seed=seed,
@@ -78,7 +102,7 @@ def portscan_call(dca: ModuleType, seed: int) -> Callable[[], object]:
 
 
 SHAPES = {"bc": bc_call, "bc-pair": functools.partial(bc_call, repeats=2),
-          "portscan": portscan_call}
+          "bc-session": bc_session_call, "portscan": portscan_call}
 
 
 def cpu_seconds() -> float:
