@@ -88,11 +88,12 @@ class Event(_EventFields):
     and source process name). Timestamps are seconds since stream start
     and must be non-decreasing within a stream. An immutable named tuple,
     equal and hashed by value; every way of building one (the
-    constructor, `_make`, `_replace`) runs the same checks. Two functions
-    that make many events check their inputs once and then skip the checks:
-    `generate_scenario` checks its fixed table of (label, process) pairs
-    once per call, and `datasets.run_bc_experiment` relies on
-    `LabelledItem`, which checked each item id as an antigen label.
+    constructor, `_make`, `_replace`) runs the same checks. Three functions
+    that make many events check their inputs another way and skip these:
+    `parse_events` checks a batch's fields itself, `generate_scenario`
+    checks its fixed table of (label, process) pairs once per call, and
+    `datasets.run_bc_experiment` relies on `LabelledItem`, which checked
+    each item id as an antigen label.
     """
 
     __slots__ = ()
@@ -160,6 +161,83 @@ def parse_event(line: str, lineno: int = 0) -> Event:
     raise StreamFormatError(f"line {lineno}: unrecognized event layout")
 
 
+# a label of a valid line holds none of these, and a process name only the
+# comma: a batch whose joined names hold one is walked line by line
+_SUSPECT_NAME = re.compile("[,\n\r]")
+
+
+def parse_events(lines: Sequence[str], first_lineno: int = 1,
+                 last: float = -math.inf,
+                 max_jump: Optional[int] = None) -> list[Event]:
+    """Parse a batch of event lines, numbered from `first_lineno`, whose
+    timestamps must not fall below `last` (the timestamp before the batch)
+    or below each other; with `max_jump`, whose `last` must then be
+    finite, no whole second may lie more than that past the previous one's.
+
+    The result is what `parse_event` and those order checks give line by
+    line: the events, or the error of the first bad line in line order,
+    malformed, non-finite, decreasing or jumping. One pass splits each
+    line once and builds its event without `Event`'s checks. It checks
+    each timestamp against the previous one and a ceiling for the whole
+    batch (`last`'s whole second plus `max_jump` and one), and the labels
+    and process names with one search of their joined text. Anything
+    else sends the batch to the checked walk (`parse_event` line by line),
+    which raises the exact error, or returns the events of a batch that
+    was only unusual: a process name with a comma, or steps that each lie
+    within `max_jump` but together span more.
+    """
+    events: list[Event] = []
+    names: list[str] = []
+    append, add_name = events.append, names.append
+    new = tuple.__new__
+    floor = max(last, 0.0)  # the lowest next timestamp, non-negative
+    ceiling = math.inf if max_jump is None else int(last) + max_jump + 1
+    try:
+        for line in lines:
+            parts = line.split("\t")
+            ts = float(parts[0])
+            if not floor <= ts < ceiling:  # NaN fails too
+                break
+            floor = ts
+            if len(parts) == 4 and parts[1] == ANTIGEN:
+                label, process = parts[2], parts[3]
+                add_name(label)
+                add_name(process)
+                append(new(Event, (ts, ANTIGEN, None, label, process)))
+            elif len(parts) == 6 and parts[1] == SIGNAL_SET:
+                append(new(Event, (ts, SIGNAL_SET, SignalVector(
+                    float(parts[2]), float(parts[3]), float(parts[4]),
+                    float(parts[5])), None, None)))
+            else:
+                break
+        else:
+            if all(names) and not _SUSPECT_NAME.search("".join(names)):
+                return events
+    except ValueError:
+        pass
+    return _parse_checked(enumerate(lines, first_lineno), last, max_jump)
+
+
+def _parse_checked(numbered: Iterable[tuple[int, str]], last: float,
+                   max_jump: Optional[int]) -> list[Event]:
+    """`parse_events` one numbered line at a time, with every check: the
+    walk that raises each error."""
+    events: list[Event] = []
+    for lineno, line in numbered:
+        e = parse_event(line, lineno)
+        if e.timestamp < last:
+            raise StreamFormatError(
+                f"line {lineno}: timestamp {e.timestamp!r} decreases "
+                f"(previous {last!r})")
+        if max_jump is not None and int(e.timestamp) - int(last) > max_jump:
+            raise StreamFormatError(
+                f"line {lineno}: timestamp {e.timestamp!r} jumps more than "
+                f"{max_jump} s past the previous ({last!r})")
+        last = e.timestamp
+        events.append(e)
+    return events
+
+
 def write_log(events: Iterable[Event], fh: TextIO) -> None:
     for e in events:
         fh.write(format_event(e) + "\n")
@@ -170,21 +248,25 @@ def read_log(fh: Union[TextIO, BinaryIO]) -> list[Event]:
     decreasing timestamps.
 
     Errors are StreamFormatErrors that carry the 1-based offending line
-    number.
+    number, for the first bad line in line order. The log's lines go to
+    `parse_events` as one batch; only a log with a blank line, which is
+    skipped, or with bytes that are not UTF-8, which are reported by line,
+    is walked one numbered line at a time (`tissue.log_lines`).
     """
-    events: list[Event] = []
-    last = -math.inf
-    for lineno, line in log_lines(fh, StreamFormatError):
-        if not line:
-            continue
-        e = parse_event(line, lineno)
-        if e.timestamp < last:
-            raise StreamFormatError(
-                f"line {lineno}: timestamp {e.timestamp!r} decreases "
-                f"(previous {last!r})")
-        last = e.timestamp
-        events.append(e)
-    return events
+    raw = list(fh)
+    try:
+        if raw and isinstance(raw[0], bytes):
+            lines = [line.decode("utf-8").rstrip("\r\n") for line in raw]
+        else:
+            lines = [line.rstrip("\r\n") for line in raw]
+    except UnicodeDecodeError:
+        pass
+    else:
+        if "" not in lines:
+            del raw  # so the raw lines are not held while the events are built
+            return parse_events(lines)
+    return _parse_checked(((lineno, line) for lineno, line in log_lines(
+        raw, StreamFormatError) if line), -math.inf, None)
 
 
 # ---------------------------------------------------------------------------
@@ -302,23 +384,25 @@ SCANNER_PROCESS = "scanner"
 TRANSFER_PROCESS = "file-transfer"
 
 
-def _emission_count(rate: float, rng: random.Random) -> int:
-    whole = int(rate)
-    return whole + (1 if rng.random() < rate - whole else 0)
-
-
 def generate_scenario(cfg: ScenarioConfig) -> list[Event]:
     """Emit the scenario's event stream: one signal set per second plus
-    per-process antigen events, deterministically from the noise seed."""
+    per-process antigen events, deterministically from the noise seed.
+
+    Each second, each process draws its emission count (`int(rate)`, plus
+    one with probability of the rest) and then a label per emission from
+    its pids. The label draw is `Random.choice` written out: the same
+    `getrandbits(k)` rejection loop, with `k` the bit length of the
+    process's pid count, so the stream is the one `choice` gives. Each
+    second's phase is worked out once."""
     rng = random.Random(cfg.noise_seed)
     seconds = cfg.total_duration
+    phases = [cfg.phase_of(t) for t in range(seconds)]
     transfer_pps = TRANSFER_BYTES / PACKET_BYTES / cfg.transfer_duration
     scan_rate = ADDRESS_COUNT / cfg.scan_duration
 
     pps: list[float] = []
     unreachable: list[float] = []
-    for t in range(seconds):
-        phase = cfg.phase_of(t)
+    for phase in phases:
         if phase == "scan":
             # bursty probing traffic: large swings defeat the moving average
             load = SCAN_PPS * rng.uniform(0.3, 1.7)
@@ -351,22 +435,32 @@ def generate_scenario(cfg: ScenarioConfig) -> list[Event]:
         for label in proc_labels:
             Event.antigen(0.0, label, proc)
 
+    random_, getrandbits = rng.random, rng.getrandbits
+    new = tuple.__new__
     events: list[Event] = []
-    for t in range(seconds):
+    for t, phase in enumerate(phases):
         events.append(Event.signal_set(float(t), signals[t]))
-        phase = cfg.phase_of(t)
         emissions: list[tuple[str, str]] = []
         for proc, rates in PROCESS_RATES.items():
             rate = rates.get(phase, 0.0)
             if proc == "ssh-daemon" and t >= cfg.login_duration - 10:
                 # daemon children are quiet once the session is up
                 rate = 0.0
-            for _ in range(_emission_count(rate, rng)):
-                emissions.append((rng.choice(labels[proc]), proc))
-        for i, (label, proc) in enumerate(emissions):
-            events.append(tuple.__new__(Event, (
-                t + (i + 1) / (len(emissions) + 1), ANTIGEN, None, label,
-                proc)))
+            whole = int(rate)
+            if random_() < rate - whole:
+                whole += 1
+            if whole:
+                proc_labels = labels[proc]
+                n = len(proc_labels)
+                k = n.bit_length()
+                for _ in range(whole):
+                    r = getrandbits(k)
+                    while r >= n:
+                        r = getrandbits(k)
+                    emissions.append((proc_labels[r], proc))
+        share = len(emissions) + 1
+        events += [new(Event, (t + i / share, ANTIGEN, None, label, proc))
+                   for i, (label, proc) in enumerate(emissions, 1)]
     return events
 
 
@@ -579,8 +673,8 @@ def _read_frames(sock: socket.socket) -> Iterator[list[str]]:
                     break
                 pos = start + length
                 batch.append(str(view[start:pos], "utf-8"))
-            # move the partial frame left over to the front
-            view[:end - pos] = view[pos:end]
+            if pos < end:  # move the partial frame left over to the front
+                view[:end - pos] = view[pos:end]
             end -= pos
             if batch:
                 yield batch
@@ -611,21 +705,23 @@ class TissueServer:
     Clients (for example one signal client and one antigen client)
     connect, push their streams, and disconnect. The server merges the
     streams while they arrive. After each read, a client's handler parses
-    the whole frames it got and adds them to that client's pending
-    events. Once every expected client has connected, it applies through
-    the runner every pending event below the watermark: the whole second
-    at or below the latest timestamp of the slowest client still
-    streaming. No client can still send an event below it, so the merge
-    order is the one a merge of the finished streams would give:
-    timestamp, then client index, then arrival. The tissue sees only each
-    second's last signal set and its labels in order, and both follow
-    from that order however signal sets and antigen of equal timestamps
-    interleave. Once `FOLD_RECORDS` migrations have gone unbuilt, a merge
-    also builds the records of the ticks it finished, so records are
-    built as ticks finish. `wait()` applies the rest, drains the tissue
-    and returns its records, building only those of the last ticks.
-    Pending events are bounded by the clients' timestamp skew plus one
-    read per client.
+    the whole frames it got as one batch (`parse_events`) and adds them
+    to that client's pending events. Once every expected client has
+    connected, it applies through the runner every pending event below
+    the watermark: the whole second at or below the latest timestamp of
+    the slowest client still streaming. No client can still send an event
+    below it, so the merge order is the one a merge of the finished
+    streams would give: timestamp, then client index, then arrival. The
+    watermark only rises, and a read that leaves it where it was merges
+    nothing, so the runner runs at most once per second of stream, not
+    once per read. The tissue sees only each second's last signal set and
+    its labels in order, and both follow from that order however signal
+    sets and antigen of equal timestamps interleave. Once `FOLD_RECORDS`
+    migrations have gone unbuilt, a merge also builds the records of the
+    ticks it finished, so records are built as ticks finish. `wait()`
+    applies the rest, drains the tissue and returns its records, building
+    only those of the last ticks. Pending events are bounded by the
+    clients' timestamp skew plus one read per client.
 
     A client that violates the frame protocol, sends a malformed event,
     a decreasing timestamp or one whose whole second lies more than
@@ -635,8 +731,9 @@ class TissueServer:
     yet applied are discarded; those applied before the drop stay in the
     run. A finished or dropped client no longer holds the watermark back.
     An error the tissue raises while applying events is not a drop: it is
-    raised from `wait()`. After `wait()`, `drain_ticks` holds the ticks
-    its drain ran.
+    raised from `wait()`, and every event pending or read after it is
+    discarded. After `wait()`, `drain_ticks` holds the ticks its drain
+    ran.
 
     The listening socket opens here and closes once the expected
     clients have connected, or on `close()`; use the server as a
@@ -659,6 +756,7 @@ class TissueServer:
         self._pending: dict[int, list[Event]] = {}
         self._latest: dict[int, float] = {}
         self._failure: Optional[BaseException] = None
+        self._merged = -math.inf  # the watermark of the last merge
         self._built = 0
         self._thread: Optional[threading.Thread] = None
         self._connected = 0
@@ -712,25 +810,13 @@ class TissueServer:
         # timestamps are non-negative, and a first one is a jump from 0:
         # with every client's jumps bounded, the merged stream's are too
         last = 0.0
-        lineno = 0
+        lineno = 1  # of the next frame
         try:
             with conn:
                 for lines in _read_frames(conn):
-                    events = []
-                    for line in lines:
-                        lineno += 1
-                        e = parse_event(line, lineno)
-                        if e.timestamp < last:
-                            raise StreamFormatError(
-                                f"line {lineno}: timestamp {e.timestamp!r} "
-                                f"decreases (previous {last!r})")
-                        if int(e.timestamp) - int(last) > MAX_TICK_JUMP:
-                            raise StreamFormatError(
-                                f"line {lineno}: timestamp {e.timestamp!r} "
-                                f"jumps more than {MAX_TICK_JUMP} s past "
-                                f"the previous ({last!r})")
-                        last = e.timestamp
-                        events.append(e)
+                    events = parse_events(lines, lineno, last, MAX_TICK_JUMP)
+                    lineno += len(lines)
+                    last = events[-1].timestamp
                     self._receive(index, events)
         except (ProtocolError, ValueError, OSError) as exc:
             # bad framing, undecodable bytes, a malformed or out-of-order
@@ -746,8 +832,11 @@ class TissueServer:
 
     def _receive(self, index: int, events: list[Event]) -> None:
         """Add one read's events to a client's pending ones and apply
-        every pending event below the watermark."""
+        every pending event below the watermark. Once the tissue has
+        raised, the run is lost and the events are discarded."""
         with self._lock:
+            if self._failure is not None:
+                return
             self._pending[index] += events
             self._latest[index] = events[-1].timestamp
             if self._connected < self.expected_clients:
@@ -760,10 +849,17 @@ class TissueServer:
         """Apply every pending event timestamped below `watermark`, in
         merge order, then build the records of the finished ticks if
         `FOLD_RECORDS` migrations are unbuilt. The caller holds the lock.
-        Once the tissue has raised, nothing more is applied: the run is
-        lost, and `wait()` raises the error."""
-        if self._failure is not None:
+
+        Nothing is done unless the watermark has risen since the last
+        merge: each client's timestamps never fall, so an event that
+        arrives later lies at or above its client's latest timestamp, and
+        so at or above every watermark merged before. Reads within one
+        second thus cost only their parse. Once the tissue has raised,
+        nothing more is applied and the pending events are discarded: the
+        run is lost, and `wait()` raises the error."""
+        if self._failure is not None or watermark <= self._merged:
             return
+        self._merged = watermark
         ready: list[Event] = []
         for index in sorted(self._pending):
             events = self._pending[index]
@@ -776,6 +872,8 @@ class TissueServer:
             self.runner.run(ready)
         except Exception as exc:
             self._failure = exc
+            for events in self._pending.values():
+                events.clear()
             return
         tissue = self.runner.tissue
         # one build per many ticks: each build has a fixed cost

@@ -31,6 +31,12 @@ def checkout(root, where):
     return root
 
 
+def test_a_name_loaded_again_is_the_new_checkout(inproc_ab, tmp_path):
+    inproc_ab.load(checkout(tmp_path / "a", "a"), "dca_test_again")
+    again = inproc_ab.load(checkout(tmp_path / "b", "b"), "dca_test_again")
+    assert again.WHERE == again.core.WHERE == "b"
+
+
 def test_two_checkouts_load_as_distinct_packages(inproc_ab, tmp_path):
     a = inproc_ab.load(checkout(tmp_path / "a", "a"), "dca_test_a")
     b = inproc_ab.load(checkout(tmp_path / "b", "b"), "dca_test_b")
@@ -89,6 +95,66 @@ def test_bc_session_reports_on_the_log_of_the_bc_pair_call(inproc_ab,
     [records] = aggregated
     assert records == [r for run in result.records_per_repeat for r in run]
     assert (errors, unseen) == (result.summary.errors, result.summary.unseen)
+
+
+@pytest.mark.parametrize("shape", ["wire-ingest", "wire-ingest-64k"])
+def test_wire_ingest_serves_the_in_process_run(inproc_ab, shape):
+    dca = inproc_ab.load(ROOT, "dca_test_wire")
+    base = dca.ScenarioConfig(noise_seed=2)
+    scenario = dca.ScenarioConfig(
+        *(getattr(base, name) * inproc_ab.WIRE_SCALE for name in (
+            "login_duration", "scan_duration", "pause_duration",
+            "transfer_duration", "close_duration")), noise_seed=2)
+    runner = dca.EventDrivenRunner(dca.Tissue(dca.PopulationConfig.portscan(
+        seed=2, num_cells=inproc_ab.WIRE_CELLS)))
+    runner.run(dca.generate_scenario(scenario))
+    runner.drain()
+    assert inproc_ab.SHAPES[shape](dca, 2)() == runner.tissue.records
+
+
+def test_frame_feed_hands_over_each_piece_as_the_buffer_allows(inproc_ab):
+    feed = inproc_ab.FrameFeed([b"abc", b"defgh", b"i"])
+    buffer = bytearray(4)
+    got = []
+    while n := feed.recv_into(memoryview(buffer)):
+        got.append(bytes(buffer[:n]))
+    assert got == [b"abc", b"defg", b"h", b"i"]
+    assert feed.recv_into(memoryview(buffer)) == 0
+
+
+def recording_checkout(root, where, log):
+    """A checkout whose `dca` package the `bc` shape can time, and which
+    appends `where` to the file `log` when it is loaded."""
+    package = root / "src" / "dca"
+    package.mkdir(parents=True)
+    (package / "__init__.py").write_text(
+        "from . import streams\n"
+        f"with open({str(log)!r}, 'a') as fh:\n"
+        f"    fh.write({where!r} + '\\n')\n"
+        "class PopulationConfig:\n"
+        "    breast_cancer = staticmethod(lambda seed: None)\n"
+        "def synthetic_items(seed):\n"
+        "    return []\n"
+        "def run_bc_experiment(items, order, cfg, repeats):\n"
+        "    return None\n")
+    (package / "streams.py").write_text("def usable_cpus():\n    return 1\n")
+    return root
+
+
+def test_half_the_passes_run_where_the_change_loads_first(inproc_ab,
+                                                          tmp_path, capsys):
+    log = tmp_path / "loads.txt"
+    parent = recording_checkout(tmp_path / "a", "parent", log)
+    change = recording_checkout(tmp_path / "b", "change", log)
+    assert inproc_ab.main([str(parent), str(change), "--shape", "bc",
+                           "--passes", "5"]) == 0
+    # three passes here, the parent loaded first; two in a fresh
+    # interpreter, the change loaded first
+    assert log.read_text().split() == ["parent", "change", "change",
+                                       "parent"]
+    out = capsys.readouterr().out
+    assert out.startswith("shape bc: 5 passes")
+    assert out.splitlines()[-1].endswith("/5 passes")
 
 
 def test_bc_pair_runs_and_names_the_usable_cpus(inproc_ab, capsys):

@@ -2,7 +2,9 @@
 scenario, replay pacing, and the framed socket transport."""
 
 import io
+import math
 import os
+import random
 import socket
 import struct
 import sys
@@ -17,16 +19,19 @@ from hypothesis import strategies as st
 
 from dca import streams
 from dca.core import SignalVector
-from dca.streams import (ANTIGEN, BASELINE_PPS, DRAIN_TICKS, FOLD_RECORDS,
-                         K_DANGER, K_SAFE, MAX_FRAME, MAX_TICK_JUMP,
-                         PORTSCAN_EXPERIMENTS, SAFE_MAX, SIGNAL_SET, Event,
+from dca.streams import (ADDRESS_COUNT, ANTIGEN, BASELINE_PPS, DRAIN_TICKS,
+                         FOLD_RECORDS, FRACTION_UNREACHABLE, K_DANGER,
+                         K_SAFE, MAX_FRAME, MAX_TICK_JUMP, PACKET_BYTES,
+                         PORTSCAN_EXPERIMENTS, PROCESS_RATES, SAFE_MAX,
+                         SCAN_PPS, SIGNAL_SET, TRANSFER_BYTES, Event,
                          EventDrivenRunner,
                          ProtocolError, ScenarioConfig, SignalMask,
                          SinkDisconnected, StreamClient, StreamFormatError,
                          TissueServer, _read_frames, derive_signals,
                          format_event, generate_scenario, parse_event,
-                         read_log, replay, run_portscan_experiment,
-                         scenario_process_groups, write_log)
+                         parse_events, read_log, replay,
+                         run_portscan_experiment, scenario_process_groups,
+                         write_log)
 from dca.tissue import PopulationConfig, Tissue
 
 event_strategy = st.one_of(
@@ -133,6 +138,44 @@ class Trickle:
 def read_payloads(fragments):
     with Trickle(fragments) as sock:
         return [payload for batch in _read_frames(sock) for payload in batch]
+
+
+class FeedListener:
+    """A server's listening socket that hands its accept loop the given
+    connections in turn."""
+
+    def __init__(self, conns):
+        self._conns = iter(conns)
+
+    def accept(self):
+        return next(self._conns), ("feed", 0)
+
+    def shutdown(self, how):
+        pass
+
+    def close(self):
+        pass
+
+
+def serve_feeds(server, conns):
+    """Run `server` on the given connections in place of accepted sockets,
+    and return what `wait()` gives."""
+    server._listener.close()
+    server._listener = FeedListener(conns)
+    server.start()
+    return wait_for(server)
+
+
+def counting_runs(runner):
+    """Count the calls of `runner.run` in `runner.runs`."""
+    runner.runs = 0
+    run = runner.run
+
+    def counted(events):
+        runner.runs += 1
+        return run(events)
+    runner.run = counted
+    return runner
 
 
 @st.composite
@@ -262,6 +305,133 @@ class TestEventLog:
         assert format_event(antigen) == "2.25\tA\tscanner:1034\tscanner"
         assert parse_event(format_event(antigen)) == antigen
 
+    @pytest.mark.parametrize("text,error", [
+        # a decrease before a malformed line is reported, and the reverse
+        ("1.0\tA\tx\tshell\n0.5\tA\ty\tshell\nnonsense\n",
+         "line 2: timestamp 0.5 decreases (previous 1.0)"),
+        ("1.0\tA\tx\tshell\nnonsense\n0.5\tA\ty\tshell\n",
+         "line 2: unrecognized event layout"),
+        # a bad label after a decrease, and a non-finite signal before one
+        ("1.0\tA\tx\tshell\n0.5\tA\ty\tshell\n2.0\tA\ta,b\tshell\n",
+         "line 2: timestamp 0.5 decreases (previous 1.0)"),
+        ("1.0\tS\tinf\t1\t1\t0\n0.5\tA\ty\tshell\n",
+         "line 1: pamp, danger and safe must be finite and non-negative"),
+        # past a blank line, which is skipped but keeps its number
+        ("1.0\tA\tx\tshell\n\n0.5\tA\ty\tshell\nnonsense\n",
+         "line 3: timestamp 0.5 decreases (previous 1.0)"),
+    ])
+    def test_the_first_bad_line_in_line_order_is_reported(self, text, error):
+        for fh in (io.StringIO(text), io.BytesIO(text.encode())):
+            with pytest.raises(StreamFormatError) as exc:
+                read_log(fh)
+            assert str(exc.value) == error
+
+    def test_a_malformed_line_before_undecodable_bytes_is_reported(self):
+        data = b"0\tA\tx\tshell\nnonsense\n1\tA\t\xff\tshell\n"
+        with pytest.raises(StreamFormatError,
+                           match="^line 2: unrecognized event layout$"):
+            read_log(io.BytesIO(data))
+
+    def test_blank_lines_and_line_ends_are_skipped(self):
+        text = "\n0.5\tA\tx\tshell\r\n\r\n1.5\tA\ty\tshell\n\n"
+        expected = [Event.antigen(0.5, "x", "shell"),
+                    Event.antigen(1.5, "y", "shell")]
+        assert read_log(io.StringIO(text)) == expected
+        assert read_log(io.BytesIO(text.encode())) == expected
+
+
+def parse_events_per_line(lines, first_lineno, last, max_jump):
+    """The server's loop before it parsed a read's frames as one batch:
+    each line through `parse_event`, then its order checks. The
+    reference for `parse_events`."""
+    events = []
+    for lineno, line in enumerate(lines, first_lineno):
+        e = parse_event(line, lineno)
+        if e.timestamp < last:
+            raise StreamFormatError(
+                f"line {lineno}: timestamp {e.timestamp!r} decreases "
+                f"(previous {last!r})")
+        if max_jump is not None and int(e.timestamp) - int(last) > max_jump:
+            raise StreamFormatError(
+                f"line {lineno}: timestamp {e.timestamp!r} jumps more than "
+                f"{max_jump} s past the previous ({last!r})")
+        last = e.timestamp
+        events.append(e)
+    return events
+
+
+def result_of(fn):
+    """What a parser gave: its events, or its exception's type and
+    message."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def event_batches(draw):
+    """Event lines in timestamp order, some steps apart, with drawn lines
+    inserted or put in place of some: a line with one field swapped for a
+    drawn one, or any `event_line`."""
+    ts = draw(st.sampled_from([0.0, 0.5, 3.0]))
+    lines = []
+    for step, antigen in draw(st.lists(st.tuples(
+            st.sampled_from([0.0, 0.25, 1.0, 2.5]), st.booleans()),
+            max_size=12)):
+        ts += step
+        lines.append(format_event(
+            Event.antigen(ts, "p:1", "ssh,daemon" if step == 2.5 else "shell")
+            if antigen else Event.signal_set(ts, SignalVector(1.0, 2.0, 3.0))))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(lines)))
+        if at < len(lines) and draw(st.booleans()):
+            fields = lines[at].split("\t")
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(event_field)
+            line = "\t".join(fields)
+        else:
+            line = draw(event_line)
+        lines[at:at + draw(st.integers(0, 1))] = [line]
+    return lines
+
+
+class TestParseEvents:
+    @given(event_batches(), st.integers(1, 50),
+           st.sampled_from([(-math.inf, None), (0.0, None), (0.0, 1),
+                            (0.0, 3), (2.0, 2), (0.0, MAX_TICK_JUMP)]))
+    @settings(max_examples=400)
+    def test_equals_the_per_line_parse(self, lines, first_lineno, bounds):
+        last, max_jump = bounds
+        assert result_of(lambda: parse_events(
+            lines, first_lineno, last, max_jump)) == result_of(
+            lambda: parse_events_per_line(lines, first_lineno, last,
+                                          max_jump))
+
+    @given(st.lists(event_line, max_size=8), st.integers(1, 50))
+    @settings(max_examples=200)
+    def test_equals_the_per_line_parse_on_drawn_lines(self, lines,
+                                                      first_lineno):
+        assert result_of(lambda: parse_events(lines, first_lineno)) == \
+            result_of(lambda: parse_events_per_line(
+                lines, first_lineno, -math.inf, None))
+
+    def test_unusual_batches_that_take_the_checked_walk_still_parse(self):
+        # a process name that holds a comma, and steps each within the
+        # jump bound that span more than it
+        lines = ["0.5\tA\tx\tssh,daemon", "2.0\tA\ty\tshell",
+                 "3.5\tS\t1\t1\t1\t0"]
+        assert parse_events(lines, 1, 0.0, 2) == [
+            Event.antigen(0.5, "x", "ssh,daemon"),
+            Event.antigen(2.0, "y", "shell"),
+            Event.signal_set(3.5, SignalVector(1.0, 1.0, 1.0, 0.0))]
+
+    def test_lines_are_numbered_from_the_first(self):
+        with pytest.raises(StreamFormatError,
+                           match="^line 12: timestamp 1.0 jumps more than "
+                                 "0 s past the previous \\(0.5\\)$"):
+            parse_events(["0.5\tA\tx\tshell", "1.0\tA\ty\tshell"], 11,
+                         0.5, 0)
+
 
 class TestDeriveSignals:
     def test_steady_traffic_gives_full_safe(self):
@@ -299,7 +469,68 @@ class TestDeriveSignals:
             derive_signals([-1.0], [0.0])
 
 
+def generate_scenario_per_event(cfg):
+    """`generate_scenario` as it was before it wrote out `Random.choice`
+    and worked out each second's phase once. The reference for it."""
+    rng = random.Random(cfg.noise_seed)
+    seconds = cfg.total_duration
+    transfer_pps = TRANSFER_BYTES / PACKET_BYTES / cfg.transfer_duration
+    scan_rate = ADDRESS_COUNT / cfg.scan_duration
+
+    pps = []
+    unreachable = []
+    for t in range(seconds):
+        phase = cfg.phase_of(t)
+        if phase == "scan":
+            load = SCAN_PPS * rng.uniform(0.3, 1.7)
+            unreach = scan_rate * FRACTION_UNREACHABLE * rng.uniform(0.8, 1.2)
+        elif phase == "transfer":
+            load = transfer_pps + rng.gauss(0.0, 12.0)
+            unreach = 0.0
+        else:
+            load = BASELINE_PPS + rng.gauss(0.0, 1.0)
+            unreach = 0.0
+        pps.append(max(0.0, load))
+        unreachable.append(max(0.0, unreach))
+
+    signals = derive_signals(pps, unreachable)
+    pid_counts = {"ssh-daemon": 4, "shell": 1, "scanner": 1,
+                  "forward-agent": 1, "file-transfer": 1}
+    labels = {
+        proc: [f"{proc}:{1000 + 17 * i + offset}"
+               for offset in range(pid_counts[proc])]
+        for i, proc in enumerate(PROCESS_RATES)
+    }
+
+    def emission_count(rate):
+        whole = int(rate)
+        return whole + (1 if rng.random() < rate - whole else 0)
+
+    events = []
+    for t in range(seconds):
+        events.append(Event.signal_set(float(t), signals[t]))
+        phase = cfg.phase_of(t)
+        emissions = []
+        for proc, rates in PROCESS_RATES.items():
+            rate = rates.get(phase, 0.0)
+            if proc == "ssh-daemon" and t >= cfg.login_duration - 10:
+                rate = 0.0
+            for _ in range(emission_count(rate)):
+                emissions.append((rng.choice(labels[proc]), proc))
+        for i, (label, proc) in enumerate(emissions):
+            events.append(Event.antigen(
+                t + (i + 1) / (len(emissions) + 1), label, proc))
+    return events
+
+
 class TestScenario:
+    @given(st.integers(0, 2**64), *[st.integers(1, 40)] * 5)
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_per_event_form(self, noise_seed, login, scan, pause,
+                                       transfer, close):
+        cfg = ScenarioConfig(login, scan, pause, transfer, close, noise_seed)
+        assert generate_scenario(cfg) == generate_scenario_per_event(cfg)
+
     def test_deterministic_under_fixed_noise_seed(self):
         assert scenario_events(5) == scenario_events(5)
         assert scenario_events(5) != scenario_events(6)
@@ -1093,6 +1324,101 @@ class TestWireTransport:
         with pytest.raises(ValueError, match="tissue fault"):
             wait_for(server)
         assert server.dropped == []
+
+    def test_tissue_error_discards_what_arrives_after_it(self):
+        class FaultyTissue(Tissue):
+            def tick(self):
+                if self.clock > 6:
+                    raise ValueError("tissue fault")
+                return super().tick()
+
+        server = TissueServer(EventDrivenRunner(
+            FaultyTissue(PopulationConfig.portscan(seed=9))))
+        server.start()
+        with StreamClient(*server.address) as client:
+            replay(scenario_events(), "max", client)
+        with pytest.raises(ValueError, match="tissue fault"):
+            wait_for(server)
+        assert sum(map(len, server._pending.values())) == 0
+
+    @pytest.mark.parametrize("lines,reason", [
+        (["1000.0\tA\tx\tshell", "999.0\tA\ty\tshell", "nonsense"],
+         "line 2: timestamp 999.0 decreases (previous 1000.0)"),
+        (["1000.0\tA\tx\tshell", "nonsense", "999.0\tA\ty\tshell"],
+         "line 2: unrecognized event layout"),
+    ])
+    def test_the_first_bad_frame_in_order_is_the_drop_reason(self, lines,
+                                                               reason):
+        events = scenario_events()
+        expected = run_in_process(events)
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))), expected_clients=2)
+        server.start()
+        rogue = socket.create_connection(server.address)
+        rogue.sendall(b"".join(frame(line.encode()) for line in lines))
+        rogue.close()
+        with StreamClient(*server.address) as client:
+            replay(events, "max", client)
+        assert wait_for(server) == expected
+        assert server.dropped == [(0, reason)]
+
+    def test_one_merge_per_second_of_stream(self):
+        # one frame per read: a read that leaves the watermark in its
+        # second applies nothing
+        cfg = ScenarioConfig(noise_seed=3)
+        events = generate_scenario(cfg)
+        runner = counting_runs(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))))
+        feed = Trickle([frame(format_event(e).encode()) for e in events])
+        with feed:
+            records = serve_feeds(TissueServer(runner), [feed])
+        assert feed.reads == len(events) + 1
+        assert records == run_in_process(events)
+        assert 0 < runner.runs <= cfg.total_duration + 1
+
+    def test_one_merge_per_second_with_a_lagging_client(self):
+        # the antigen client reads from 5 to 10 s behind the signal
+        # client, one frame per read, until the signal client is done
+        cfg = ScenarioConfig(noise_seed=3)
+        events = generate_scenario(cfg)
+        streams_ = [[e for e in events if e.kind == SIGNAL_SET],
+                    [e for e in events if e.kind == ANTIGEN]]
+        upcoming = [s[0].timestamp for s in streams_]
+        turn = threading.Condition()
+
+        def held_back(client):
+            # the leader waits for a laggard over 10 s behind, and the
+            # laggard stays over 5 s behind a leader still streaming
+            if client == 0:
+                return upcoming[1] < upcoming[0] - 10
+            return upcoming[1] > upcoming[0] - 5
+
+        class Lockstep(Trickle):
+            def __init__(self, client):
+                self.client = client
+                super().__init__(
+                    [frame(format_event(e).encode())
+                     for e in streams_[client]])
+
+            def recv_into(self, buffer):
+                with turn:
+                    assert turn.wait_for(
+                        lambda: not held_back(self.client), WAIT_DEADLINE_S)
+                    reads = self.reads
+                    stream = streams_[self.client]
+                    upcoming[self.client] = (stream[reads + 1].timestamp
+                                             if reads + 1 < len(stream)
+                                             else math.inf)
+                    turn.notify_all()
+                return super().recv_into(buffer)
+
+        runner = counting_runs(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))))
+        with Lockstep(0) as leader, Lockstep(1) as laggard:
+            records = serve_feeds(TissueServer(runner, expected_clients=2),
+                                  [leader, laggard])
+        assert records == run_in_process(events)
+        assert 0 < runner.runs <= cfg.total_duration + 1
 
     @given(st.lists(st.integers(0, 3), min_size=1, max_size=40))
     @settings(max_examples=5, deadline=None)

@@ -2,7 +2,8 @@
 """Time two checkouts' `dca` in one process, in alternating passes.
 
     python3 tools/inproc_ab.py PARENT_DIR CHANGE_DIR \\
-        --shape bc|bc-pair|bc-session|portscan [--passes N]
+        --shape bc|bc-pair|bc-session|portscan|wire-ingest|wire-ingest-64k \\
+        [--passes N]
 
 Each checkout's `src/dca` is imported under its own package name
 (`dca_parent`, `dca_change`): every import inside the package is
@@ -23,7 +24,21 @@ host's speed falls on both alike:
   `count_errors` on it, so that a change which moves time between the
   verdict and the report half is timed whole;
 - `portscan`: `run_portscan_experiment`, experiment 4, two repeats, on
-  the portscan tissue (500 cells, a 500-slot overwriting store).
+  the portscan tissue (500 cells, a 500-slot overwriting store);
+- `wire-ingest`: a `wire-replay` session's server half, without the
+  loopback client that competes with it for the interpreter lock: the
+  scenario at five times its phase lengths (about 11,900 events), framed
+  as a client sends it, read by a `TissueServer` on 50 cells through a
+  connection whose every read hands over one frame, so each read is
+  framed, parsed, received and merged on its own; then `wait()` merges
+  the rest and drains;
+- `wire-ingest-64k`: the same with 64 KB handed over per read, as a
+  server gets a backlog of frames.
+
+Half the passes (the larger half) run in this interpreter, which loads
+the parent's package first; the other half run in a fresh interpreter
+that loads the change's first, and the timings are pooled, so that
+whatever the second-loaded package pays falls on both sides alike.
 
 It prints the CPUs that the change's `run_repeats` spreads repeats over,
 then each side's median and quartiles in seconds and its median CPU
@@ -32,8 +47,8 @@ and the passes the change won. The CPU seconds are the user and system
 time of this process and of the workers it reaped during the call
 (`resource.getrusage`), so a call that forks its repeats shows the
 work the wall time hides.
-Both sides run in one interpreter, so this sees tick-level differences
-that the noise between processes hides; a performance claim still needs
+Within a pass both sides run in one interpreter, so this sees tick-level
+differences that the noise between processes hides; a performance claim still needs
 `tools/ab_pairs.py` on the benchmark.
 """
 
@@ -44,23 +59,40 @@ import functools
 import gc
 import importlib.util
 import io
+import json
 import resource
 import statistics
+import subprocess
 import sys
 import time
+from collections import deque
+from dataclasses import replace
 from pathlib import Path
 from types import ModuleType
 from typing import Callable
 
 SIDES = ("parent", "change")
 BC_ORDERS = ("one-step", "two-step", "random")
+WIRE_SCALE = 5  # the `wire-replay` scenario's phase lengths, in multiples
+WIRE_CELLS = 50
+# runs the passes of a fresh interpreter, which loads the change first
+FRESH_PASSES = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import inproc_ab
+print(json.dumps(inproc_ab.fresh_passes(*sys.argv[2:])))
+"""
 
 
 def load(checkout: Path, name: str) -> ModuleType:
-    """Import `checkout/src/dca` as the package `name`."""
+    """Import `checkout/src/dca` as the package `name`, in place of any
+    package loaded under that name before, submodules included."""
     init = checkout / "src" / "dca" / "__init__.py"
     if not init.is_file():
         raise FileNotFoundError(f"{checkout} holds no src/dca")
+    for loaded in [key for key in sys.modules
+                   if key == name or key.startswith(name + ".")]:
+        del sys.modules[loaded]
     spec = importlib.util.spec_from_file_location(
         name, init, submodule_search_locations=[str(init.parent)])
     module = importlib.util.module_from_spec(spec)
@@ -101,8 +133,83 @@ def portscan_call(dca: ModuleType, seed: int) -> Callable[[], object]:
                                                repeats=2)
 
 
+class FrameFeed:
+    """A client connection as a server's reader sees it: each
+    `recv_into` hands over the next piece of the wire bytes, or as much
+    of it as the buffer holds (the rest comes next), and 0 once all are
+    read."""
+
+    def __init__(self, pieces: list[bytes]):
+        self._pieces = deque(pieces)
+
+    def recv_into(self, buffer) -> int:
+        if not self._pieces:
+            return 0
+        piece = self._pieces.popleft()
+        got = min(len(piece), len(buffer))
+        buffer[:got] = piece[:got]
+        if got < len(piece):
+            self._pieces.appendleft(piece[got:])
+        return got
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        pass
+
+
+class FeedListener:
+    """A listening socket that hands the server's accept loop one
+    `FrameFeed`."""
+
+    def __init__(self, feed: FrameFeed):
+        self._feed = feed
+
+    def accept(self):
+        return self._feed, ("feed", 0)
+
+    def shutdown(self, how):
+        pass
+
+    def close(self):
+        pass
+
+
+def wire_ingest_call(dca: ModuleType, seed: int,
+                     read_size: int = 0) -> Callable[[], object]:
+    """A server ingesting the scaled scenario of `seed`, one frame per read
+    (`read_size` 0) or `read_size` bytes per read."""
+    streams = dca.streams
+    base = dca.ScenarioConfig(noise_seed=seed)
+    scenario = replace(base, **{
+        name: getattr(base, name) * WIRE_SCALE
+        for name in ("login_duration", "scan_duration", "pause_duration",
+                     "transfer_duration", "close_duration")})
+    payloads = [streams.format_event(e).encode("utf-8")
+                for e in dca.generate_scenario(scenario)]
+    frames = [streams.FRAME_HEADER.pack(len(p)) + p for p in payloads]
+    if read_size:
+        wire = b"".join(frames)
+        frames = [wire[i:i + read_size]
+                  for i in range(0, len(wire), read_size)]
+    cfg = dca.PopulationConfig.portscan(seed=seed, num_cells=WIRE_CELLS)
+
+    def call():
+        with streams.TissueServer(streams.EventDrivenRunner(
+                dca.Tissue(cfg))) as server:
+            server._listener.close()
+            server._listener = FeedListener(FrameFeed(frames))
+            server.start()
+            return server.wait()
+    return call
+
+
 SHAPES = {"bc": bc_call, "bc-pair": functools.partial(bc_call, repeats=2),
-          "bc-session": bc_session_call, "portscan": portscan_call}
+          "bc-session": bc_session_call, "portscan": portscan_call,
+          "wire-ingest": wire_ingest_call,
+          "wire-ingest-64k": functools.partial(wire_ingest_call,
+                                               read_size=65536)}
 
 
 def cpu_seconds() -> float:
@@ -112,12 +219,14 @@ def cpu_seconds() -> float:
         resource.getrusage(resource.RUSAGE_CHILDREN)))
 
 
-def run_passes(packages: dict[str, ModuleType], shape: str, passes: int
+def run_passes(packages: dict[str, ModuleType], shape: str, passes: int,
+               first: int = 0
                ) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
-    """Wall seconds and CPU seconds per call of each side, in pass order."""
+    """Wall seconds and CPU seconds per call of each side, in pass order,
+    for the passes numbered from `first`."""
     wall: dict[str, list[float]] = {side: [] for side in SIDES}
     cpu: dict[str, list[float]] = {side: [] for side in SIDES}
-    for i in range(passes):
+    for i in range(first, first + passes):
         order = SIDES if i % 2 == 0 else SIDES[::-1]
         for side in order:
             call = SHAPES[shape](packages[side], i)
@@ -127,6 +236,38 @@ def run_passes(packages: dict[str, ModuleType], shape: str, passes: int
             call()
             wall[side].append(time.perf_counter() - start)
             cpu[side].append(cpu_seconds() - cpu_start)
+    return wall, cpu
+
+
+def fresh_passes(parent: str, change: str, shape: str, passes: str,
+                 first: str) -> tuple[dict[str, list[float]],
+                                      dict[str, list[float]]]:
+    """`run_passes` in this interpreter with the change's package loaded
+    first; what the fresh interpreter of `pooled_passes` runs."""
+    packages = {side: load(Path(checkout).resolve(), f"dca_{side}")
+                for side, checkout in (("change", change),
+                                       ("parent", parent))}
+    return run_passes(packages, shape, int(passes), int(first))
+
+
+def pooled_passes(packages: dict[str, ModuleType], checkouts: dict[str, Path],
+                  shape: str, passes: int
+                  ) -> tuple[dict[str, list[float]], dict[str, list[float]]]:
+    """`run_passes` over all the passes: the larger half here, with the
+    parent's package loaded first, then the rest in a fresh interpreter
+    that loads the change's first; the timings in pass order."""
+    here = passes - passes // 2
+    wall, cpu = run_passes(packages, shape, here)
+    if passes > here:
+        out = subprocess.run(
+            [sys.executable, "-c", FRESH_PASSES, str(Path(__file__).parent),
+             str(checkouts["parent"]), str(checkouts["change"]), shape,
+             str(passes - here), str(here)],
+            check=True, stdout=subprocess.PIPE, text=True).stdout
+        fresh_wall, fresh_cpu = json.loads(out.splitlines()[-1])
+        for side in SIDES:
+            wall[side] += fresh_wall[side]
+            cpu[side] += fresh_cpu[side]
     return wall, cpu
 
 
@@ -161,12 +302,13 @@ def main(argv=None) -> int:
     args = p.parse_args(argv)
     if args.passes < 1:
         p.error("--passes must be at least 1")
+    checkouts = {side: getattr(args, side).resolve() for side in SIDES}
     try:
-        packages = {side: load(getattr(args, side).resolve(), f"dca_{side}")
+        packages = {side: load(checkouts[side], f"dca_{side}")
                     for side in SIDES}
     except FileNotFoundError as exc:
         p.error(str(exc))
-    times, cpu = run_passes(packages, args.shape, args.passes)
+    times, cpu = pooled_passes(packages, checkouts, args.shape, args.passes)
     cpus = packages["change"].streams.usable_cpus()
     print(f"shape {args.shape}: {args.passes} passes, alternating which "
           f"side runs first, {cpus} usable CPU{'s' if cpus != 1 else ''}; "
