@@ -33,7 +33,7 @@ from .analysis import (PairedTTestResult, mean_and_std, paired_t_test,
                        process_mag, tally)
 from .core import SignalVector, WeightMatrix
 from .tissue import (_BAD_LABEL, MigrationRecord, PopulationConfig, Tissue,
-                     log_lines)
+                     _log_columns, log_lines, records_from_columns)
 
 log = logging.getLogger(__name__)
 
@@ -717,10 +717,10 @@ class TissueServer:
     once per read. The tissue sees only each second's last signal set and
     its labels in order, and both follow from that order however signal
     sets and antigen of equal timestamps interleave. Once `FOLD_RECORDS`
-    migrations have gone unbuilt, a merge also builds the records of the
-    ticks it finished, so records are built as ticks finish. `wait()`
-    applies the rest, drains the tissue and returns its records, building
-    only those of the last ticks. Pending events are bounded by the
+    migrations are unbuilt, a merge folds the tick logs added since the
+    last fold into the server's own records, so records are built as
+    ticks finish. `wait()` applies the rest, drains the tissue, folds the
+    last ticks and returns the records. Pending events are bounded by the
     clients' timestamp skew plus one read per client.
 
     A client that violates the frame protocol, sends a malformed event,
@@ -733,7 +733,8 @@ class TissueServer:
     An error the tissue raises while applying events is not a drop: it is
     raised from `wait()`, and every event pending or read after it is
     discarded. After `wait()`, `drain_ticks` holds the ticks its drain
-    ran.
+    ran; a later `wait()` returns the same records, or raises the same
+    error, and runs no tick.
 
     The listening socket opens here and closes once the expected
     clients have connected, or on `close()`; use the server as a
@@ -757,7 +758,8 @@ class TissueServer:
         self._latest: dict[int, float] = {}
         self._failure: Optional[BaseException] = None
         self._merged = -math.inf  # the watermark of the last merge
-        self._built = 0
+        self._records: list[MigrationRecord] = []
+        self._folded = 0  # the tissue's tick logs built into `_records`
         self._thread: Optional[threading.Thread] = None
         self._connected = 0
 
@@ -847,8 +849,8 @@ class TissueServer:
 
     def _merge(self, watermark: float) -> None:
         """Apply every pending event timestamped below `watermark`, in
-        merge order, then build the records of the finished ticks if
-        `FOLD_RECORDS` migrations are unbuilt. The caller holds the lock.
+        merge order, then fold the finished ticks if `FOLD_RECORDS`
+        migrations are unbuilt. The caller holds the lock.
 
         Nothing is done unless the watermark has risen since the last
         merge: each client's timestamps never fall, so an event that
@@ -875,16 +877,21 @@ class TissueServer:
             for events in self._pending.values():
                 events.clear()
             return
-        tissue = self.runner.tissue
         # one build per many ticks: each build has a fixed cost
-        if tissue.migrations - self._built >= FOLD_RECORDS:
-            self._built = len(tissue.records)
+        if self.runner.tissue.migrations - len(self._records) >= FOLD_RECORDS:
+            self._fold()
+
+    def _fold(self) -> None:
+        """Build the records of the tick logs added since the last fold."""
+        log = self.runner.tissue.log
+        self._records += records_from_columns(_log_columns(log[self._folded:]))
+        self._folded = len(log)
 
     def wait(self) -> list[MigrationRecord]:
         """Block until all expected clients finish, apply the events not
-        yet applied, drain the tissue and return its migration records.
-        The merges built the records of the ticks finished while the
-        clients streamed, so this builds only those of the last ticks."""
+        yet applied, drain the tissue, fold the last ticks and return the
+        records; a later call returns the same list (or raises the same
+        error) and runs nothing."""
         if self._thread is None:
             raise RuntimeError("TissueServer.wait() called before start()")
         self._thread.join()
@@ -894,10 +901,15 @@ class TissueServer:
                 f"{self.expected_clients} clients connected")
         with self._lock:
             self._merge(math.inf)
+            if self._failure is None and self.drain_ticks is None:
+                try:
+                    self.drain_ticks = self.runner.drain()
+                    self._fold()
+                except Exception as exc:
+                    self._failure = exc
         if self._failure is not None:
             raise self._failure
-        self.drain_ticks = self.runner.drain()
-        return self.runner.tissue.records
+        return self._records
 
 
 def _timestamp(e: Event) -> float:

@@ -138,6 +138,8 @@ class Tissue:
     Input arrives one second at a time through `receive`: the second's
     last signal set and all of its antigen labels, in order, in one call
     (`set_signals` and `enqueue_antigen` are that call with one of each).
+    Each tick that migrates cells appends its `_TickLog` to `log`, the one
+    form in which the tissue keeps its migrations.
 
     Randomness comes from the five children of
     `SeedSequence(cfg.seed).spawn(5)`, one per purpose: the tick order,
@@ -162,8 +164,7 @@ class Tissue:
         self.occupied = 0
         self.signals = SignalVector()
         self.clock = 0
-        self._records: list[MigrationRecord] = []
-        self._pending: list[_TickLog] = []  # ticks not yet built into records
+        self.log: list[_TickLog] = []  # every tick's migrations, in order
         self._migrations = 0
         self._feed: deque[str] = deque()
         n = cfg.num_cells
@@ -277,26 +278,15 @@ class Tissue:
 
     @property
     def records(self) -> list[MigrationRecord]:
-        """Every migration so far, in log order. The ticks logged since the
-        last read are built into records in one pass, from the columns
-        that `record_columns` also reads, and cached, so a read mid-run and
-        a read at the end agree."""
-        if self._pending:
-            self._records += records_from_columns(_log_columns(self._pending))
-            self._pending = []
-        return self._records
+        """Every migration so far, in log order, built on each read."""
+        return records_from_columns(_log_columns(self.log))
 
     def record_columns(self) -> tuple[list, ...]:
         """Every migration so far as seven columns, one list per
         `MigrationRecord` field, in log order: field by field what
         `tuple(zip(*self.records))` gives, but read from the tick logs
-        without building a record, and caching nothing. Records that a
-        read of `records` already built come first. With no migration,
-        seven empty lists."""
-        columns = _log_columns(self._pending)
-        if self._records:
-            columns = map(chain, zip(*self._records), columns)
-        return tuple(map(list, columns))
+        without building a record. With no migration, seven empty lists."""
+        return tuple(map(list, _log_columns(self.log)))
 
     @property
     def migrations(self) -> int:
@@ -305,12 +295,8 @@ class Tissue:
 
     def presentations(self) -> Iterator[tuple[bool, Sequence[str]]]:
         """`(mature, labels)` for each migration whose cell held antigen, in
-        log order, as `analysis.tally` counts them: the records already
-        built, then the pending tick logs, read without building a record."""
-        for r in self._records:
-            if r.antigens:
-                yield r.context is Context.MATURE, r.antigens
-        for m in self._pending:
+        log order, as `analysis.tally` counts them; builds no record."""
+        for m in self.log:
             for mature, labels in zip(_matured(m.cytokines), m.labels):
                 if labels:
                     yield mature, labels
@@ -371,7 +357,7 @@ class Tissue:
         if not migrated.size:
             return ()
         logged = self._replace(tick, migrated)
-        self._pending.append(logged)
+        self.log.append(logged)
         self._migrations += migrated.size
         return logged
 
@@ -431,17 +417,15 @@ class Tissue:
 
     def _replace(self, tick: int, cells: np.ndarray) -> _TickLog:
         """Log the migrated cells, in tick order, and put fresh immature
-        cells in their places. A migrated cell's label list moves into the
-        log only if it holds antigen, and its replacement starts with a new
-        one; a cell that held nothing logs `()` and leaves its empty list
-        in the pool, so the log never shares a list with a live cell."""
+        cells in their places. A migrated cell's labels are logged as a
+        tuple, which the records built from the log share, and its list
+        is emptied for the fresh cell."""
         labels = self._labels
-        logged_labels: list[Sequence[str]] = []
+        logged_labels: list[tuple[str, ...]] = []
         for cell in cells.tolist():
             held = labels[cell]
-            if held:
-                labels[cell] = []
-            logged_labels.append(held or ())
+            logged_labels.append(tuple(held))
+            held.clear()
         logged = _TickLog(tick, self._id[cells], self._cytokines[cells],
                           logged_labels)
         count = cells.size
@@ -469,14 +453,13 @@ TissueCompartment = Tissue
 
 class _TickLog:
     """The migrations of one tick, in tick order: the cells' ids, their
-    cytokine rows (csm, semi, mat) and their labels (`()` for a cell that
-    held none). Iterating it builds the tick's records anew each time;
-    `Tissue.records` is the one cache of built records."""
+    cytokine rows (csm, semi, mat) and their label tuples. Iterating it
+    builds the tick's records anew each time."""
 
     __slots__ = ("tick", "ids", "cytokines", "labels")
 
     def __init__(self, tick: int, ids: np.ndarray, cytokines: np.ndarray,
-                 labels: list[Sequence[str]]):
+                 labels: list[tuple[str, ...]]):
         self.tick = tick
         self.ids = ids
         self.cytokines = cytokines
@@ -490,7 +473,8 @@ class _TickLog:
 
 
 def _matured(cytokines: np.ndarray) -> list[bool]:
-    """The context rule, per (csm, semi, mat) row: mature when mat > semi."""
+    """The context rule, per (csm, semi, mat) row: mature when mat > semi,
+    so a tie is semi-mature."""
     return (cytokines[:, 2] > cytokines[:, 1]).tolist()
 
 
@@ -500,7 +484,7 @@ _CONTEXTS = (Context.SEMI_MATURE, Context.MATURE)  # indexed by `_matured`
 def _log_columns(logged: Sequence[_TickLog]) -> tuple[Iterable, ...]:
     """The seven record fields of the logged ticks, in log order, one
     iterable per `MigrationRecord` field: the one reader of the tick logs
-    for records and for record columns."""
+    for records, record columns and a server's fold."""
     if not logged:
         return ((),) * 7
     counts = [len(m.labels) for m in logged]
@@ -510,7 +494,7 @@ def _log_columns(logged: Sequence[_TickLog]) -> tuple[Iterable, ...]:
     ticks = chain.from_iterable(map(repeat, [m.tick for m in logged], counts))
     csm, semi, mat = cytokines.T.tolist()
     contexts = map(_CONTEXTS.__getitem__, _matured(cytokines))
-    labels = map(tuple, chain.from_iterable(m.labels for m in logged))
+    labels = chain.from_iterable(m.labels for m in logged)
     return ticks, ids.tolist(), contexts, labels, csm, semi, mat
 
 

@@ -97,7 +97,8 @@ def test_bc_session_reports_on_the_log_of_the_bc_pair_call(inproc_ab,
     assert (errors, unseen) == (result.summary.errors, result.summary.unseen)
 
 
-@pytest.mark.parametrize("shape", ["wire-ingest", "wire-ingest-64k"])
+@pytest.mark.parametrize("shape", ["wire-ingest", "wire-ingest-64k",
+                                   "wire-tail"])
 def test_wire_ingest_serves_the_in_process_run(inproc_ab, shape):
     dca = inproc_ab.load(ROOT, "dca_test_wire")
     base = dca.ScenarioConfig(noise_seed=2)

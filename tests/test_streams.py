@@ -1283,16 +1283,59 @@ class TestWireTransport:
             while tissue.clock < 19:
                 assert time.monotonic() < deadline, "no merge before the end"
                 time.sleep(0.01)
-            # between merges (the lock is free) fewer than FOLD_RECORDS
-            # migrations are unbuilt; these private reads build nothing
+            # between merges (the lock is free) the server has built some
+            # records, and fewer than FOLD_RECORDS migrations are unbuilt
             with server._lock:
                 assert tissue.migrations >= FOLD_RECORDS
-                built = len(tissue._records)
+                built = len(server._records)
                 assert built > 0
                 assert tissue.migrations - built < FOLD_RECORDS
-                assert built + sum(map(len, tissue._pending)) == \
-                    tissue.migrations
-        assert wait_for(server) == expected
+        records = wait_for(server)
+        assert records == expected
+        assert records == tissue.records
+
+    def test_a_second_wait_returns_the_same_run(self):
+        # thresholds this high leave antigen in the cells when the drain
+        # reaches its cap, so a second drain would tick on
+        runner = EventDrivenRunner(Tissue(PopulationConfig.portscan(
+            seed=1, num_cells=50, threshold_mode=("uniform", 600.0, 900.0))))
+        server = TissueServer(runner)
+        server.start()
+        with StreamClient(*server.address) as client:
+            replay(scenario_events(noise_seed=1), "max", client)
+        records = wait_for(server)
+        assert server.drain_ticks == DRAIN_TICKS
+        assert not runner.tissue.settled
+        clock = runner.tissue.clock
+        assert server.wait() is records
+        assert (server.drain_ticks, runner.tissue.clock) == (DRAIN_TICKS,
+                                                             clock)
+        assert records == runner.tissue.records
+
+    def test_a_second_wait_raises_the_drain_error_again(self):
+        events = scenario_events()
+        end = events[-1].timestamp
+
+        class FaultyTissue(Tissue):
+            def tick(self):
+                if self.clock > end + 2:
+                    raise ValueError("tissue fault")
+                return super().tick()
+
+        runner = EventDrivenRunner(FaultyTissue(
+            PopulationConfig.portscan(seed=9)))
+        server = TissueServer(runner)
+        server.start()
+        with StreamClient(*server.address) as client:
+            replay(events, "max", client)
+        with pytest.raises(ValueError, match="tissue fault") as first:
+            wait_for(server)
+        clock = runner.tissue.clock
+        with pytest.raises(ValueError) as again:
+            server.wait()
+        assert again.value is first.value
+        assert runner.tissue.clock == clock
+        assert server.drain_ticks is None
 
     def test_nothing_is_applied_before_every_client_has_connected(self):
         events = scenario_events()

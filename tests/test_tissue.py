@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dca.analysis import aggregate, tally
-from dca.core import Context, SignalVector
+from dca.core import Context, SignalVector, WeightMatrix
 from dca.streams import EventDrivenRunner, ScenarioConfig, generate_scenario
 from dca.tissue import (MigrationRecord, PopulationConfig, Tissue,
                         format_record, read_migration_log, write_migration_log)
@@ -219,6 +219,21 @@ class TestTick:
         assert tissue.records
         for record in tissue.records:
             assert record.csm >= thresholds[record.cell_id]
+
+    def test_a_context_tie_migrates_semi_mature(self):
+        # equal semi and mat weight rows make every cell's mat equal its
+        # semi; the rule is mature only when mat > semi
+        tied = WeightMatrix(semi=(1.0, 1.0, 1.0), mat=(1.0, 1.0, 1.0))
+        tissue = Tissue(small_config(seed=17, weights=tied))
+        tissue.set_signals(SignalVector(pamp=3, danger=2, safe=1))
+        for i in range(40):
+            tissue.enqueue_antigen(f"item-{i}")
+            tissue.tick()
+        records = tissue.records
+        assert records and all(r.mat == r.semi > 0 for r in records)
+        assert {r.context for r in records} == {Context.SEMI_MATURE}
+        presented = list(tissue.presentations())
+        assert presented and not any(mature for mature, _ in presented)
 
     def test_fixed_seed_reproduces_records_exactly(self):
         def run():

@@ -2,8 +2,8 @@
 """Time two checkouts' `dca` in one process, in alternating passes.
 
     python3 tools/inproc_ab.py PARENT_DIR CHANGE_DIR \\
-        --shape bc|bc-pair|bc-session|portscan|wire-ingest|wire-ingest-64k \\
-        [--passes N]
+        --shape bc|bc-pair|bc-session|portscan|wire-ingest|wire-ingest-64k|
+                wire-tail [--passes N]
 
 Each checkout's `src/dca` is imported under its own package name
 (`dca_parent`, `dca_change`): every import inside the package is
@@ -33,7 +33,11 @@ host's speed falls on both alike:
   framed, parsed, received and merged on its own; then `wait()` merges
   the rest and drains;
 - `wire-ingest-64k`: the same with 64 KB handed over per read, as a
-  server gets a backlog of frames.
+  server gets a backlog of frames;
+- `wire-tail`: `wire-ingest` read to its last frame before the clock
+  starts (the server started and its accept thread joined), so that the
+  call is `wait()` alone: the last merge, the drain and the last fold,
+  the work that `result_latency_s` times after the last frame.
 
 Half the passes (the larger half) run in this interpreter, which loads
 the parent's package first; the other half run in a fresh interpreter
@@ -176,10 +180,11 @@ class FeedListener:
         pass
 
 
-def wire_ingest_call(dca: ModuleType, seed: int,
-                     read_size: int = 0) -> Callable[[], object]:
+def wire_ingest_call(dca: ModuleType, seed: int, read_size: int = 0,
+                     tail: bool = False) -> Callable[[], object]:
     """A server ingesting the scaled scenario of `seed`, one frame per read
-    (`read_size` 0) or `read_size` bytes per read."""
+    (`read_size` 0) or `read_size` bytes per read; with `tail`, the server
+    reads every frame before the call, which is then its `wait()`."""
     streams = dca.streams
     base = dca.ScenarioConfig(noise_seed=seed)
     scenario = replace(base, **{
@@ -195,21 +200,27 @@ def wire_ingest_call(dca: ModuleType, seed: int,
                   for i in range(0, len(wire), read_size)]
     cfg = dca.PopulationConfig.portscan(seed=seed, num_cells=WIRE_CELLS)
 
-    def call():
-        with streams.TissueServer(streams.EventDrivenRunner(
-                dca.Tissue(cfg))) as server:
-            server._listener.close()
-            server._listener = FeedListener(FrameFeed(frames))
-            server.start()
-            return server.wait()
-    return call
+    def served():
+        server = streams.TissueServer(streams.EventDrivenRunner(
+            dca.Tissue(cfg)))
+        server._listener.close()
+        server._listener = FeedListener(FrameFeed(frames))
+        server.start()
+        return server
+
+    if tail:
+        server = served()
+        server._thread.join()
+        return server.wait
+    return lambda: served().wait()
 
 
 SHAPES = {"bc": bc_call, "bc-pair": functools.partial(bc_call, repeats=2),
           "bc-session": bc_session_call, "portscan": portscan_call,
           "wire-ingest": wire_ingest_call,
           "wire-ingest-64k": functools.partial(wire_ingest_call,
-                                               read_size=65536)}
+                                               read_size=65536),
+          "wire-tail": functools.partial(wire_ingest_call, tail=True)}
 
 
 def cpu_seconds() -> float:
