@@ -27,8 +27,8 @@ from .analysis import (AntigenVerdict, RunSummary, aggregate, classify,
 from .core import SignalVector
 from .streams import (ANTIGEN, DRAIN_TICKS, SIGNAL_SET, Event,
                       EventDrivenRunner, run_repeats)
-from .tissue import (MigrationRecord, PopulationConfig, Tissue, log_lines,
-                     records_from_columns)
+from .tissue import (MigrationRecord, PopulationConfig, Tissue, check_labels,
+                     log_lines, records_from_columns)
 
 DANGER_ATTRIBUTE_COUNT = 3
 DEFAULT_THRESHOLD = 0.65
@@ -46,7 +46,7 @@ class LabelledItem:
     def __post_init__(self):
         if not self.id:
             raise ValueError("empty item id")
-        Event.antigen(0.0, self.id, "dataset")  # the id is its antigen label
+        check_labels((self.id,))  # the id is its antigen label
         if len(self.attributes) != 9:
             raise ValueError("items carry exactly 9 attributes")
         if any(not math.isfinite(a) for a in self.attributes):

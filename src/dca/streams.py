@@ -32,8 +32,8 @@ from typing import (BinaryIO, Callable, Iterable, Iterator, NamedTuple,
 from .analysis import (PairedTTestResult, mean_and_std, paired_t_test,
                        process_mag, tally)
 from .core import SignalVector, WeightMatrix
-from .tissue import (_BAD_LABEL, MigrationRecord, PopulationConfig, Tissue,
-                     _log_columns, log_lines, records_from_columns)
+from .tissue import (MigrationRecord, PopulationConfig, Tissue, _log_columns,
+                     check_labels, log_lines, records_from_columns)
 
 log = logging.getLogger(__name__)
 
@@ -52,8 +52,9 @@ MAX_TICK_JUMP = 86_400
 # a server builds its tissue's records once this many migrations are unbuilt
 FOLD_RECORDS = 256
 
-# characters that would split a field of the event log (tab, newline); a
-# label is checked against `tissue._BAD_LABEL`, which adds the comma
+# characters that would split a field of the event log (tab, line breaks);
+# the label rule forbids these and the comma, so `parse_events` screens
+# process names with it
 _BAD_PROCESS = re.compile("[\t\n\r]")
 
 
@@ -88,12 +89,13 @@ class Event(_EventFields):
     and source process name). Timestamps are seconds since stream start
     and must be non-decreasing within a stream. An immutable named tuple,
     equal and hashed by value; every way of building one (the
-    constructor, `_make`, `_replace`) runs the same checks. Three functions
-    that make many events check their inputs another way and skip these:
-    `parse_events` checks a batch's fields itself, `generate_scenario`
-    checks its fixed table of (label, process) pairs once per call, and
+    constructor, `_make`, `_replace`) runs the same checks, the label's
+    through `tissue.check_labels`. Three functions that make many events
+    check their inputs another way and skip these: `parse_events` checks
+    a batch's fields itself, `generate_scenario` checks its fixed table of
+    (label, process) pairs once per call through `Event.antigen`, and
     `datasets.run_bc_experiment` relies on `LabelledItem`, which checked
-    each item id as an antigen label.
+    each item id with `check_labels`.
     """
 
     __slots__ = ()
@@ -104,11 +106,9 @@ class Event(_EventFields):
         if not 0 <= timestamp < math.inf:  # NaN fails too
             raise ValueError("timestamp must be finite and non-negative")
         if kind == ANTIGEN:
-            if not label or not process:
-                raise ValueError("antigen event requires label and process")
-            if _BAD_LABEL.search(label):
-                raise ValueError(f"antigen label {label!r} contains a "
-                                 "comma, tab or line break")
+            check_labels((label,))
+            if not process:
+                raise ValueError("antigen event requires a process name")
             if _BAD_PROCESS.search(process):
                 raise ValueError(f"process name {process!r} contains a "
                                  "tab or line break")
@@ -161,11 +161,6 @@ def parse_event(line: str, lineno: int = 0) -> Event:
     raise StreamFormatError(f"line {lineno}: unrecognized event layout")
 
 
-# a label of a valid line holds none of these, and a process name only the
-# comma: a batch whose joined names hold one is walked line by line
-_SUSPECT_NAME = re.compile("[,\n\r]")
-
-
 def parse_events(lines: Sequence[str], first_lineno: int = 1,
                  last: float = -math.inf,
                  max_jump: Optional[int] = None) -> list[Event]:
@@ -180,11 +175,12 @@ def parse_events(lines: Sequence[str], first_lineno: int = 1,
     line once and builds its event without `Event`'s checks. It checks
     each timestamp against the previous one and a ceiling for the whole
     batch (`last`'s whole second plus `max_jump` and one), and the labels
-    and process names with one search of their joined text. Anything
-    else sends the batch to the checked walk (`parse_event` line by line),
-    which raises the exact error, or returns the events of a batch that
-    was only unusual: a process name with a comma, or steps that each lie
-    within `max_jump` but together span more.
+    and process names with one `check_labels` call: the label rule
+    forbids all that a process name's does, and a comma besides. Anything
+    else sends the batch to the checked walk (`parse_event` line by
+    line), which raises the exact error, or returns the events of a batch
+    that was only unusual: a process name with a comma, or steps that
+    each lie within `max_jump` but together span more.
     """
     events: list[Event] = []
     names: list[str] = []
@@ -211,8 +207,8 @@ def parse_events(lines: Sequence[str], first_lineno: int = 1,
             else:
                 break
         else:
-            if all(names) and not _SUSPECT_NAME.search("".join(names)):
-                return events
+            check_labels(names)
+            return events
     except ValueError:
         pass
     return _parse_checked(enumerate(lines, first_lineno), last, max_jump)

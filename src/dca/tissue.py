@@ -40,6 +40,18 @@ BLOCK_CELL_TICKS = 6400
 _BAD_LABEL = re.compile("[,\t\n\r]")
 
 
+def check_labels(labels: Sequence[str]) -> None:
+    """The antigen-label rule, asked wherever a label enters: a label is
+    non-empty and holds no comma, tab, CR or LF. Raise a `ValueError` for
+    the first empty label, or else for the first with such a character."""
+    if not all(labels):
+        raise ValueError("antigen label must be non-empty")
+    if _BAD_LABEL.search("".join(labels)):
+        bad = next(filter(_BAD_LABEL.search, labels))
+        raise ValueError(f"antigen label {bad!r} contains a comma, tab or "
+                         "line break")
+
+
 @dataclass(frozen=True)
 class PopulationConfig:
     """Tissue server parameter settings.
@@ -210,8 +222,9 @@ class Tissue:
                 for label, left in zip(self._slot_labels, self._slot_left)]
 
     def deposit(self, label: str) -> None:
+        # the rule inline: a call per deposited label slows `portscan`
         if not label or _BAD_LABEL.search(label):
-            raise _label_error((label,))
+            check_labels((label,))  # raises the rule's message
         if self.occupied < self.capacity:
             idx = int(self._slot_left.argmin())  # the first free slot
             self.occupied += 1
@@ -246,10 +259,9 @@ class Tissue:
         current one) and its antigen labels, in order. Under flow control
         the labels are queued until a store slot is free, so no
         undersampled antigen is overwritten; under `antigen_overwrite`
-        each is deposited at once. An empty label, or one that the
-        migration log cannot hold, is rejected before anything changes."""
-        if not all(labels) or _BAD_LABEL.search("".join(labels)):
-            raise _label_error(labels)
+        each is deposited at once. A label that fails `check_labels` is
+        rejected before anything changes."""
+        check_labels(labels)
         if signals is not None:
             self.signals = signals
         if not self.cfg.antigen_overwrite:
@@ -436,16 +448,6 @@ class Tissue:
         return logged
 
 
-def _label_error(labels: Sequence[str]) -> ValueError:
-    """The error for the first empty label, or else the first with a
-    `_BAD_LABEL` character (`Event`'s message)."""
-    if not all(labels):
-        return ValueError("antigen label must be non-empty")
-    bad = next(filter(_BAD_LABEL.search, labels))
-    return ValueError(f"antigen label {bad!r} contains a comma, tab or "
-                      "line break")
-
-
 # the old name of the store's class: perfbench/tracer.py looks up
 # `deposit` and `sample_slot` through it when imported
 TissueCompartment = Tissue
@@ -559,8 +561,7 @@ _CONTEXT_BY_VALUE = {c.value: c for c in Context}
 
 def _parse_antigens(text: str) -> tuple[str, ...]:
     labels = tuple(text.split(",")) if text else ()
-    if "" in labels:
-        raise ValueError("empty antigen label")
+    check_labels(labels)
     return labels
 
 
@@ -588,7 +589,9 @@ def log_lines(fh: Iterable[Union[str, bytes]],
 
 def read_migration_log(fh: Union[TextIO, BinaryIO]) -> list[MigrationRecord]:
     """Parse a migration log, open in text or binary mode. Every malformed
-    line raises a `ValueError` whose message starts with `line N:`."""
+    line, one with a label that fails `check_labels` included (a lone CR
+    reaches it in binary mode), raises a `ValueError` whose message starts
+    with `line N:`."""
     records = []
     for lineno, line in log_lines(fh):
         if not line:

@@ -527,6 +527,17 @@ class TestPipeline:
         assert captured.err == (f"error: malformed migration log {log}: "
                                 "line 1: invalid antigens 'a,,b'\n")
 
+    def test_report_rejects_a_carriage_return_in_a_label(self, tmp_path,
+                                                          capsys):
+        log = tmp_path / "migration.log"
+        log.write_bytes(b"0\t1\tmature\ta\rb,c\t1.0\t2.0\t3.0\n")
+        code, captured = run(["--out", tmp_path / "p", "report",
+                              "--log", log], capsys)
+        assert code == 1
+        assert captured.err == (f"error: malformed migration log {log}: "
+                                "line 1: invalid antigens 'a\\rb,c'\n")
+        assert not (tmp_path / "p").exists()
+
     @pytest.mark.parametrize("command,first", [
         ("report", b"3\t7\tmature\ta\t1.0\t2.0\t3.0\n"),
         ("replay", b"0.5\tA\tx\tshell\n"),

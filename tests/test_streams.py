@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from dca import streams
 from dca.core import SignalVector
+from dca.datasets import LabelledItem
 from dca.streams import (ADDRESS_COUNT, ANTIGEN, BASELINE_PPS, DRAIN_TICKS,
                          FOLD_RECORDS, FRACTION_UNREACHABLE, K_DANGER,
                          K_SAFE, MAX_FRAME, MAX_TICK_JUMP, PACKET_BYTES,
@@ -288,7 +289,7 @@ class TestEventLog:
     @pytest.mark.parametrize("label,process", [
         ("a,b", "shell"), ("a\tb", "shell"), ("a\nb", "shell"),
         ("a\rb", "shell"), ("a", "sh\tell"), ("a", "sh\nell"),
-        ("a", "sh\rell"),
+        ("a", "sh\rell"), ("", "shell"), ("a", ""),
     ])
     def test_labels_that_would_split_a_log_field_rejected(self, label,
                                                           process):
@@ -297,6 +298,31 @@ class TestEventLog:
 
     def test_process_name_may_hold_a_comma(self):
         assert Event.antigen(1.0, "a", "ssh,daemon").process == "ssh,daemon"
+
+    @pytest.mark.parametrize("label", ["", "a,b", "a\tb", "a\nb", "a\rb"])
+    def test_every_label_entry_gives_the_rule_s_message(self, label):
+        tissue = Tissue(PopulationConfig.portscan(seed=1))
+        entries = {
+            "Event.antigen": lambda: Event.antigen(1.0, label, "shell"),
+            "receive": lambda: tissue.receive(None, ["a", label]),
+            "enqueue_antigen": lambda: tissue.enqueue_antigen(label),
+            "deposit": lambda: tissue.deposit(label),
+        }
+        if "\t" not in label:  # a tab would split the line's fields
+            entries["parse_events"] = lambda: parse_events(
+                [f"0.5\tA\t{label}\tshell"])
+        if label:  # an empty item id has its own message
+            entries["LabelledItem"] = lambda: LabelledItem(
+                label, (0.5,) * 9, 0)
+        messages = {}
+        for name, entry in entries.items():
+            with pytest.raises(ValueError) as exc:
+                entry()
+            messages[name] = str(exc.value).removeprefix("line 1: ")
+        expected = ("antigen label must be non-empty" if not label else
+                    f"antigen label {label!r} contains a comma, tab or line "
+                    "break")
+        assert messages == dict.fromkeys(entries, expected)
 
     def test_serialized_layouts(self):
         signal = Event.signal_set(2.0, SignalVector(1.5, 2.5, 3.5, 1.0))

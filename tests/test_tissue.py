@@ -485,12 +485,16 @@ class TestMigrationLog:
         ("1\t2\tmature\ta,,b\t1.0\t2.0\t3.0", "line 2: invalid antigens 'a,,b'"),
         ("1\t2\tmature\t,a\t1.0\t2.0\t3.0", "line 2: invalid antigens ',a'"),
         ("1\t2\tmature\ta,\t1.0\t2.0\t3.0", "line 2: invalid antigens 'a,'"),
+        # a lone CR splits no line of a binary read (nor of a StringIO)
+        ("1\t2\tmature\ta\rb,c\t1.0\t2.0\t3.0",
+         "line 2: invalid antigens 'a\\rb,c'"),
     ])
     def test_bad_field_names_its_line_and_field(self, line, message):
-        buf = io.StringIO("3\t7\tmature\ta\t1.0\t2.0\t3.0\n" + line + "\n")
-        with pytest.raises(ValueError) as info:
-            read_migration_log(buf)
-        assert str(info.value) == message
+        text = "3\t7\tmature\ta\t1.0\t2.0\t3.0\n" + line + "\n"
+        for buf in (io.StringIO(text), io.BytesIO(text.encode())):
+            with pytest.raises(ValueError) as info:
+                read_migration_log(buf)
+            assert str(info.value) == message
 
     def test_binary_log_reads_as_text_and_names_an_undecodable_line(self):
         good = "3\t7\tmature\ta\t1.0\t2.0\t3.0\n"
