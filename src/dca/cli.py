@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 from pathlib import Path
-from typing import Any, BinaryIO, Callable, Optional, Sequence
+from typing import IO, Any, Callable, Optional, Sequence
 
 from . import __version__
 from .analysis import (aggregate, classify, count_errors, write_process_table,
@@ -58,16 +58,22 @@ def read_config(path: Path) -> dict[str, str]:
     return _read(path, "config", _parse_config)
 
 
-def _parse_config(fh: BinaryIO) -> dict[str, str]:
+def _parse_config(fh: IO) -> dict[str, str]:
     out: dict[str, str] = {}
-    for lineno, line in log_lines(fh):
+    first_line: dict[str, int] = {}
+    for lineno, line in enumerate(log_lines(fh), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
         if "=" not in stripped:
             raise ValueError(f"line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        out[key.strip().replace("-", "_")] = value.strip()
+        key = key.strip().replace("-", "_")
+        first = first_line.setdefault(key, lineno)
+        if first != lineno:
+            raise ValueError(f"line {lineno}: duplicate key {key!r} "
+                             f"(first on line {first})")
+        out[key] = value.strip()
     return out
 
 
@@ -245,10 +251,8 @@ def _write_manifest(args: argparse.Namespace, out: Path) -> None:
 
 
 def _read(path: Path, what: str, parse: Callable):
-    """Parse an input file; an unreadable or malformed one ends the run.
-    Every reader takes the file in binary mode and decodes it line by
-    line (see `log_lines`), so that bytes that are not UTF-8 are reported
-    by line."""
+    """Parse an input file, open in binary mode (every reader takes its
+    lines from `log_lines`); an unreadable or malformed one ends the run."""
     try:
         with open(path, "rb") as fh:
             return parse(fh)

@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field, replace
 from itertools import chain
 from operator import itemgetter
-from typing import Iterable, Iterator, Optional, Sequence, TextIO, Union
+from typing import IO, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .analysis import (AntigenVerdict, RunSummary, aggregate, classify,
                        count_errors, mean_and_std)
@@ -254,12 +254,10 @@ def context_switch_curve(ordered_ids: Sequence[str],
 
 # --- file formats -----------------------------------------------------------
 
-def _rows(fh: Iterable[Union[str, bytes]]
-          ) -> Iterator[tuple[int, list[str]]]:
-    """Line number and the 11 comma-separated fields of each line, skipping
-    blank and `#` comment lines; shared by both dataset formats, open in
-    text or binary mode (see `log_lines`)."""
-    for lineno, line in log_lines(fh):
+def _rows(fh: IO) -> Iterator[tuple[int, list[str]]]:
+    """Line number and the 11 comma-separated fields of each `log_lines`
+    line but blank and `#` comment lines; shared by both dataset formats."""
+    for lineno, line in enumerate(log_lines(fh), start=1):
         line = line.strip()
         if line and not line.startswith("#"):
             parts = line.split(",")
@@ -268,7 +266,7 @@ def _rows(fh: Iterable[Union[str, bytes]]
             yield lineno, parts
 
 
-def load_items(fh: Iterable[Union[str, bytes]]) -> list[LabelledItem]:
+def load_items(fh: IO) -> list[LabelledItem]:
     """Read the native format: id, 9 attribute values, class per line.
     Ids are unique. Every malformed line raises a `ValueError` whose
     message starts with `line N:`."""
@@ -293,7 +291,7 @@ def write_items(items: Iterable[LabelledItem], fh: TextIO) -> None:
         fh.write(f"{it.id},{attrs},{it.true_class}\n")
 
 
-def load_uci(fh: Iterable[Union[str, bytes]]) -> list[LabelledItem]:
+def load_uci(fh: IO) -> list[LabelledItem]:
     """Read the UCI breast-cancer-wisconsin format.
 
     Lines are: sample code number, 9 attributes on the 1-10 integer

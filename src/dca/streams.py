@@ -26,14 +26,14 @@ import threading
 import time
 from dataclasses import dataclass, replace
 from itertools import pairwise
-from typing import (BinaryIO, Callable, Iterable, Iterator, NamedTuple,
-                    NoReturn, Optional, Sequence, TextIO, TypeVar, Union)
+from typing import (IO, Callable, Iterable, Iterator, NamedTuple, NoReturn,
+                    Optional, Sequence, TextIO, TypeVar)
 
 from .analysis import (PairedTTestResult, mean_and_std, paired_t_test,
                        process_mag, tally)
 from .core import SignalVector, WeightMatrix
-from .tissue import (MigrationRecord, PopulationConfig, Tissue, _log_columns,
-                     check_labels, log_lines, records_from_columns)
+from .tissue import (MigrationRecord, PopulationConfig, Tissue, check_labels,
+                     log_lines, log_records)
 
 log = logging.getLogger(__name__)
 
@@ -239,30 +239,16 @@ def write_log(events: Iterable[Event], fh: TextIO) -> None:
         fh.write(format_event(e) + "\n")
 
 
-def read_log(fh: Union[TextIO, BinaryIO]) -> list[Event]:
-    """Parse an event log, open in text or binary mode, rejecting
-    decreasing timestamps.
-
-    Errors are StreamFormatErrors that carry the 1-based offending line
-    number, for the first bad line in line order. The log's lines go to
-    `parse_events` as one batch; only a log with a blank line, which is
-    skipped, or with bytes that are not UTF-8, which are reported by line,
-    is walked one numbered line at a time (`tissue.log_lines`).
-    """
-    raw = list(fh)
-    try:
-        if raw and isinstance(raw[0], bytes):
-            lines = [line.decode("utf-8").rstrip("\r\n") for line in raw]
-        else:
-            lines = [line.rstrip("\r\n") for line in raw]
-    except UnicodeDecodeError:
-        pass
-    else:
-        if "" not in lines:
-            del raw  # so the raw lines are not held while the events are built
-            return parse_events(lines)
-    return _parse_checked(((lineno, line) for lineno, line in log_lines(
-        raw, StreamFormatError) if line), -math.inf, None)
+def read_log(fh: IO) -> list[Event]:
+    """Parse the lines of an event log (`tissue.log_lines`), rejecting
+    decreasing timestamps; errors are StreamFormatErrors naming the first
+    bad line. The lines go to `parse_events` as one batch, or, with a
+    blank line among them (skipped but numbered), to its per-line walk."""
+    lines = log_lines(fh, StreamFormatError)
+    if "" not in lines:
+        return parse_events(lines)
+    return _parse_checked([(lineno, line) for lineno, line in enumerate(
+        lines, start=1) if line], -math.inf, None)
 
 
 # ---------------------------------------------------------------------------
@@ -880,7 +866,7 @@ class TissueServer:
     def _fold(self) -> None:
         """Build the records of the tick logs added since the last fold."""
         log = self.runner.tissue.log
-        self._records += records_from_columns(_log_columns(log[self._folded:]))
+        self._records += log_records(log[self._folded:])
         self._folded = len(log)
 
     def wait(self) -> list[MigrationRecord]:

@@ -16,8 +16,7 @@ from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import chain, repeat
-from typing import (BinaryIO, Iterable, Iterator, NamedTuple, Optional,
-                    TextIO, Union)
+from typing import IO, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
 import numpy as np
 
@@ -291,7 +290,7 @@ class Tissue:
     @property
     def records(self) -> list[MigrationRecord]:
         """Every migration so far, in log order, built on each read."""
-        return records_from_columns(_log_columns(self.log))
+        return log_records(self.log)
 
     def record_columns(self) -> tuple[list, ...]:
         """Every migration so far as seven columns, one list per
@@ -471,7 +470,7 @@ class _TickLog:
         return len(self.labels)
 
     def __iter__(self) -> Iterator[MigrationRecord]:
-        return iter(records_from_columns(_log_columns((self,))))
+        return iter(log_records((self,)))
 
 
 def _matured(cytokines: np.ndarray) -> list[bool]:
@@ -486,7 +485,7 @@ _CONTEXTS = (Context.SEMI_MATURE, Context.MATURE)  # indexed by `_matured`
 def _log_columns(logged: Sequence[_TickLog]) -> tuple[Iterable, ...]:
     """The seven record fields of the logged ticks, in log order, one
     iterable per `MigrationRecord` field: the one reader of the tick logs
-    for records, record columns and a server's fold."""
+    for `log_records` and `Tissue.record_columns`."""
     if not logged:
         return ((),) * 7
     counts = [len(m.labels) for m in logged]
@@ -498,6 +497,11 @@ def _log_columns(logged: Sequence[_TickLog]) -> tuple[Iterable, ...]:
     contexts = map(_CONTEXTS.__getitem__, _matured(cytokines))
     labels = chain.from_iterable(m.labels for m in logged)
     return ticks, ids.tolist(), contexts, labels, csm, semi, mat
+
+
+def log_records(logged: Sequence[_TickLog]) -> list[MigrationRecord]:
+    """The records of the logged ticks, in log order, built anew."""
+    return records_from_columns(_log_columns(logged))
 
 
 def records_from_columns(columns: Iterable) -> list[MigrationRecord]:
@@ -572,31 +576,38 @@ _FIELD_PARSERS = {"tick": int, "cell_id": int,
                   "csm": float, "semi": float, "mat": float}
 
 
-def log_lines(fh: Iterable[Union[str, bytes]],
-              error: type[ValueError] = ValueError) -> Iterator[tuple[int, str]]:
-    """Number the lines of a log from 1 and strip their line ends. The log
-    may be open in binary mode: each line is then decoded as UTF-8 on its
-    own, so bytes that do not decode raise `error` naming their line, not
-    a byte offset into the file."""
-    for lineno, line in enumerate(fh, start=1):
-        if isinstance(line, bytes):
-            try:
-                line = line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise error(f"line {lineno}: {exc}") from None
-        yield lineno, line.rstrip("\r\n")
+def log_lines(fh: IO, error: type[ValueError] = ValueError) -> list[str]:
+    """The lines of a file open in either mode, as text mode reads them: all
+    of it decoded as UTF-8 first, then split at LF, CR LF or a lone CR.
+    Undecodable bytes raise `error` naming the first line that fails alone."""
+    text = fh.read()
+    if isinstance(text, bytes):
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError:
+            for lineno, line in enumerate(text.splitlines(), start=1):
+                try:
+                    line.decode("utf-8")
+                except UnicodeDecodeError as exc:
+                    raise error(f"line {lineno}: {exc}") from None
+    if "\r" in text:  # replacing CR LF scans the text even if it finds none
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()  # the end of the last line, or an empty input
+    return lines
 
 
-def read_migration_log(fh: Union[TextIO, BinaryIO]) -> list[MigrationRecord]:
-    """Parse a migration log, open in text or binary mode. Every malformed
-    line, one with a label that fails `check_labels` included (a lone CR
-    reaches it in binary mode), raises a `ValueError` whose message starts
-    with `line N:`."""
+def read_migration_log(fh: IO) -> list[MigrationRecord]:
+    """Parse the lines of a migration log (`log_lines`). Every malformed
+    line, one with a label that fails `check_labels` included, raises a
+    `ValueError` whose message starts with `line N:`."""
     records = []
-    for lineno, line in log_lines(fh):
-        if not line:
+    lines = log_lines(fh)[::-1]  # popped, so no line is held once parsed
+    for lineno in range(1, len(lines) + 1):
+        parts = lines.pop().split("\t")
+        if parts == [""]:  # a blank line
             continue
-        parts = line.split("\t")
         if len(parts) != 7:
             raise ValueError(f"line {lineno}: expected 7 fields, got {len(parts)}")
         tick, cell_id, context, antigens, csm, semi, mat = parts

@@ -1,6 +1,7 @@
 """Command-line harness: reproducibility of output trees, config-file
 precedence, and the generate/replay/report pipeline."""
 
+import io
 import re
 import socket
 import subprocess
@@ -9,14 +10,15 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dca
 from dca import cli
 from dca.cli import main
 from dca.datasets import load_items, load_uci, synthetic_items, write_items
-from dca.streams import DRAIN_TICKS, MAX_TICK_JUMP
+from dca.streams import DRAIN_TICKS, MAX_TICK_JUMP, read_log
+from dca.tissue import read_migration_log
 
 
 def run(argv, capsys=None):
@@ -303,6 +305,22 @@ class TestConfigFile:
             else:
                 assert all(isinstance(v, str) for v in config.values())
 
+    @pytest.mark.parametrize("text,message", [
+        ("repeats = 2\nseed = 1\nrepeats = 3\n",
+         "line 3: duplicate key 'repeats' (first on line 1)"),
+        ("single-sample = yes\n# again\nsingle_sample = no\n",
+         "line 3: duplicate key 'single_sample' (first on line 1)"),
+    ], ids=["same-spelling", "folded"])
+    def test_a_key_given_twice_is_rejected(self, tmp_path, capsys, text,
+                                           message):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(text)
+        code, captured = run(["--config", cfg, "--out", tmp_path / "out",
+                              "bc"], capsys)
+        assert code == 1
+        assert captured.err == f"error: malformed config {cfg}: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_value_outside_choices_fails_before_any_output(self, tmp_path,
                                                            capsys):
         cfg = tmp_path / "run.cfg"
@@ -395,6 +413,49 @@ class TestConfigFile:
         assert run(["--config", cfg, "--out", tmp_path / "out"] + argv) == 0
         manifest = (tmp_path / "out" / "manifest.txt").read_text()
         assert setting in manifest.splitlines()
+
+
+# a line each reader takes, an event line with a CR in its timestamp
+# field, and pieces over the characters that split lines or fields
+READER_LINES = ["1.0\tA\tx\tp", "2\tS\t1\t0\t1\t0", "1.0\r\tA\tx\tp",
+                "3\t7\tmature\ta\t1.0\t2.0\t3.0", "a,1,2,3,4,5,6,7,8,9,1",
+                "10,5,1,1,1,2,1,3,1,1,2", "seed = 3", "# note"]
+reader_text = st.lists(st.tuples(
+    st.sampled_from(READER_LINES)
+    | st.text(alphabet=st.sampled_from("\r\n\t,=#.0129AaSeimrtux"),
+              max_size=12),
+    st.sampled_from(["\n", "\r\n", "\r", ""])), max_size=6).map(
+        lambda pieces: "".join(line + end for line, end in pieces))
+
+READERS = {"read_log": read_log, "read_migration_log": read_migration_log,
+           "load_items": load_items, "load_uci": load_uci,
+           "read_config": cli._parse_config}
+
+
+def outcome(reader, fh):
+    """What a reader gives: its result's repr (a NaN field compares
+    unequal to itself), or its exception's type and message."""
+    try:
+        return repr(reader(fh))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+class TestInputModes:
+    @given(reader_text)
+    @example("1.0\r\tA\tx\tp\n")
+    @settings(max_examples=300)
+    def test_every_reader_reads_the_same_in_every_mode(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input"
+            path.write_bytes(text.encode())
+            for name, reader in READERS.items():
+                with open(path, encoding="utf-8") as fh:
+                    expected = outcome(reader, fh)
+                with open(path, "rb") as fh:
+                    assert outcome(reader, fh) == expected, name
+                for fh in (io.StringIO(text), io.BytesIO(text.encode())):
+                    assert outcome(reader, fh) == expected, name
 
 
 class TestPortscan:
@@ -535,7 +596,7 @@ class TestPipeline:
                               "--log", log], capsys)
         assert code == 1
         assert captured.err == (f"error: malformed migration log {log}: "
-                                "line 1: invalid antigens 'a\\rb,c'\n")
+                                "line 1: expected 7 fields, got 4\n")
         assert not (tmp_path / "p").exists()
 
     @pytest.mark.parametrize("command,first", [

@@ -2,6 +2,7 @@
 of their wall and CPU timings, and its usage errors."""
 
 import importlib.util
+import io
 import os
 import re
 import time
@@ -111,6 +112,25 @@ def test_wire_ingest_serves_the_in_process_run(inproc_ab, shape):
     runner.run(dca.generate_scenario(scenario))
     runner.drain()
     assert inproc_ab.SHAPES[shape](dca, 2)() == runner.tissue.records
+
+
+def test_logs_reads_back_the_scenario_and_its_migration_log(inproc_ab):
+    dca = inproc_ab.load(ROOT, "dca_test_logs")
+    scenario = inproc_ab.wire_scenario(dca, 2)
+    runner = dca.EventDrivenRunner(dca.Tissue(dca.PopulationConfig.portscan(
+        seed=2, num_cells=inproc_ab.WIRE_CELLS)))
+    events = dca.generate_scenario(scenario)
+    runner.run(events)
+    runner.drain()
+    event_log, migration_log = io.StringIO(), io.StringIO()
+    dca.write_log(events, event_log)
+    dca.write_migration_log(runner.tissue.records, migration_log)
+    event_log.seek(0)
+    migration_log.seek(0)
+    call = inproc_ab.SHAPES["logs"](dca, 2)
+    expected = (dca.read_log(event_log), dca.read_migration_log(migration_log))
+    assert expected == (events, runner.tissue.records)
+    assert call() == call() == expected
 
 
 def test_frame_feed_hands_over_each_piece_as_the_buffer_allows(inproc_ab):

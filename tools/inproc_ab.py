@@ -3,7 +3,7 @@
 
     python3 tools/inproc_ab.py PARENT_DIR CHANGE_DIR \\
         --shape bc|bc-pair|bc-session|portscan|wire-ingest|wire-ingest-64k|
-                wire-tail [--passes N]
+                wire-tail|logs [--passes N]
 
 Each checkout's `src/dca` is imported under its own package name
 (`dca_parent`, `dca_change`): every import inside the package is
@@ -37,7 +37,12 @@ host's speed falls on both alike:
 - `wire-tail`: `wire-ingest` read to its last frame before the clock
   starts (the server started and its accept thread joined), so that the
   call is `wait()` alone: the last merge, the drain and the last fold,
-  the work that `result_latency_s` times after the last frame.
+  the work that `result_latency_s` times after the last frame;
+- `logs`: the file half of a `wire-replay` session: the `wire-ingest`
+  scenario written with `write_log` and read back with `read_log`, then
+  the migration log of its 50-cell in-process run (built before the
+  clock starts) written with `write_migration_log` and read back with
+  `read_migration_log`, every file open in text mode.
 
 Half the passes (the larger half) run in this interpreter, which loads
 the parent's package first; the other half run in a fresh interpreter
@@ -68,6 +73,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from collections import deque
 from dataclasses import replace
@@ -180,19 +186,23 @@ class FeedListener:
         pass
 
 
+def wire_scenario(dca: ModuleType, seed: int) -> object:
+    """The scenario of `seed` at `WIRE_SCALE` times its phase lengths."""
+    base = dca.ScenarioConfig(noise_seed=seed)
+    return replace(base, **{
+        name: getattr(base, name) * WIRE_SCALE
+        for name in ("login_duration", "scan_duration", "pause_duration",
+                     "transfer_duration", "close_duration")})
+
+
 def wire_ingest_call(dca: ModuleType, seed: int, read_size: int = 0,
                      tail: bool = False) -> Callable[[], object]:
     """A server ingesting the scaled scenario of `seed`, one frame per read
     (`read_size` 0) or `read_size` bytes per read; with `tail`, the server
     reads every frame before the call, which is then its `wait()`."""
     streams = dca.streams
-    base = dca.ScenarioConfig(noise_seed=seed)
-    scenario = replace(base, **{
-        name: getattr(base, name) * WIRE_SCALE
-        for name in ("login_duration", "scan_duration", "pause_duration",
-                     "transfer_duration", "close_duration")})
     payloads = [streams.format_event(e).encode("utf-8")
-                for e in dca.generate_scenario(scenario)]
+                for e in dca.generate_scenario(wire_scenario(dca, seed))]
     frames = [streams.FRAME_HEADER.pack(len(p)) + p for p in payloads]
     if read_size:
         wire = b"".join(frames)
@@ -215,12 +225,40 @@ def wire_ingest_call(dca: ModuleType, seed: int, read_size: int = 0,
     return lambda: served().wait()
 
 
+def logs_call(dca: ModuleType, seed: int) -> Callable[[], object]:
+    """The scaled scenario of `seed` and the migration log of its run on
+    `WIRE_CELLS` cells, each written to a file and read back; the run
+    happens here, before the clock starts. The call returns what it read
+    back: the events and the records."""
+    events = dca.generate_scenario(wire_scenario(dca, seed))
+    runner = dca.EventDrivenRunner(dca.Tissue(dca.PopulationConfig.portscan(
+        seed=seed, num_cells=WIRE_CELLS)))
+    runner.run(events)
+    runner.drain()
+    records = runner.tissue.records
+    work = tempfile.TemporaryDirectory()  # removed with the call
+
+    def call():
+        event_log = Path(work.name) / "scenario.log"
+        migration_log = Path(work.name) / "migration.log"
+        with open(event_log, "w") as fh:
+            dca.write_log(events, fh)
+        with open(event_log) as fh:
+            read = dca.read_log(fh)
+        with open(migration_log, "w") as fh:
+            dca.write_migration_log(records, fh)
+        with open(migration_log) as fh:
+            return read, dca.read_migration_log(fh)
+    return call
+
+
 SHAPES = {"bc": bc_call, "bc-pair": functools.partial(bc_call, repeats=2),
           "bc-session": bc_session_call, "portscan": portscan_call,
           "wire-ingest": wire_ingest_call,
           "wire-ingest-64k": functools.partial(wire_ingest_call,
                                                read_size=65536),
-          "wire-tail": functools.partial(wire_ingest_call, tail=True)}
+          "wire-tail": functools.partial(wire_ingest_call, tail=True),
+          "logs": logs_call}
 
 
 def cpu_seconds() -> float:
