@@ -13,7 +13,7 @@ import sys
 from dataclasses import dataclass
 from itertools import repeat
 from operator import attrgetter, is_
-from typing import Iterable, Mapping, Optional, Sequence, TextIO
+from typing import Iterable, Iterator, Mapping, Optional, Sequence, TextIO
 
 from .core import Context
 from .tissue import MigrationRecord
@@ -70,11 +70,19 @@ def tally(presentations: Iterable[tuple[bool, Iterable[str]]]
 
 def aggregate(records: Iterable[MigrationRecord]) -> dict[str, AntigenVerdict]:
     """Count presentations per label across all records (multiplicity
-    counts), reading `tally`'s pairs from a list of them by C-level maps."""
-    records = list(records)
-    return tally(zip(map(is_, map(attrgetter("context"), records),
-                         repeat(Context.MATURE)),
-                     map(attrgetter("antigens"), records)))
+    counts), reading `tally`'s pairs from a list of them (`presentations`).
+    `dca report` tallies a migration log's batches of records the same
+    way, so it never holds the whole list."""
+    return tally(presentations(list(records)))
+
+
+def presentations(records: Sequence[MigrationRecord]
+                  ) -> Iterator[tuple[bool, tuple[str, ...]]]:
+    """`tally`'s `(mature, labels)` pair of each record of a list, read by
+    C-level maps."""
+    return zip(map(is_, map(attrgetter("context"), records),
+                   repeat(Context.MATURE)),
+               map(attrgetter("antigens"), records))
 
 
 def classify(verdicts: Mapping[str, AntigenVerdict], threshold: float) -> None:

@@ -14,12 +14,13 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from itertools import chain
 from pathlib import Path
-from typing import IO, Any, Callable, Optional, Sequence
+from typing import IO, Any, Callable, Iterator, Optional, Sequence
 
 from . import __version__
-from .analysis import (aggregate, classify, count_errors, write_process_table,
-                       write_verdict_table)
+from .analysis import (aggregate, classify, count_errors, presentations,
+                       tally, write_process_table, write_verdict_table)
 from .datasets import (DEFAULT_THRESHOLD, ExperimentResult, load_items,
                        load_uci, run_bc_experiment, select_attributes,
                        synthetic_items, write_items)
@@ -27,8 +28,8 @@ from .streams import (EventDrivenRunner, PORTSCAN_EXPERIMENTS, ScenarioConfig,
                       SinkDisconnected, StreamClient, TissueServer,
                       generate_scenario, read_log, replay,
                       run_portscan_experiment, write_log)
-from .tissue import (PopulationConfig, Tissue, log_lines, read_migration_log,
-                     write_migration_log)
+from .tissue import (PopulationConfig, Tissue, log_lines,
+                     migration_log_batches, write_migration_log)
 
 SWEEP_SETTINGS = {
     "1": ("fixed", 1.0),
@@ -61,7 +62,8 @@ def read_config(path: Path) -> dict[str, str]:
 def _parse_config(fh: IO) -> dict[str, str]:
     out: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for lineno, line in enumerate(log_lines(fh), start=1):
+    for lineno, line in enumerate(chain.from_iterable(log_lines(fh)),
+                                  start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -273,13 +275,29 @@ def _read_inputs(args: argparse.Namespace) -> dict[str, Any]:
     if args.command == "replay":
         return {"events": _read(args.log, "log", read_log)}
     if args.command == "report":
-        return {"records": _read(args.log, "migration log",
-                                 read_migration_log),
+        records, verdicts = _read(args.log, "migration log", _tally_log)
+        return {"records": records, "verdicts": verdicts,
                 "truth": None if args.truth is None else _read(
                     args.truth, "truth",
                     lambda fh: {it.id: it.true_class
                                 for it in load_items(fh)})}
     return {}
+
+
+def _tally_log(fh: IO) -> tuple[int, dict]:
+    """The record count and the verdicts of a migration log, tallied while
+    it is read a chunk at a time: no record list is built, so a report
+    holds its verdicts and one chunk's records."""
+    count = 0
+
+    def pairs(batch: list) -> Iterator:
+        nonlocal count
+        count += len(batch)
+        return presentations(batch)
+
+    verdicts = tally(chain.from_iterable(map(pairs,
+                                             migration_log_batches(fh))))
+    return count, verdicts
 
 
 def _write_table(write, table, out: Path, stem: str) -> None:
@@ -428,11 +446,11 @@ def cmd_serve(args: argparse.Namespace, out: Path) -> int:
     return 0
 
 
-def cmd_report(args: argparse.Namespace, out: Path, records, truth) -> int:
-    verdicts = aggregate(records)
+def cmd_report(args: argparse.Namespace, out: Path, records: int, verdicts,
+               truth) -> int:
     classify(verdicts, args.threshold)
     _write_table(write_verdict_table, verdicts, out, "verdicts")
-    lines = [f"records={len(records)} antigens={len(verdicts)}"]
+    lines = [f"records={records} antigens={len(verdicts)}"]
     if truth is not None:
         errors, unseen = count_errors(verdicts, truth)
         lines.append(f"errors={errors} unseen={unseen}")

@@ -257,7 +257,8 @@ def context_switch_curve(ordered_ids: Sequence[str],
 def _rows(fh: IO) -> Iterator[tuple[int, list[str]]]:
     """Line number and the 11 comma-separated fields of each `log_lines`
     line but blank and `#` comment lines; shared by both dataset formats."""
-    for lineno, line in enumerate(log_lines(fh), start=1):
+    for lineno, line in enumerate(chain.from_iterable(log_lines(fh)),
+                                  start=1):
         line = line.strip()
         if line and not line.startswith("#"):
             parts = line.split(",")

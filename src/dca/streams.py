@@ -25,7 +25,7 @@ import struct
 import threading
 import time
 from dataclasses import dataclass, replace
-from itertools import pairwise
+from itertools import islice, pairwise
 from typing import (IO, Callable, Iterable, Iterator, NamedTuple, NoReturn,
                     Optional, Sequence, TextIO, TypeVar)
 
@@ -51,6 +51,9 @@ DRAIN_TICKS = 300  # safety cap on ticks run after the stream ends
 MAX_TICK_JUMP = 86_400
 # a server builds its tissue's records once this many migrations are unbuilt
 FOLD_RECORDS = 256
+# the most distinct labels and process names a server client's names dict
+# holds before it is emptied, so a stream of ever new labels is not kept
+SHARED_NAMES = 4096
 
 # characters that would split a field of the event log (tab, line breaks);
 # the label rule forbids these and the comma, so `parse_events` screens
@@ -162,8 +165,8 @@ def parse_event(line: str, lineno: int = 0) -> Event:
 
 
 def parse_events(lines: Sequence[str], first_lineno: int = 1,
-                 last: float = -math.inf,
-                 max_jump: Optional[int] = None) -> list[Event]:
+                 last: float = -math.inf, max_jump: Optional[int] = None, *,
+                 names: dict[str, str]) -> list[Event]:
     """Parse a batch of event lines, numbered from `first_lineno`, whose
     timestamps must not fall below `last` (the timestamp before the batch)
     or below each other; with `max_jump`, whose `last` must then be
@@ -181,10 +184,19 @@ def parse_events(lines: Sequence[str], first_lineno: int = 1,
     line), which raises the exact error, or returns the events of a batch
     that was only unusual: a process name with a comma, or steps that
     each lie within `max_jump` but together span more.
+
+    Equal labels and process names share one string, the one `names`
+    holds: it maps each name of the batches before that passed
+    `check_labels` to its string, and the batch adds its new names, the
+    last entries, so only those are checked. A caller that parses a
+    stream batch by batch through one dict checks each distinct name
+    once; one batch alone takes an empty dict. The checked walk shares
+    none, and empties `names`, which may then hold unchecked names.
     """
     events: list[Event] = []
-    names: list[str] = []
-    append, add_name = events.append, names.append
+    share = names.setdefault
+    known = len(names)  # the names before this batch
+    append = events.append
     new = tuple.__new__
     floor = max(last, 0.0)  # the lowest next timestamp, non-negative
     ceiling = math.inf if max_jump is None else int(last) + max_jump + 1
@@ -197,9 +209,8 @@ def parse_events(lines: Sequence[str], first_lineno: int = 1,
             floor = ts
             if len(parts) == 4 and parts[1] == ANTIGEN:
                 label, process = parts[2], parts[3]
-                add_name(label)
-                add_name(process)
-                append(new(Event, (ts, ANTIGEN, None, label, process)))
+                append(new(Event, (ts, ANTIGEN, None, share(label, label),
+                                   share(process, process))))
             elif len(parts) == 6 and parts[1] == SIGNAL_SET:
                 append(new(Event, (ts, SIGNAL_SET, SignalVector(
                     float(parts[2]), float(parts[3]), float(parts[4]),
@@ -207,10 +218,13 @@ def parse_events(lines: Sequence[str], first_lineno: int = 1,
             else:
                 break
         else:
-            check_labels(names)
+            if len(names) != known:
+                check_labels(list(islice(reversed(names),
+                                         len(names) - known)))
             return events
     except ValueError:
         pass
+    names.clear()
     return _parse_checked(enumerate(lines, first_lineno), last, max_jump)
 
 
@@ -240,15 +254,32 @@ def write_log(events: Iterable[Event], fh: TextIO) -> None:
 
 
 def read_log(fh: IO) -> list[Event]:
-    """Parse the lines of an event log (`tissue.log_lines`), rejecting
+    """Parse an event log one `tissue.log_lines` chunk at a time, rejecting
     decreasing timestamps; errors are StreamFormatErrors naming the first
-    bad line. The lines go to `parse_events` as one batch, or, with a
-    blank line among them (skipped but numbered), to its per-line walk."""
-    lines = log_lines(fh, StreamFormatError)
-    if "" not in lines:
-        return parse_events(lines)
-    return _parse_checked([(lineno, line) for lineno, line in enumerate(
-        lines, start=1) if line], -math.inf, None)
+    bad line in line order. Blank lines are skipped but numbered: each run
+    of lines between them goes to `parse_events` as one batch, numbered
+    from its first line and checked against the timestamp before it. One
+    names dict serves every batch, so equal labels and process names share
+    one string across the whole log."""
+    events: list[Event] = []
+    names: dict[str, str] = {}
+    lineno = 1
+    for lines in log_lines(fh, StreamFormatError):
+        start, end = 0, len(lines)
+        while start < end:
+            try:
+                stop = lines.index("", start)
+            except ValueError:
+                stop = end
+            if stop > start:
+                run = lines if stop - start == end else lines[start:stop]
+                events += parse_events(
+                    run, lineno + start,
+                    events[-1].timestamp if events else -math.inf,
+                    names=names)
+            start = stop + 1
+        lineno += end
+    return events
 
 
 # ---------------------------------------------------------------------------
@@ -687,8 +718,10 @@ class TissueServer:
     Clients (for example one signal client and one antigen client)
     connect, push their streams, and disconnect. The server merges the
     streams while they arrive. After each read, a client's handler parses
-    the whole frames it got as one batch (`parse_events`) and adds them
-    to that client's pending events. Once every expected client has
+    the whole frames it got as one batch (`parse_events`, through one
+    names dict per client, emptied once it holds `SHARED_NAMES`, so equal
+    labels share one string) and adds them to that client's pending
+    events. Once every expected client has
     connected, it applies through the runner every pending event below
     the watermark: the whole second at or below the latest timestamp of
     the slowest client still streaming. No client can still send an event
@@ -795,10 +828,14 @@ class TissueServer:
         # with every client's jumps bounded, the merged stream's are too
         last = 0.0
         lineno = 1  # of the next frame
+        names: dict[str, str] = {}  # so that equal labels share one string
         try:
             with conn:
                 for lines in _read_frames(conn):
-                    events = parse_events(lines, lineno, last, MAX_TICK_JUMP)
+                    events = parse_events(lines, lineno, last, MAX_TICK_JUMP,
+                                          names=names)
+                    if len(names) > SHARED_NAMES:
+                        names.clear()
                     lineno += len(lines)
                     last = events[-1].timestamp
                     self._receive(index, events)

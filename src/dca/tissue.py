@@ -34,6 +34,10 @@ _THRESHOLD_BOUNDS = {"fixed": 1, "uniform": 2}
 BLOCK_TICKS = 64
 BLOCK_CELL_TICKS = 6400
 
+# the characters (text mode) or bytes (binary mode) a reader of an input
+# file asks for at a time: each read's lines are parsed as one batch
+LOG_CHUNK = 65536
+
 # characters that would split a field of the migration log, which joins a
 # record's labels with commas, or of the event log (tab, line breaks)
 _BAD_LABEL = re.compile("[,\t\n\r]")
@@ -563,63 +567,123 @@ def format_record(r: MigrationRecord) -> str:
 _CONTEXT_BY_VALUE = {c.value: c for c in Context}
 
 
-def _parse_antigens(text: str) -> tuple[str, ...]:
-    labels = tuple(text.split(",")) if text else ()
-    check_labels(labels)
+def _parse_antigens(text: str, seen: dict[str, str]) -> tuple[str, ...]:
+    """The labels of a migration log's antigens field. Equal labels share
+    the string `seen` (the labels read so far, to which new ones are
+    added) holds for them, and the labels go through `check_labels` only
+    when one of them is new, so the rule is asked once per distinct label,
+    not once per copy."""
+    size = len(seen)
+    labels = text.split(",") if text else ()
+    labels = tuple(map(seen.setdefault, labels, labels))
+    if len(seen) != size:
+        check_labels(labels)
     return labels
 
 
 # the converter of each field, for naming the one that failed
 _FIELD_PARSERS = {"tick": int, "cell_id": int,
                   "context": _CONTEXT_BY_VALUE.__getitem__,
-                  "antigens": _parse_antigens,
+                  "antigens": lambda text: _parse_antigens(text, {}),
                   "csm": float, "semi": float, "mat": float}
 
 
-def log_lines(fh: IO, error: type[ValueError] = ValueError) -> list[str]:
-    """The lines of a file open in either mode, as text mode reads them: all
-    of it decoded as UTF-8 first, then split at LF, CR LF or a lone CR.
-    Undecodable bytes raise `error` naming the first line that fails alone."""
-    text = fh.read()
-    if isinstance(text, bytes):
+def log_lines(fh: IO, error: type[ValueError] = ValueError
+              ) -> Iterator[list[str]]:
+    """The lines of a file open in either mode, as text mode reads them, one
+    list per `LOG_CHUNK` read: the lines that read ends (a line longer than
+    a chunk comes with the read that ends it). Lines end at LF, CR LF or a
+    lone CR, across reads too: a CR that ends a read waits for the next,
+    which tells whether an LF follows. Bytes are decoded as UTF-8 a block of
+    whole lines at a time, so no character is split between two decodes.
+    Undecodable bytes raise `error` naming their line, with that line's own
+    `'utf-8' codec ...` message, after the lines before it are yielded."""
+    lineno = 1
+    for block in _line_blocks(fh):
+        if isinstance(block, bytes):
+            try:
+                block = block.decode("utf-8")
+            except UnicodeDecodeError:
+                yield from _undecodable(block, lineno, error)
+        if "\r" in block:  # replacing CR LF scans the text even if it finds none
+            block = block.replace("\r\n", "\n").replace("\r", "\n")
+        lines = block.split("\n")
+        if not lines[-1]:
+            lines.pop()  # the end of the block's last line
+        lineno += len(lines)
+        yield lines
+
+
+def _line_blocks(fh: IO) -> Iterator[Union[str, bytes]]:
+    """The input, read `LOG_CHUNK` at a time, in blocks that each end at a
+    line end but the last: a read up to its last line end, after what the
+    reads before it left over. A CR that ends a read is left over, since
+    an LF may follow it."""
+    held: list = []  # read, not yet in a block
+    while chunk := fh.read(LOG_CHUNK):
+        lf, cr = ("\n", "\r") if isinstance(chunk, str) else (b"\n", b"\r")
+        end = max(chunk.rfind(lf), chunk.rfind(cr, 0, -1)) + 1
+        if not end:
+            held.append(chunk)
+            continue
+        held.append(chunk[:end])
+        yield chunk[:0].join(held)
+        held = [chunk[end:]]
+    if any(held):
+        yield held[0][:0].join(held)
+
+
+def _undecodable(block: bytes, lineno: int,
+                 error: type[ValueError]) -> Iterator[list[str]]:
+    """The lines of a block that does not decode, numbered from `lineno`,
+    up to its first line that does not decode alone; then `error` naming
+    that line."""
+    lines = block.splitlines()  # at LF, CR LF or a lone CR only
+    for i, line in enumerate(lines):
         try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError:
-            for lineno, line in enumerate(text.splitlines(), start=1):
-                try:
-                    line.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    raise error(f"line {lineno}: {exc}") from None
-    if "\r" in text:  # replacing CR LF scans the text even if it finds none
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()  # the end of the last line, or an empty input
-    return lines
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            if i:
+                yield [good.decode("utf-8") for good in lines[:i]]
+            raise error(f"line {lineno + i}: {exc}") from None
 
 
 def read_migration_log(fh: IO) -> list[MigrationRecord]:
-    """Parse the lines of a migration log (`log_lines`). Every malformed
-    line, one with a label that fails `check_labels` included, raises a
-    `ValueError` whose message starts with `line N:`."""
-    records = []
-    lines = log_lines(fh)[::-1]  # popped, so no line is held once parsed
-    for lineno in range(1, len(lines) + 1):
-        parts = lines.pop().split("\t")
-        if parts == [""]:  # a blank line
-            continue
-        if len(parts) != 7:
-            raise ValueError(f"line {lineno}: expected 7 fields, got {len(parts)}")
-        tick, cell_id, context, antigens, csm, semi, mat = parts
-        try:
-            # positional, in `MigrationRecord._fields` order
-            records.append(tuple.__new__(MigrationRecord, (
-                int(tick), int(cell_id), _CONTEXT_BY_VALUE[context],
-                _parse_antigens(antigens), float(csm), float(semi),
-                float(mat))))
-        except (KeyError, ValueError):
-            raise _field_error(lineno, parts) from None
-    return records
+    """The records of a migration log, from `migration_log_batches`."""
+    return list(chain.from_iterable(migration_log_batches(fh)))
+
+
+def migration_log_batches(fh: IO) -> Iterator[list[MigrationRecord]]:
+    """Parse a migration log one `log_lines` chunk at a time, yielding each
+    chunk's records. Equal labels share the first one's string, through
+    one dict of the labels read so far (`_parse_antigens`), and a label
+    that fails `check_labels` ends the read. Every malformed line, one
+    with such a label included, raises a `ValueError` whose message
+    starts with `line N:`; the first such line in line order is the one
+    reported."""
+    seen: dict[str, str] = {}
+    lineno = 0
+    for lines in log_lines(fh):
+        records: list[MigrationRecord] = []
+        append = records.append
+        for line in lines:
+            lineno += 1
+            parts = line.split("\t")
+            if len(parts) != 7:
+                if parts == [""]:  # a blank line
+                    continue
+                raise ValueError(
+                    f"line {lineno}: expected 7 fields, got {len(parts)}")
+            tick, cell_id, context, antigens, csm, semi, mat = parts
+            try:
+                # positional, in `MigrationRecord._fields` order
+                append(tuple.__new__(MigrationRecord, (
+                    int(tick), int(cell_id), _CONTEXT_BY_VALUE[context],
+                    _parse_antigens(antigens, seen), float(csm), float(semi),
+                    float(mat))))
+            except (KeyError, ValueError):
+                raise _field_error(lineno, parts) from None
+        yield records
 
 
 def _field_error(lineno: int, parts: list[str]) -> ValueError:

@@ -8,13 +8,14 @@ import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import dca
-from dca import cli
+from dca import analysis, cli, tissue
 from dca.cli import main
 from dca.datasets import load_items, load_uci, synthetic_items, write_items
 from dca.streams import DRAIN_TICKS, MAX_TICK_JUMP, read_log
@@ -457,6 +458,16 @@ class TestInputModes:
                 for fh in (io.StringIO(text), io.BytesIO(text.encode())):
                     assert outcome(reader, fh) == expected, name
 
+    @given(reader_text, st.integers(1, 9))
+    @settings(max_examples=300)
+    def test_every_reader_reads_the_same_at_any_chunk_size(self, text,
+                                                          chunk):
+        for name, reader in READERS.items():
+            expected = outcome(reader, io.BytesIO(text.encode()))
+            with mock.patch.object(tissue, "LOG_CHUNK", chunk):
+                for fh in (io.StringIO(text), io.BytesIO(text.encode())):
+                    assert outcome(reader, fh) == expected, name
+
 
 class TestPortscan:
     def test_single_experiment_outputs(self, tmp_path):
@@ -510,6 +521,27 @@ class TestPipeline:
                               "--log", tmp_path / "absent.log"], capsys)
         assert code == 1
         assert "cannot read log" in captured.err
+
+    def test_report_tallies_its_log_a_chunk_at_a_time(self, tmp_path,
+                                                     capsys):
+        assert run(["--seed", "2", "--out", tmp_path / "bc", "bc",
+                    "--repeats", "2"]) == 0
+        log = tmp_path / "bc" / "migration.log"
+        with open(log) as fh:
+            records = read_migration_log(fh)
+        capsys.readouterr()
+        with mock.patch.object(tissue, "LOG_CHUNK", 999):
+            code, captured = run(["--out", tmp_path / "p", "report",
+                                  "--log", log], capsys)
+        assert code == 0
+        verdicts = dca.aggregate(records)
+        assert captured.out == (f"records={len(records)} "
+                                f"antigens={len(verdicts)}\n")
+        dca.classify(verdicts, cli.DEFAULT_THRESHOLD)
+        table = io.StringIO()
+        analysis.write_verdict_table(verdicts, table, machine=True)
+        assert (tmp_path / "p" / "verdicts.tsv").read_text() == \
+            table.getvalue()
 
     def test_report_missing_truth_exits_one(self, tmp_path, capsys):
         log = tmp_path / "migration.log"

@@ -130,7 +130,24 @@ def test_logs_reads_back_the_scenario_and_its_migration_log(inproc_ab):
     call = inproc_ab.SHAPES["logs"](dca, 2)
     expected = (dca.read_log(event_log), dca.read_migration_log(migration_log))
     assert expected == (events, runner.tissue.records)
-    assert call() == call() == expected
+    # each log read back open in text mode, then in binary mode
+    read = [expected[0]] * 2 + [expected[1]] * 2
+    assert call() == call() == read
+
+
+def test_logs_reads_each_log_in_text_and_in_binary_mode(inproc_ab,
+                                                        monkeypatch):
+    dca = inproc_ab.load(ROOT, "dca_test_log_modes")
+    modes = []
+    for name in ("read_log", "read_migration_log"):
+        def reading(fh, reader=getattr(dca, name), name=name):
+            modes.append((name, "b" in fh.mode))
+            return reader(fh)
+        monkeypatch.setattr(dca, name, reading)
+    inproc_ab.SHAPES["logs"](dca, 2)()
+    assert modes == [("read_log", False), ("read_log", True),
+                     ("read_migration_log", False),
+                     ("read_migration_log", True)]
 
 
 def test_frame_feed_hands_over_each_piece_as_the_buffer_allows(inproc_ab):

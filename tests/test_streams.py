@@ -17,7 +17,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from dca import streams
+from dca import streams, tissue
 from dca.core import SignalVector
 from dca.datasets import LabelledItem
 from dca.streams import (ADDRESS_COUNT, ANTIGEN, BASELINE_PPS, DRAIN_TICKS,
@@ -34,6 +34,7 @@ from dca.streams import (ADDRESS_COUNT, ANTIGEN, BASELINE_PPS, DRAIN_TICKS,
                          run_portscan_experiment, scenario_process_groups,
                          write_log)
 from dca.tissue import PopulationConfig, Tissue
+from test_tissue import one_string_per_name
 
 event_strategy = st.one_of(
     st.builds(Event.signal_set,
@@ -310,7 +311,7 @@ class TestEventLog:
         }
         if "\t" not in label:  # a tab would split the line's fields
             entries["parse_events"] = lambda: parse_events(
-                [f"0.5\tA\t{label}\tshell"])
+                [f"0.5\tA\t{label}\tshell"], names={})
         if label:  # an empty item id has its own message
             entries["LabelledItem"] = lambda: LabelledItem(
                 label, (0.5,) * 9, 0)
@@ -353,13 +354,47 @@ class TestEventLog:
             assert str(exc.value) == error
 
     def test_a_malformed_line_before_undecodable_bytes_is_reported(self):
-        # the whole log is decoded before any line is parsed, so the
-        # undecodable line is reported, not the malformed one before it
+        # the lines before an undecodable one are parsed first, so errors
+        # come in line order: the malformed line 2 is reported, not the
+        # undecodable line 3 after it
         data = b"0\tA\tx\tshell\nnonsense\n1\tA\t\xff\tshell\n"
         with pytest.raises(StreamFormatError) as exc:
             read_log(io.BytesIO(data))
-        assert str(exc.value) == ("line 3: 'utf-8' codec can't decode byte "
-                                  "0xff in position 4: invalid start byte")
+        assert str(exc.value) == "line 2: unrecognized event layout"
+
+    @pytest.mark.parametrize("blank", ["last", "middle"])
+    def test_a_blank_line_keeps_the_batch_parse(self, blank, monkeypatch):
+        events = scenario_events()
+        lines = [format_event(e) for e in events]
+        at = len(lines) if blank == "last" else len(lines) // 2
+        text = "\n".join(lines[:at] + [""] + lines[at:]) + "\n"
+
+        def checked_walk(*args):
+            raise AssertionError("the checked walk ran")
+
+        monkeypatch.setattr(streams, "_parse_checked", checked_walk)
+        assert read_log(io.StringIO(text)) == events
+
+    @pytest.mark.parametrize("chunk", [7, tissue.LOG_CHUNK])
+    def test_equal_labels_and_process_names_are_one_string(self, chunk):
+        events = scenario_events()
+        buf = io.StringIO()
+        write_log(events, buf)
+        buf.seek(0)
+        with mock.patch.object(tissue, "LOG_CHUNK", chunk):
+            read = read_log(buf)
+        assert read == events
+        antigen = [e for e in read if e.kind == ANTIGEN]
+        assert one_string_per_name(e.label for e in antigen)
+        assert one_string_per_name(e.process for e in antigen)
+
+    @pytest.mark.parametrize("chunk", [1, 5, 9, 64])
+    def test_any_chunk_size_reads_the_same_events(self, chunk):
+        events = scenario_events()
+        text = "\n" + "\r\n\n".join(map(format_event, events[:300]))
+        with mock.patch.object(tissue, "LOG_CHUNK", chunk):
+            assert read_log(io.StringIO(text)) == events[:300]
+            assert read_log(io.BytesIO(text.encode())) == events[:300]
 
     def test_blank_lines_and_line_ends_are_skipped(self):
         text = "\n0.5\tA\tx\tshell\r\n\r\n1.5\tA\ty\tshell\n\n"
@@ -432,7 +467,7 @@ class TestParseEvents:
     def test_equals_the_per_line_parse(self, lines, first_lineno, bounds):
         last, max_jump = bounds
         assert result_of(lambda: parse_events(
-            lines, first_lineno, last, max_jump)) == result_of(
+            lines, first_lineno, last, max_jump, names={})) == result_of(
             lambda: parse_events_per_line(lines, first_lineno, last,
                                           max_jump))
 
@@ -440,16 +475,17 @@ class TestParseEvents:
     @settings(max_examples=200)
     def test_equals_the_per_line_parse_on_drawn_lines(self, lines,
                                                       first_lineno):
-        assert result_of(lambda: parse_events(lines, first_lineno)) == \
-            result_of(lambda: parse_events_per_line(
-                lines, first_lineno, -math.inf, None))
+        assert result_of(lambda: parse_events(
+            lines, first_lineno, names={})) == result_of(
+            lambda: parse_events_per_line(lines, first_lineno, -math.inf,
+                                          None))
 
     def test_unusual_batches_that_take_the_checked_walk_still_parse(self):
         # a process name that holds a comma, and steps each within the
         # jump bound that span more than it
         lines = ["0.5\tA\tx\tssh,daemon", "2.0\tA\ty\tshell",
                  "3.5\tS\t1\t1\t1\t0"]
-        assert parse_events(lines, 1, 0.0, 2) == [
+        assert parse_events(lines, 1, 0.0, 2, names={}) == [
             Event.antigen(0.5, "x", "ssh,daemon"),
             Event.antigen(2.0, "y", "shell"),
             Event.signal_set(3.5, SignalVector(1.0, 1.0, 1.0, 0.0))]
@@ -459,7 +495,73 @@ class TestParseEvents:
                            match="^line 12: timestamp 1.0 jumps more than "
                                  "0 s past the previous \\(0.5\\)$"):
             parse_events(["0.5\tA\tx\tshell", "1.0\tA\ty\tshell"], 11,
-                         0.5, 0)
+                         0.5, 0, names={})
+
+
+class TestNameSharing:
+    def test_a_names_dict_shares_names_across_batches(self):
+        names = {}
+        first = parse_events(["0.5\tA\tlabel-1\tshell"], names=names)
+        second = parse_events(["1.0\tA\tlabel-1\tshell"], 2, 0.5,
+                              names=names)
+        assert second == [Event.antigen(1.0, "label-1", "shell")]
+        assert second[0].label is first[0].label
+        assert second[0].process is first[0].process
+        assert names == {"label-1": "label-1", "shell": "shell"}
+
+    def test_each_distinct_name_is_checked_once(self, monkeypatch):
+        checked = []
+        monkeypatch.setattr(streams, "check_labels", checked.extend)
+        names = {}
+        lines = ["0.5\tA\tlabel-1\tshell", "0.6\tA\tlabel-2\tshell",
+                 "0.7\tA\tlabel-1\tshell"]
+        parse_events(lines, names=names)
+        parse_events([line.replace("0.", "1.", 1) for line in lines], 4,
+                     0.7, names=names)
+        assert sorted(checked) == ["label-1", "label-2", "shell"]
+
+    def test_a_names_dict_holds_only_names_that_pass_the_label_rule(self):
+        names = {}
+        # a process name may hold a comma; the checked walk accepts it
+        assert parse_events(["0.5\tA\tx\ta,b"], names=names) == [
+            Event.antigen(0.5, "x", "a,b")]
+        assert names == {}
+        with pytest.raises(StreamFormatError) as exc:
+            parse_events(["1.0\tA\ta,b\tshell"], 2, 0.5, names=names)
+        assert str(exc.value) == ("line 2: antigen label 'a,b' contains a "
+                                  "comma, tab or line break")
+
+    def test_a_server_s_records_share_equal_labels(self):
+        events = scenario_events()
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))))
+        server.start()
+        with StreamClient(*server.address) as client:
+            replay(events, "max", client)
+        records = wait_for(server)
+        assert records == run_in_process(events)
+        assert one_string_per_name(
+            label for r in records for label in r.antigens)
+
+    def test_a_server_empties_a_full_names_dict(self, monkeypatch):
+        checked = []
+
+        def check_labels(names):
+            checked.extend(names)
+            tissue.check_labels(names)
+
+        monkeypatch.setattr(streams, "check_labels", check_labels)
+        monkeypatch.setattr(streams, "SHARED_NAMES", 1)
+        events = scenario_events()
+        server = TissueServer(EventDrivenRunner(
+            Tissue(PopulationConfig.portscan(seed=9))))
+        server.start()
+        with StreamClient(*server.address) as client:
+            replay(events, "max", client)
+        assert wait_for(server) == run_in_process(events)
+        # each read starts from an empty dict, so its names are checked
+        # again
+        assert len(checked) > len(set(checked))
 
 
 class TestDeriveSignals:

@@ -3,16 +3,22 @@ population invariants, and the migration-log file format."""
 
 import io
 import re
+import tempfile
+from itertools import chain
+from pathlib import Path
+from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from dca import tissue
 from dca.analysis import aggregate, tally
 from dca.core import Context, SignalVector, WeightMatrix
 from dca.streams import EventDrivenRunner, ScenarioConfig, generate_scenario
 from dca.tissue import (MigrationRecord, PopulationConfig, Tissue,
-                        format_record, read_migration_log, write_migration_log)
+                        format_record, log_lines, read_migration_log,
+                        write_migration_log)
 
 CONSTANT_PAMP = SignalVector(pamp=50)
 
@@ -458,6 +464,87 @@ log_line = st.one_of(
 )
 
 
+def one_string_per_name(names):
+    """Whether equal names are one object: the first of each is kept."""
+    first = {}
+    return all(first.setdefault(name, name) is name for name in names)
+
+
+def lines_in_mode(text, mode, chunk):
+    """The lines `log_lines` reads from `text` at `chunk` characters or
+    bytes per read, from a text-mode file ("text"), a binary-mode file
+    ("binary"), a `StringIO` or a `BytesIO`."""
+    with mock.patch.object(tissue, "LOG_CHUNK", chunk):
+        if mode in ("StringIO", "BytesIO"):
+            fh = (io.StringIO(text) if mode == "StringIO"
+                  else io.BytesIO(text.encode()))
+            return list(chain.from_iterable(log_lines(fh)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "input"
+            path.write_bytes(text.encode())
+            with (open(path, encoding="utf-8") if mode == "text"
+                  else open(path, "rb")) as fh:
+                return list(chain.from_iterable(log_lines(fh)))
+
+
+def read_partly(data, chunk):
+    """The lines `log_lines` yields from `data` at `chunk` bytes per read
+    before it raises, and its error."""
+    lines = []
+    with mock.patch.object(tissue, "LOG_CHUNK", chunk):
+        with pytest.raises(ValueError) as exc:
+            for batch in log_lines(io.BytesIO(data)):
+                lines += batch
+    return lines, str(exc.value)
+
+
+class TestLogLines:
+    @given(st.text(alphabet=st.sampled_from("\r\n\t,09azAZ\u20ac"),
+                   max_size=40), st.integers(1, 9))
+    @example("ab\r\ncd", 3)
+    @example("\r\r\n\n", 1)
+    @settings(max_examples=300)
+    def test_lines_are_text_mode_s_at_any_chunk_size(self, text, chunk):
+        expected = io.StringIO(text, newline=None).read().split("\n")
+        if not expected[-1]:
+            expected.pop()
+        for mode in ("text", "binary", "StringIO", "BytesIO"):
+            assert lines_in_mode(text, mode, chunk) == expected, mode
+
+    @pytest.mark.parametrize("mode", ["binary", "StringIO", "BytesIO"])
+    @pytest.mark.parametrize("text,chunk,expected", [
+        # CR LF split across a chunk end
+        ("abc\r\ndef\n", 4, ["abc", "def"]),
+        # a lone CR as the last character of a chunk
+        ("abc\rdef\n", 4, ["abc", "def"]),
+        ("abc\r", 4, ["abc"]),
+        # a UTF-8 character split across chunks (3 bytes, read 2 at a time)
+        ("a\u20acb\nc\u20ac\n", 2, ["a\u20acb", "c\u20ac"]),
+    ])
+    def test_line_ends_and_characters_across_chunk_ends(self, mode, text,
+                                                        chunk, expected):
+        assert lines_in_mode(text, mode, chunk) == expected
+
+    def test_each_batch_holds_the_lines_of_one_read(self):
+        with mock.patch.object(tissue, "LOG_CHUNK", 8):
+            batches = list(log_lines(io.StringIO("aaa\nbbb\ncccccccccc\nd")))
+        assert batches == [["aaa", "bbb"], ["cccccccccc"], ["d"]]
+
+    def test_an_undecodable_byte_in_the_third_chunk_names_its_line(self):
+        data = b"1\n2\n3\n4\n5\xff\n6\n"  # read as 1\n2\n, 3\n4\n, 5\xff\n6, \n
+        lines, error = read_partly(data, 4)
+        assert lines == ["1", "2", "3", "4"]
+        assert error == ("line 5: 'utf-8' codec can't decode byte 0xff in "
+                         "position 1: invalid start byte")
+        assert read_partly(data, 64) == (lines, error)
+
+    def test_an_undecodable_line_longer_than_a_chunk_names_its_line(self):
+        lines, error = read_partly(b"ok\r\nabcdef\xe2\x82", 3)
+        assert lines == ["ok"]
+        assert error == ("line 2: 'utf-8' codec can't decode bytes in "
+                         "position 6-7: unexpected end of data")
+
+
 class TestMigrationLog:
     @given(records_strategy)
     @settings(max_examples=150)
@@ -495,6 +582,33 @@ class TestMigrationLog:
             with pytest.raises(ValueError) as info:
                 read_migration_log(buf)
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("chunk", [5, 64, tissue.LOG_CHUNK])
+    def test_equal_labels_are_one_string(self, chunk):
+        records = []
+        for tick in range(200):
+            records.append(MigrationRecord(
+                tick, tick, Context.MATURE,
+                (f"item-{tick % 7}", f"item-{tick % 5}", "item-0"),
+                1.0, 2.0, 3.0))
+        buf = io.StringIO()
+        write_migration_log(records, buf)
+        buf.seek(0)
+        with mock.patch.object(tissue, "LOG_CHUNK", chunk):
+            read = read_migration_log(buf)
+        assert read == records
+        assert one_string_per_name(
+            label for r in read for label in r.antigens)
+
+    def test_only_records_that_bring_a_new_label_are_checked(self,
+                                                            monkeypatch):
+        checked = []
+        monkeypatch.setattr(tissue, "check_labels", checked.append)
+        text = "".join(f"{tick}\t1\tmature\t{labels}\t1.0\t2.0\t3.0\n"
+                       for tick, labels in enumerate(
+                           ["a,b", "b,a", "a", "a,c", "c,b,a", ""]))
+        read_migration_log(io.StringIO(text))
+        assert checked == [("a", "b"), ("a", "c")]
 
     def test_binary_log_reads_as_text_and_names_an_undecodable_line(self):
         good = "3\t7\tmature\ta\t1.0\t2.0\t3.0\n"

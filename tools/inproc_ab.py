@@ -42,7 +42,8 @@ host's speed falls on both alike:
   scenario written with `write_log` and read back with `read_log`, then
   the migration log of its 50-cell in-process run (built before the
   clock starts) written with `write_migration_log` and read back with
-  `read_migration_log`, every file open in text mode.
+  `read_migration_log`; each log is read twice, open in text mode (as
+  `perfbench` reads it) and in binary mode (as the CLI does).
 
 Half the passes (the larger half) run in this interpreter, which loads
 the parent's package first; the other half run in a fresh interpreter
@@ -227,9 +228,10 @@ def wire_ingest_call(dca: ModuleType, seed: int, read_size: int = 0,
 
 def logs_call(dca: ModuleType, seed: int) -> Callable[[], object]:
     """The scaled scenario of `seed` and the migration log of its run on
-    `WIRE_CELLS` cells, each written to a file and read back; the run
+    `WIRE_CELLS` cells, each written to a file and read back in text mode,
+    as `perfbench` reads them, and in binary mode, as the CLI does; the run
     happens here, before the clock starts. The call returns what it read
-    back: the events and the records."""
+    back: the events twice, then the records twice."""
     events = dca.generate_scenario(wire_scenario(dca, seed))
     runner = dca.EventDrivenRunner(dca.Tissue(dca.PopulationConfig.portscan(
         seed=seed, num_cells=WIRE_CELLS)))
@@ -243,12 +245,15 @@ def logs_call(dca: ModuleType, seed: int) -> Callable[[], object]:
         migration_log = Path(work.name) / "migration.log"
         with open(event_log, "w") as fh:
             dca.write_log(events, fh)
-        with open(event_log) as fh:
-            read = dca.read_log(fh)
         with open(migration_log, "w") as fh:
             dca.write_migration_log(records, fh)
-        with open(migration_log) as fh:
-            return read, dca.read_migration_log(fh)
+        read = []
+        for path, reader in ((event_log, dca.read_log),
+                             (migration_log, dca.read_migration_log)):
+            for mode in ("r", "rb"):
+                with open(path, mode) as fh:
+                    read.append(reader(fh))
+        return read
     return call
 
 
