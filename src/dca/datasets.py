@@ -24,7 +24,7 @@ from typing import IO, Iterable, Iterator, Optional, Sequence, TextIO
 
 from .analysis import (AntigenVerdict, RunSummary, aggregate, classify,
                        count_errors, mean_and_std)
-from .core import SignalVector
+from .core import SignalVector, fuse_signals
 from .streams import (ANTIGEN, DRAIN_TICKS, SIGNAL_SET, Event,
                       EventDrivenRunner, run_repeats)
 from .tissue import (MigrationRecord, PopulationConfig, Tissue, check_labels,
@@ -81,14 +81,8 @@ def select_attributes(items: Sequence[LabelledItem]) -> SignalMapping:
     scale is calibrated so the mean per-tick csm increment over the
     dataset equals TARGET_CSM_RATE under default weights.
 
-    The calibration walks the top attribute's and the danger trio's
-    columns once. For each item it forms the unscaled signals as
-    `item_to_signals` does and the csm increment as `fuse_signals` does,
-    in the same order of operations, and it keeps `sum()` over those
-    increments, so the scale is bit for bit the one a call of both per
-    item gives (from Python 3.12 a float `sum` is compensated, which a
-    running `+=` would not match). An item whose signals `SignalVector`
-    rejects raises through `SignalVector`, with its error.
+    The calibration is `sum()` over each item's csm increment, from
+    `item_to_signals` at scale 1.0 and `fuse_signals`, in item order.
     """
     if len(items) < 2:
         raise ValueError("need at least two items")
@@ -115,21 +109,9 @@ def select_attributes(items: Sequence[LabelledItem]) -> SignalMapping:
     mu0 = sum(by_class[0]) / len(by_class[0])
     mu1 = sum(by_class[1]) / len(by_class[1])
 
-    # the csm row of `fuse_signals` at unit scale and no inflammation
-    wp, wd, ws = _DEFAULT_WEIGHTS.csm
-    den = abs(wp) + abs(ws) + abs(wd)
-    ic_factor = (1.0 + 0.0) / 2.0
-    increments = []
-    for x, trio in zip(xs, zip(*(columns[a] for a in danger))):
-        pamp = abs(x - mu0)
-        danger_signal = sum(trio) / DANGER_ATTRIBUTE_COUNT
-        safe = abs(x - mu1)
-        if not (pamp < math.inf and 0 <= danger_signal < math.inf
-                and safe < math.inf):  # NaN fails too
-            SignalVector(pamp, danger_signal, safe)  # raises
-        increments.append((wp * pamp + ws * safe + wd * danger_signal)
-                          / den * ic_factor)
-    csm_rate = sum(increments) / n
+    unit = SignalMapping(danger, top, (mu0, mu1), scale=1.0)
+    csm_rate = sum(fuse_signals(item_to_signals(it, unit), _DEFAULT_WEIGHTS)[0]
+                   for it in items) / n
     if csm_rate <= 0:
         raise ValueError("dataset produces no csm signal; cannot calibrate")
     return SignalMapping(danger, top, (mu0, mu1),

@@ -492,26 +492,21 @@ def scenario_process_groups(events: Iterable[Event]) -> dict[str, set[str]]:
 
 @dataclass(frozen=True)
 class SignalMask:
-    """Which signal channels a run actually uses; masked channels are
-    zeroed before reaching the tissue."""
+    """Whether a run uses the PAMP and inflammation channels, the two that
+    the portscan experiments vary; masked channels are zeroed before
+    reaching the tissue."""
 
     use_pamp: bool = True
-    use_danger: bool = True
-    use_safe: bool = True
     use_inflammation: bool = True
 
     def apply(self, s: SignalVector) -> SignalVector:
-        """`s` with the masked channels zeroed; `s` itself when every
-        channel is kept."""
-        if (self.use_pamp and self.use_danger and self.use_safe
-                and self.use_inflammation):
+        """`s` with the masked channels zeroed; `s` itself when both are
+        kept."""
+        if self.use_pamp and self.use_inflammation:
             return s
         return SignalVector(
-            pamp=s.pamp if self.use_pamp else 0.0,
-            danger=s.danger if self.use_danger else 0.0,
-            safe=s.safe if self.use_safe else 0.0,
-            inflammation=s.inflammation if self.use_inflammation else 0.0,
-        )
+            s.pamp if self.use_pamp else 0.0, s.danger, s.safe,
+            s.inflammation if self.use_inflammation else 0.0)
 
 
 class EventDrivenRunner:

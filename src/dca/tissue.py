@@ -15,7 +15,7 @@ import re
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from typing import IO, Iterable, Iterator, NamedTuple, Optional, TextIO, Union
 
 import numpy as np
@@ -311,10 +311,8 @@ class Tissue:
     def presentations(self) -> Iterator[tuple[bool, Sequence[str]]]:
         """`(mature, labels)` for each migration whose cell held antigen, in
         log order, as `analysis.tally` counts them; builds no record."""
-        for m in self.log:
-            for mature, labels in zip(_matured(m.cytokines), m.labels):
-                if labels:
-                    yield mature, labels
+        mature, labels = _log_columns(self.log, ("mature", "antigens"))
+        return zip(compress(mature, labels), filter(None, labels))
 
     def tick(self) -> Union[tuple[()], _TickLog]:
         """Run one cell cycle; returns the migrations it produced, as a
@@ -477,30 +475,38 @@ class _TickLog:
         return iter(log_records((self,)))
 
 
-def _matured(cytokines: np.ndarray) -> list[bool]:
-    """The context rule, per (csm, semi, mat) row: mature when mat > semi,
-    so a tie is semi-mature."""
-    return (cytokines[:, 2] > cytokines[:, 1]).tolist()
+def _mature(semi, mat):
+    """The context rule, on floats or on arrays of them: mature when
+    mat > semi, so a tie, or a NaN, is semi-mature."""
+    return mat > semi
 
 
-_CONTEXTS = (Context.SEMI_MATURE, Context.MATURE)  # indexed by `_matured`
+_CONTEXTS = (Context.SEMI_MATURE, Context.MATURE)  # indexed by `_mature`
 
 
-def _log_columns(logged: Sequence[_TickLog]) -> tuple[Iterable, ...]:
-    """The seven record fields of the logged ticks, in log order, one
-    iterable per `MigrationRecord` field: the one reader of the tick logs
-    for `log_records` and `Tissue.record_columns`."""
+def _log_columns(logged: Sequence[_TickLog],
+                 fields: Sequence[str] = MigrationRecord._fields
+                 ) -> tuple[Iterable, ...]:
+    """The named fields of the logged ticks' migrations, in log order, one
+    iterable per name: a `MigrationRecord` field, or `mature`, the context
+    rule's verdict as a bool. Only the named fields are converted. The one
+    reader of the tick logs, for records, `Tissue.record_columns` and
+    `Tissue.presentations`."""
     if not logged:
-        return ((),) * 7
-    counts = [len(m.labels) for m in logged]
-    ids = np.concatenate([m.ids for m in logged])
-    cytokines = np.concatenate([m.cytokines for m in logged])
-    # the records of one tick share its tick number object
-    ticks = chain.from_iterable(map(repeat, [m.tick for m in logged], counts))
-    csm, semi, mat = cytokines.T.tolist()
-    contexts = map(_CONTEXTS.__getitem__, _matured(cytokines))
-    labels = chain.from_iterable(m.labels for m in logged)
-    return ticks, ids.tolist(), contexts, labels, csm, semi, mat
+        return ((),) * len(fields)
+    csm, semi, mat = np.concatenate([m.cytokines for m in logged]).T
+    mature = _mature(semi, mat)
+    readers = {
+        # the records of one tick share its tick number object
+        "tick": lambda: chain.from_iterable(repeat(m.tick, len(m))
+                                            for m in logged),
+        "cell_id": lambda: np.concatenate([m.ids for m in logged]).tolist(),
+        "context": lambda: map(_CONTEXTS.__getitem__, mature.tolist()),
+        "antigens": lambda: list(chain.from_iterable(m.labels
+                                                     for m in logged)),
+        "csm": csm.tolist, "semi": semi.tolist, "mat": mat.tolist,
+        "mature": mature.tolist}
+    return tuple(readers[name]() for name in fields)
 
 
 def log_records(logged: Sequence[_TickLog]) -> list[MigrationRecord]:
@@ -657,10 +663,12 @@ def migration_log_batches(fh: IO) -> Iterator[list[MigrationRecord]]:
     """Parse a migration log one `log_lines` chunk at a time, yielding each
     chunk's records. Equal labels share the first one's string, through
     one dict of the labels read so far (`_parse_antigens`), and a label
-    that fails `check_labels` ends the read. Every malformed line, one
-    with such a label included, raises a `ValueError` whose message
-    starts with `line N:`; the first such line in line order is the one
-    reported."""
+    that fails `check_labels` ends the read. A record whose fields convert
+    must also agree with the context rule: its context is mature exactly
+    when `_mature(semi, mat)` holds, as in every log a tissue writes. Every
+    malformed line, one with such a label or such a disagreement included,
+    raises a `ValueError` whose message starts with `line N:`; the first
+    such line in line order is the one reported."""
     seen: dict[str, str] = {}
     lineno = 0
     for lines in log_lines(fh):
@@ -677,12 +685,18 @@ def migration_log_batches(fh: IO) -> Iterator[list[MigrationRecord]]:
             tick, cell_id, context, antigens, csm, semi, mat = parts
             try:
                 # positional, in `MigrationRecord._fields` order
-                append(tuple.__new__(MigrationRecord, (
+                record = tuple.__new__(MigrationRecord, (
                     int(tick), int(cell_id), _CONTEXT_BY_VALUE[context],
                     _parse_antigens(antigens, seen), float(csm), float(semi),
-                    float(mat))))
+                    float(mat)))
             except (KeyError, ValueError):
                 raise _field_error(lineno, parts) from None
+            if record.context is not _CONTEXTS[_mature(record.semi,
+                                                       record.mat)]:
+                raise ValueError(
+                    f"line {lineno}: context {context!r} contradicts semi "
+                    f"{record.semi!r} and mat {record.mat!r}")
+            append(record)
         yield records
 
 

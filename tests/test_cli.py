@@ -620,6 +620,20 @@ class TestPipeline:
         assert captured.err == (f"error: malformed migration log {log}: "
                                 "line 1: invalid antigens 'a,,b'\n")
 
+    def test_report_rejects_a_context_its_cytokines_contradict(self, tmp_path,
+                                                               capsys):
+        # mature only when mat > semi: this record is semi-mature
+        log = tmp_path / "migration.log"
+        log.write_text("1\t2\tmature\ta\t1.0\t5.0\t3.0\n")
+        code, captured = run(["--out", tmp_path / "p", "report",
+                              "--log", log], capsys)
+        assert code == 1
+        assert captured.err == (f"error: malformed migration log {log}: "
+                                "line 1: context 'mature' contradicts semi "
+                                "5.0 and mat 3.0\n")
+        assert captured.out == ""
+        assert not (tmp_path / "p").exists()
+
     def test_report_rejects_a_carriage_return_in_a_label(self, tmp_path,
                                                           capsys):
         log = tmp_path / "migration.log"

@@ -15,7 +15,7 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 import dca.tissue
-from dca.core import SignalVector
+from dca.core import Context, SignalVector
 from dca.tissue import MigrationRecord, PopulationConfig, Tissue
 from reference_tissue import ReferenceTissue
 
@@ -191,6 +191,29 @@ def test_record_columns_are_the_records_by_field(name, read_mid_run):
         assert type(column) is list
         assert repr(column) == repr(list(want)), field
     assert tissue.records == twin.records
+    assert_named_fields_are_columns(tissue, random.Random(name))
+
+
+# the one reader of the tick logs converts only the fields it is named;
+# `mature` is the context rule's verdict as a bool
+LOG_FIELDS = MigrationRecord._fields + ("mature",)
+
+
+def assert_named_fields_are_columns(tissue, rng, draws=40):
+    """Any drawn subset of the fields, in any order, reads as the matching
+    columns of the call that names them all."""
+    every = dict(zip(LOG_FIELDS, map(list, dca.tissue._log_columns(
+        tissue.log, LOG_FIELDS))))
+    assert every["mature"] == [c is Context.MATURE for c in every["context"]]
+    assert all(type(b) is bool for b in every["mature"])
+    subsets = [[name] for name in LOG_FIELDS] + [
+        rng.sample(LOG_FIELDS, rng.randint(0, len(LOG_FIELDS)))
+        for _ in range(draws)]
+    for fields in subsets:
+        columns = dca.tissue._log_columns(tissue.log, fields)
+        assert len(columns) == len(fields)
+        for name, column in zip(fields, columns):
+            assert repr(list(column)) == repr(every[name]), (fields, name)
 
 
 def test_a_tissue_without_migrations_gives_seven_empty_columns():
@@ -202,6 +225,7 @@ def test_a_tissue_without_migrations_gives_seven_empty_columns():
     assert columns == ([],) * 7
     assert list(map(tuple.__new__, repeat(MigrationRecord),
                     zip(*columns))) == [] == tissue.records
+    assert_named_fields_are_columns(tissue, random.Random(3))
 
 
 signal_steps = st.lists(
